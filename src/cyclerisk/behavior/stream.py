@@ -64,15 +64,3 @@ class SensorStream:
     def channel_matrix(self) -> np.ndarray:
         """Feature channels as one (n, 7) block: ax ay az gx gy gz speed."""
         return np.column_stack([getattr(self, c) for c in CHANNEL_NAMES])
-
-    def long_gaps(self, threshold: float = 1.0) -> list[tuple[int, float]]:
-        """(index, dt) for each inter-sample gap longer than threshold seconds."""
-        dts = np.diff(self.t)
-        return [(int(i), float(dts[i])) for i in np.nonzero(dts > threshold)[0]]
-
-    def slice(self, start: int, stop: int) -> "SensorStream":
-        kw = {name: getattr(self, name)[start:stop]
-              for name in ("t", "ax", "ay", "az", "gx", "gy", "gz",
-                           "speed", "lat", "lon", "acc")}
-        gm = None if self.gap_mask is None else self.gap_mask[start:stop]
-        return SensorStream(**kw, gap_mask=gm)

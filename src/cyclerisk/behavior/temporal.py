@@ -38,9 +38,6 @@ class TemporalSmoother:
         self.bandwidth = float(bandwidth)
         self._history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=window + 1)
 
-    def reset(self) -> None:
-        self._history.clear()
-
     def push(self, features: np.ndarray, probs: np.ndarray) -> tuple[int, np.ndarray]:
         """Add one window; returns (smoothed class index, blended scores)."""
         features = np.asarray(features, dtype=np.float64)

@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegenerateGeometryError,
                      InsufficientFlowError, InvalidInputError,
                      RecordParseError, ZeroMassError)
 from .pipeline import (analyze_ride, label_windows, load_ride, segment_modes,
-                       write_analysis)
+                       write_analysis, write_windows)
 from .risk import RiskParams, region_map_for
 from .synth import (gen_expansion_scene, gen_ride, render_ride_frames,
                     script_detections)
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Route risk and transport-mode analysis for recorded rides.")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--jobs", type=int, help="worker threads for frame stages")
     p.add_argument("--criterion", choices=("lane", "proximity"),
                    help="risk partition to use")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -175,8 +174,6 @@ def resolve_config(args) -> PipelineConfig:
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.jobs is not None:
-        overrides.append(f"jobs={args.jobs}")
     if args.criterion is not None:
         overrides.append(f"risk.criterion={args.criterion}")
     # per-command shortcut flags map onto the same config keys
@@ -303,16 +300,13 @@ def cmd_train_risk(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_labeled_rides(ride_dirs, cfg: PipelineConfig):
+def _load_labeled_rides(ride_dirs):
     xs, ys = [], []
     for d in ride_dirs:
         d = Path(d)
         stream = fileio.read_sensor_csv(d / "sensors.csv")
         labels = dict(fileio.read_window_labels(d / "labels.ndjson"))
-        grid = preprocess(stream, trim=cfg.behavior.trim_seconds,
-                          rate=cfg.behavior.rate)
-        wins = make_windows(grid, size=cfg.behavior.window,
-                            stride=cfg.behavior.stride)
+        wins = make_windows(preprocess(stream))
         X = features_matrix(wins)
         for w, row in zip(wins, X):
             if w.start not in labels:
@@ -326,7 +320,7 @@ def _load_labeled_rides(ride_dirs, cfg: PipelineConfig):
 
 
 def cmd_train_behavior(args, cfg: PipelineConfig) -> int:
-    X, y = _load_labeled_rides(args.rides, cfg)
+    X, y = _load_labeled_rides(args.rides)
     kernel = KernelSpec(cfg.behavior.kernel, cfg.behavior.bandwidth)
     mask = None
     if args.rfe_top is not None:
@@ -351,8 +345,7 @@ def cmd_classify_behavior(args, cfg: PipelineConfig) -> int:
     windows = label_windows(stream, model, cfg)
     segments = segment_modes(windows, [], stream)
     for w in windows:
-        print(fileio.canonical_json(
-            {"start": w.start, "t0": w.t0, "t1": w.t1, "label": w.label}))
+        print(w.to_json())
     for seg in segments:
         print(fileio.canonical_json(
             {"mode": seg["mode"], "start_t": seg["start_t"],
@@ -360,11 +353,7 @@ def cmd_classify_behavior(args, cfg: PipelineConfig) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [fileio.canonical_json(
-            {"start": w.start, "t0": w.t0, "t1": w.t1, "label": w.label})
-            for w in windows]
-        (out / "windows.ndjson").write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        write_windows(out / "windows.ndjson", windows)
         fileio.write_report_geojson(out / "report.geojson", segments)
     return 0
 
@@ -490,7 +479,7 @@ def _eval_behavior(args, cfg: PipelineConfig) -> int:
         raise InvalidInputError("eval --task behavior needs --rides")
     if not 0.0 < args.split < 1.0:
         raise InvalidInputError("--split must be in (0, 1)")
-    X, y = _load_labeled_rides(args.rides, cfg)
+    X, y = _load_labeled_rides(args.rides)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(X.shape[0])
     n_test = max(1, int(round(args.split * X.shape[0])))

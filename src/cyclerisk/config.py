@@ -55,6 +55,8 @@ class VisionConfig:
             raise ConfigError(f"bad corner_grid {self.corner_grid}")
         if self.corner_max_per_cell < 1:
             raise ConfigError("corner_max_per_cell must be >= 1")
+        if not 0.0 < self.corner_quality <= 1.0:
+            raise ConfigError("corner_quality must be in (0, 1]")
         if self.lk_window < 3 or self.lk_window % 2 == 0:
             raise ConfigError("lk_window must be an odd number >= 3")
         if self.lk_levels < 1:
@@ -81,6 +83,8 @@ class FoeConfig:
             raise ConfigError("tol must be positive")
         if not 0.0 < self.angle_thresh < 90.0:
             raise ConfigError("angle_thresh must be in (0, 90) degrees")
+        if self.max_refine_iters < 1:
+            raise ConfigError("max_refine_iters must be >= 1")
         if self.min_flows < 3:
             raise ConfigError("min_flows must be >= 3")
         r = self.ring_radii
@@ -88,6 +92,8 @@ class FoeConfig:
             raise ConfigError(f"ring_radii must be 3 increasing fractions, got {r}")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
+        if self.smooth_decay < 0:
+            raise ConfigError("smooth_decay must be >= 0")
 
 
 @dataclass
@@ -120,26 +126,13 @@ class EmdConfig:
 
 @dataclass
 class BehaviorConfig:
-    trim_seconds: float = 10.0
-    rate: float = 10.0
-    window: int = 100
-    stride: int = 50
     C: float = 1.0
     kernel: str = "linear"
     bandwidth: float | None = None
     smooth_window: int = 10
     smooth_decay: float = 0.5
-    rfe_top: int = 8
 
     def validate(self) -> None:
-        if self.trim_seconds < 0:
-            raise ConfigError("trim_seconds must be >= 0")
-        if self.rate <= 0:
-            raise ConfigError("rate must be positive")
-        if self.window < 4:
-            raise ConfigError("window must be >= 4")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
         if self.C <= 0:
             raise ConfigError("C must be positive")
         if self.kernel not in ("linear", "poly2", "poly3", "gaussian"):
@@ -148,8 +141,8 @@ class BehaviorConfig:
             raise ConfigError("bandwidth must be positive when given")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
-        if not 1 <= self.rfe_top <= 54:
-            raise ConfigError("rfe_top must be in [1, 54]")
+        if self.smooth_decay < 0:
+            raise ConfigError("smooth_decay must be >= 0")
 
 
 _SECTIONS = {"vision": VisionConfig, "foe": FoeConfig, "risk": RiskConfig,
@@ -164,13 +157,10 @@ class PipelineConfig:
     emd: EmdConfig = field(default_factory=EmdConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     seed: int = 0
-    jobs: int = 1
 
     def validate(self) -> "PipelineConfig":
         for name in _SECTIONS:
             getattr(self, name).validate()
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         return self
 
     def to_dict(self) -> dict:
@@ -180,18 +170,19 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
-        unknown = set(data) - set(_SECTIONS) - {"seed", "jobs"}
+        unknown = set(data) - set(_SECTIONS) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}")
         kwargs = {}
         for name, sub in _SECTIONS.items():
             if name in data:
                 kwargs[name] = _build(sub, data[name], name)
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "jobs" in data:
-            kwargs["jobs"] = int(data["jobs"])
-        return cls(**kwargs).validate()
+        try:
+            if "seed" in data:
+                kwargs["seed"] = int(data["seed"])
+            return cls(**kwargs).validate()
+        except (TypeError, ValueError) as exc:   # a value of the wrong type
+            raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> PipelineConfig:
@@ -221,8 +212,8 @@ def apply_overrides(cfg: PipelineConfig, assignments) -> PipelineConfig:
         except json.JSONDecodeError:
             value = text
         parts = key.strip().split(".")
-        if len(parts) == 1 and parts[0] in ("seed", "jobs"):
-            data[parts[0]] = value
+        if parts == ["seed"]:
+            data["seed"] = value
         elif len(parts) == 2 and parts[0] in _SECTIONS:
             data[parts[0]][parts[1]] = value
         else:

@@ -347,6 +347,3 @@ class FoeSmoother:
         pts = np.array([p for _, p in self._history])
         weights = np.exp(-self.decay * (frame_index - ts))
         return (pts * weights[:, None]).sum(axis=0) / weights.sum()
-
-    def reset(self) -> None:
-        self._history.clear()

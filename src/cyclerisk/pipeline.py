@@ -11,7 +11,7 @@ repeated runs write byte-identical outputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,8 +67,18 @@ def load_ride(ride_dir) -> RideInputs:
     if not sensors_path.exists():
         raise InvalidInputError(f"missing {sensors_path}")
     meta = fileio.read_ride_meta(meta_path)
-    if "fps" not in meta or float(meta["fps"]) <= 0:
+    if not isinstance(meta, dict):
+        raise InvalidInputError("ride.json must hold an object")
+    try:
+        fps = float(meta.get("fps", 0.0))
+        frame_start = float(meta.get("frame_start", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"ride.json fps and frame_start must be numbers: {exc}") from exc
+    if not (math.isfinite(fps) and fps > 0):
         raise InvalidInputError("ride.json must declare a positive fps")
+    if not math.isfinite(frame_start):
+        raise InvalidInputError("ride.json frame_start must be finite")
     frames = fileio.list_frames(ride_dir / "frames")
     dets: dict[int, list] = {}
     det_path = ride_dir / "detections.ndjson"
@@ -90,6 +100,11 @@ class WindowRow:
     @property
     def center(self) -> float:
         return 0.5 * (self.t0 + self.t1)
+
+    def to_json(self) -> str:
+        """This window's row of windows.ndjson."""
+        return fileio.canonical_json({"start": self.start, "t0": self.t0,
+                                      "t1": self.t1, "label": self.label})
 
 
 @dataclass
@@ -117,8 +132,8 @@ class RideAnalysis:
 def label_windows(stream: SensorStream, model: SvmModel,
                   cfg: PipelineConfig) -> list[WindowRow]:
     b = cfg.behavior
-    grid = preprocess(stream, trim=b.trim_seconds, rate=b.rate)
-    windows = make_windows(grid, size=b.window, stride=b.stride)
+    grid = preprocess(stream)
+    windows = make_windows(grid)
     X = features_matrix(windows)
     probs = softmax(model.decision_values(X))
     Xs = (X[:, model.feature_mask] - model.mu) / model.scale
@@ -130,7 +145,7 @@ def label_windows(stream: SensorStream, model: SvmModel,
     rows = []
     for w, i in zip(windows, idx):
         t0 = float(grid.t[w.start])
-        t1 = float(grid.t[w.start + b.window - 1])
+        t1 = float(grid.t[w.start + len(w.data) - 1])
         rows.append(WindowRow(start=int(w.start), t0=t0, t1=t1,
                               label=model.classes[int(i)]))
     return rows
@@ -174,23 +189,10 @@ def _pair_observations(prev: GrayFrame, nxt: GrayFrame,
 
 def vision_pass(ride: RideInputs, pair_first: list[int],
                 cfg: PipelineConfig) -> list[_PairObs]:
-    """Flow observations for each (t, t + stride) frame pair.
-
-    Pure per-pair work; runs with bounded parallelism when jobs > 1 and
-    produces the same ordered results either way.
-    """
+    """Flow observations for each (t, t + stride) frame pair, in order."""
     stride = cfg.vision.frame_stride
     by_index = dict(ride.frames)
     needed = sorted({i for f in pair_first for i in (f, f + stride)})
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            frames = dict(zip(needed, pool.map(
-                lambda i: _load_clahe(by_index[i], i, cfg), needed)))
-            out = list(pool.map(
-                lambda f: _pair_observations(frames[f], frames[f + stride], cfg),
-                pair_first))
-        return out
     frames = {i: _load_clahe(by_index[i], i, cfg) for i in needed}
     return [_pair_observations(frames[f], frames[f + stride], cfg)
             for f in pair_first]
@@ -357,10 +359,11 @@ def write_analysis(out_dir, result: RideAnalysis) -> None:
         }))
     (out_dir / "frames.ndjson").write_text(
         "\n".join(frame_lines) + ("\n" if frame_lines else ""), encoding="utf-8")
-    window_lines = [fileio.canonical_json(
-        {"start": wr.start, "t0": wr.t0, "t1": wr.t1, "label": wr.label})
-        for wr in result.windows]
-    (out_dir / "windows.ndjson").write_text(
-        "\n".join(window_lines) + ("\n" if window_lines else ""),
-        encoding="utf-8")
+    write_windows(out_dir / "windows.ndjson", result.windows)
     fileio.write_report_geojson(out_dir / "report.geojson", result.segments)
+
+
+def write_windows(path, windows: list[WindowRow]) -> None:
+    lines = [w.to_json() for w in windows]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                          encoding="utf-8")

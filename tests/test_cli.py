@@ -189,8 +189,13 @@ class TestClassifyBehavior:
         segments = [r for r in recs if "mode" in r]
         assert windows and segments
         assert {r["label"] for r in windows} <= {"walk", "bike", "motor"}
-        assert (out / "windows.ndjson").exists()
         assert (out / "report.geojson").exists()
+        # the same rows as analyze writes for this ride and model
+        written = (out / "windows.ndjson").read_bytes()
+        assert written == \
+            (e2e_workspace["out_mixed"] / "windows.ndjson").read_bytes()
+        assert written.decode().splitlines() == \
+            stdout.splitlines()[:len(windows)]
 
 
 class TestTrainRisk:
@@ -339,10 +344,31 @@ class TestDryRunAndExitCodes:
         assert "input error" in err
 
     def test_bad_config_exit_3(self, tmp_path, capsys):
-        rc, _, err = run(capsys, "--set", "vision.lk_window=4", "gen-scene",
-                         "--out", str(tmp_path / "s"))
-        assert rc == 3
-        assert "config error" in err
+        for bad in ("vision.lk_window=4", "vision.corner_quality=0",
+                    "foe.max_refine_iters=0", "foe.smooth_decay=-1",
+                    "behavior.smooth_decay=-1", "seed=abc",
+                    'foe.max_refine_iters="x"'):
+            rc, _, err = run(capsys, "--set", bad, "gen-scene",
+                             "--out", str(tmp_path / "s"))
+            assert rc == 3, bad
+            assert "config error" in err
+
+    @pytest.mark.parametrize("meta", [
+        '{"fps": "abc"}', '{"fps": 5, "frame_start": null}',
+        '{"fps": 5, "frame_start": "x"}'])
+    def test_bad_ride_meta_exit_2(self, e2e_workspace, tmp_path, capsys,
+                                  meta):
+        ride = tmp_path / "ride"
+        ride.mkdir()
+        (ride / "ride.json").write_text(meta)
+        (ride / "sensors.csv").write_bytes(
+            (e2e_workspace["ride_bike"] / "sensors.csv").read_bytes())
+        rc, _, err = run(capsys, "analyze", str(ride),
+                         "--out", str(tmp_path / "o"),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(e2e_workspace["trainset"]))
+        assert rc == 2
+        assert "input error" in err
 
     def test_single_class_training_exit_4(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "--seed", "3", "gen-ride", "--out",

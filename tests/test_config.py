@@ -21,12 +21,32 @@ class TestDefaults:
         assert cfg.risk.criterion == "lane"
         assert cfg.emd.cross_factor == 2.0
         assert cfg.emd.k == 5
-        assert cfg.behavior.window == 100
-        assert cfg.behavior.stride == 50
         assert cfg.behavior.kernel == "linear"
-        assert cfg.behavior.rfe_top == 8
         assert cfg.seed == 0
-        assert cfg.jobs == 1
+
+    def test_settable_keys(self):
+        # every settable value; a new one must be added here and in
+        # docs/formats.md ("Config file")
+        def flat(d, prefix=""):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    yield from flat(v, f"{prefix}{k}.")
+                else:
+                    yield prefix + k
+
+        assert sorted(flat(PipelineConfig().to_dict())) == [
+            "behavior.C", "behavior.bandwidth", "behavior.kernel",
+            "behavior.smooth_decay", "behavior.smooth_window",
+            "emd.cross_factor", "emd.k",
+            "foe.angle_thresh", "foe.delta", "foe.max_refine_iters",
+            "foe.min_flows", "foe.ring_radii", "foe.smooth_decay",
+            "foe.smooth_window", "foe.tol",
+            "risk.criterion", "risk.footprint_frac", "risk.footprint_min_px",
+            "seed",
+            "vision.clahe_clip", "vision.clahe_grid", "vision.corner_grid",
+            "vision.corner_max_per_cell", "vision.corner_quality",
+            "vision.frame_stride", "vision.lk_levels", "vision.lk_window",
+        ]
 
     def test_round_trip_idempotent(self):
         cfg = PipelineConfig()
@@ -61,8 +81,6 @@ class TestFromDict:
             PipelineConfig.from_dict({"vision": {"lk_window": 4}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"foe": {"ring_radii": [0.5, 0.3, 0.2]}})
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_dict({"jobs": 0})
 
     def test_lists_become_tuples(self):
         cfg = PipelineConfig.from_dict({"foe": {"ring_radii": [0.1, 0.2, 0.4]}})
@@ -79,6 +97,14 @@ class TestFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("data", [
+        {"jobs": 1}, {"behavior": {"window": 100}}, {"behavior": {"rfe_top": 8}}])
+    def test_unknown_keys_in_file_rejected(self, tmp_path, data):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(p)
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "run.json"

@@ -139,24 +139,10 @@ class TestLoadRide:
 
 
 class TestVisionPass:
-    def test_jobs_do_not_change_results(self, e2e_workspace):
-        ride = load_ride(e2e_workspace["ride_bike"])
-        cfg1 = PipelineConfig()
-        cfg4 = PipelineConfig.from_dict({"jobs": 4})
-        firsts = [0, 5, 10, 15]
-        seq = vision_pass(ride, firsts, cfg1)
-        par = vision_pass(ride, firsts, cfg4)
-        assert [p.frame for p in seq] == firsts
-        for a, b in zip(seq, par):
-            assert a.frame == b.frame
-            assert a.note == b.note
-            assert len(a.observations) == len(b.observations)
-            for oa, ob in zip(a.observations, b.observations):
-                assert np.array_equal(oa.point, ob.point)
-                assert np.array_equal(oa.vector, ob.vector)
-
     def test_observations_are_plentiful(self, e2e_workspace):
         ride = load_ride(e2e_workspace["ride_bike"])
-        out = vision_pass(ride, [0], PipelineConfig())
+        firsts = [0, 5, 10, 15]
+        out = vision_pass(ride, firsts, PipelineConfig())
+        assert [p.frame for p in out] == firsts
         assert out[0].note == ""
         assert len(out[0].observations) >= 30

@@ -78,14 +78,6 @@ class TestSmoother:
         # at most window + 1 terms contribute with decay 0 and affinity 1
         assert scores[0] == pytest.approx(3.0)
 
-    def test_reset_clears_history(self):
-        sm = TemporalSmoother(window=10, decay=0.0, bandwidth=1.0)
-        sm.push(np.zeros(2), np.array([1.0, 0.0]))
-        sm.reset()
-        cls, scores = sm.push(np.zeros(2), np.array([0.0, 1.0]))
-        assert cls == 1
-        assert scores[0] == 0.0
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             TemporalSmoother(window=0)
