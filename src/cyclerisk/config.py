@@ -7,6 +7,8 @@ fails loudly instead of silently running on defaults.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -35,6 +37,15 @@ def _build(cls, data: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _check_ints(section) -> None:
+    """Every field declared `int` must hold an integer (not a bool)."""
+    for f in fields(section):
+        v = getattr(section, f.name)
+        if f.type == "int" and (isinstance(v, bool)
+                                or not isinstance(v, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+
+
 @dataclass
 class VisionConfig:
     clahe_grid: tuple[int, int] = (4, 4)
@@ -47,6 +58,7 @@ class VisionConfig:
     frame_stride: int = 5
 
     def validate(self) -> None:
+        _check_ints(self)
         if len(self.clahe_grid) != 2 or min(self.clahe_grid) < 1:
             raise ConfigError(f"bad clahe_grid {self.clahe_grid}")
         if not 0.0 < self.clahe_clip <= 1.0:
@@ -77,6 +89,7 @@ class FoeConfig:
     smooth_decay: float = 0.5
 
     def validate(self) -> None:
+        _check_ints(self)
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         if self.tol <= 0:
@@ -118,8 +131,10 @@ class EmdConfig:
     k: int = 5
 
     def validate(self) -> None:
-        if self.cross_factor < 1.0:
-            raise ConfigError("cross_factor must be >= 1")
+        _check_ints(self)
+        if not 1.0 <= self.cross_factor < math.inf:
+            raise ConfigError(
+                f"cross_factor must be finite and >= 1, got {self.cross_factor}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
 
@@ -133,6 +148,7 @@ class BehaviorConfig:
     smooth_decay: float = 0.5
 
     def validate(self) -> None:
+        _check_ints(self)
         if self.C <= 0:
             raise ConfigError("C must be positive")
         if self.kernel not in ("linear", "poly2", "poly3", "gaussian"):

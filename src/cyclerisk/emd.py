@@ -9,18 +9,37 @@ constant factor when the two sub-regions belong to different risk groups
 The transport problem itself is solved exactly with successive shortest
 paths under node potentials: deterministic, no tolerance tuning, and fast at
 25 bins because supports are usually sparse.
+
+Retrieval is exact k-NN, but most exact solves are skipped. For unit masses
+q and t and any nonnegative ground distance D, the relaxed transport bound
+(RWMD; Kusner et al., ICML 2015)
+
+    lb(q, t) = max(sum_i q_i min_{j in supp t} D_ij,
+                   sum_j t_j min_{i in supp q} D_ij)
+
+never exceeds EMD(q, t): dropping either marginal constraint can only lower
+the optimum. Training items are solved in ascending (bound, index) order,
+and the search stops once k are solved and the next bound lies above the
+k-th exact distance by more than a roundoff margin. Every skipped item is
+then strictly farther than the k-th neighbor, so the result is the one an
+all-pairs search would give, bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ZeroMassError
-from .risk import RegionMap
+from .risk import RegionMap, descriptor_bins
 
 _EPS = 1e-15
+# slack between a bound and an exact value before an item may be skipped,
+# relative to the largest ground distance (solver roundoff is far below it)
+_PRUNE_MARGIN = 1e-9
 
 
 def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> np.ndarray:
@@ -32,8 +51,9 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
     at wide aspect ratios) can never hold descriptor mass, so its centroid is
     replaced by the frame center just to keep every entry finite.
     """
-    if cross_factor < 1.0:
-        raise InvalidInputError(f"cross_factor must be >= 1, got {cross_factor}")
+    if not 1.0 <= cross_factor < math.inf:
+        raise InvalidInputError(
+            f"cross_factor must be finite and >= 1, got {cross_factor}")
     w, h = region_map.dims
     cents = region_map.centroids()[1:].copy()
     missing = np.isnan(cents[:, 0])
@@ -194,12 +214,9 @@ class TrainingItem:
     level: int
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).reshape(25)
-        if (v < 0).any():
-            raise InvalidInputError("descriptor bins must be nonnegative")
+        self.values = descriptor_bins(self.values)
         if self.level not in (1, 2, 3):
             raise InvalidInputError(f"risk level must be 1, 2 or 3, got {self.level}")
-        self.values = v
 
 
 @dataclass
@@ -213,8 +230,8 @@ class RiskTrainingSet:
     def __post_init__(self) -> None:
         if self.criterion not in ("lane", "proximity"):
             raise InvalidInputError(f"unknown criterion {self.criterion!r}")
-        if self.cross_factor < 1.0:
-            raise InvalidInputError("cross_factor must be >= 1")
+        if not 1.0 <= self.cross_factor < math.inf:
+            raise InvalidInputError("cross_factor must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -224,6 +241,25 @@ class RiskLevel:
     level: int
     neighbor_distances: tuple[float, ...]
     votes: dict[int, int]
+
+
+def relaxed_lower_bounds(query, items, dist: np.ndarray) -> np.ndarray:
+    """RWMD lower bound on EMD(query, item) for each row of items.
+
+    query is one 25-bin signature and items an (N, 25) stack, all finite,
+    nonnegative and with positive mass; both are normalized to unit mass
+    here, as `emd` does. Requires a nonnegative ground distance.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    t = np.asarray(items, dtype=np.float64)
+    q = q / q.sum()
+    t = t / t.sum(axis=1, keepdims=True)
+    supp = q > 0.0
+    rows = np.asarray(dist, dtype=np.float64)[supp]     # (|supp q|, 25)
+    # every query bin ships its mass to the nearest bin the item occupies
+    near_item = np.where(t[:, None, :] > 0.0, rows[None], np.inf).min(axis=2)
+    # every item bin receives its mass from the nearest occupied query bin
+    return np.maximum(near_item @ q[supp], t @ rows.min(axis=0))
 
 
 def classify_risk(
@@ -238,13 +274,17 @@ def classify_risk(
     Ties in the vote fall to the level with the smaller summed neighbor
     distance, then to the lower level. Training items without mass cannot be
     compared and are ignored.
+
+    The k nearest items, ordered by (distance, index), are exact. Items are
+    solved in ascending (`relaxed_lower_bounds`, index) order; the search
+    stops once k are solved and the next bound exceeds the k-th exact
+    distance by more than a roundoff margin, since no later item can then
+    displace a neighbor.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    values = descriptor.values if hasattr(descriptor, "values") else np.asarray(descriptor)
-    values = np.asarray(values, dtype=np.float64).reshape(25)
-    if (values < 0).any():
-        raise InvalidInputError("descriptor bins must be nonnegative")
+    values = descriptor.values if hasattr(descriptor, "values") else descriptor
+    values = descriptor_bins(values)
     if values.sum() <= 0.0:
         return RiskLevel(level=1, neighbor_distances=(), votes={})
 
@@ -252,19 +292,25 @@ def classify_risk(
     if not usable:
         raise ZeroMassError("every training descriptor has zero mass")
 
-    dists = np.array([emd(values, it.values, dist) for it in usable])
-    order = np.lexsort((np.arange(len(usable)), dists))
-    nearest = order[:min(k, len(usable))]
+    k = min(k, len(usable))
+    bounds = relaxed_lower_bounds(values, [it.values for it in usable], dist)
+    margin = _PRUNE_MARGIN * max(1.0, float(np.max(dist)))
+    solved: list[tuple[float, int]] = []   # (exact distance, index), sorted
+    for idx in np.lexsort((np.arange(len(usable)), bounds)):
+        if len(solved) >= k and bounds[idx] > solved[k - 1][0] + margin:
+            break
+        bisect.insort(solved, (emd(values, usable[idx].values, dist), int(idx)))
+    nearest = solved[:k]
 
     votes: dict[int, int] = {}
     sums: dict[int, float] = {}
-    for idx in nearest:
+    for d, idx in nearest:
         lv = usable[idx].level
         votes[lv] = votes.get(lv, 0) + 1
-        sums[lv] = sums.get(lv, 0.0) + float(dists[idx])
+        sums[lv] = sums.get(lv, 0.0) + d
     top = max(votes.values())
     tied = sorted(lv for lv, c in votes.items() if c == top)
     winner = min(tied, key=lambda lv: (sums[lv], lv))
     return RiskLevel(level=winner,
-                     neighbor_distances=tuple(float(dists[i]) for i in nearest),
+                     neighbor_distances=tuple(d for d, _ in nearest),
                      votes=votes)

@@ -246,7 +246,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                            decay=cfg.foe.smooth_decay)
     prev_foe = np.array([w / 2.0, h / 2.0])
     prox_map = proximity_region_map(dims) if criterion == "proximity" else None
-    prox_dist = (build_distance_matrix(prox_map, cfg.emd.cross_factor)
+    prox_dist = (build_distance_matrix(prox_map, train.cross_factor)
                  if prox_map is not None else None)
 
     for i in bike:
@@ -266,7 +266,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             row.foe = (float(smoothed[0]), float(smoothed[1]))
             if criterion == "lane":
                 rmap = lane_region_map(smoothed, dims)
-                dist = build_distance_matrix(rmap, cfg.emd.cross_factor)
+                dist = build_distance_matrix(rmap, train.cross_factor)
             else:
                 rmap, dist = prox_map, prox_dist
             desc = risk_descriptor(dets, rmap, risk_params, frame=i)

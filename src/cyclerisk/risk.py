@@ -308,6 +308,14 @@ def object_footprint(
     return (x0, y0, max(x1 - x0, 0.0), max(y1 - y0, 0.0))
 
 
+def descriptor_bins(values) -> np.ndarray:
+    """The 25 bins as float64, rejecting negative or non-finite mass."""
+    v = np.asarray(values, dtype=np.float64).reshape(25)
+    if not (np.isfinite(v).all() and (v >= 0).all()):
+        raise InvalidInputError("descriptor bins must be finite and nonnegative")
+    return v
+
+
 @dataclass
 class RiskDescriptor:
     """25-bin occupancy-risk histogram for one frame."""
@@ -318,10 +326,7 @@ class RiskDescriptor:
     skipped_unknown: int = 0
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).reshape(25)
-        if (v < 0).any():
-            raise InvalidInputError("descriptor bins must be nonnegative")
-        self.values = v
+        self.values = descriptor_bins(self.values)
 
     @property
     def total(self) -> float:

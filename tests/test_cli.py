@@ -10,6 +10,7 @@ from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
                            _parse_size, _load_gamma_profile, main,
                            resolve_config)
 from cyclerisk.config import PipelineConfig
+from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError
 
 
@@ -222,6 +223,39 @@ class TestTrainRisk:
         assert sorted({it.level for it in ts.items}) == [1, 2, 3]
         assert len(ts.items) == 90
 
+    def test_analyze_uses_trainset_cross_factor(self, e2e_workspace,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        # emd.cross_factor is a train-risk setting: analyze reads the
+        # factor the training set was built with, as eval does
+        import cyclerisk.pipeline
+        factors = []
+
+        def spy(region_map, cross_factor=2.0):
+            factors.append(cross_factor)
+            return build_distance_matrix(region_map, cross_factor)
+
+        monkeypatch.setattr(cyclerisk.pipeline, "build_distance_matrix", spy)
+        trainset = tmp_path / "cf3.cyts"
+        rc, _, _ = run(capsys, "--set", "emd.cross_factor=3", "train-risk",
+                       f"1:{e2e_workspace['level1']}",
+                       f"2:{e2e_workspace['level2']}",
+                       f"3:{e2e_workspace['level3']}", "--out", str(trainset))
+        assert rc == 0
+        assert fileio.read_training_set(trainset).cross_factor == 3.0
+        frames = []
+        for extra in ([], ["--set", "emd.cross_factor=3"]):
+            out = tmp_path / f"out{len(extra)}"
+            rc, _, _ = run(capsys, "--criterion", "proximity", *extra,
+                           "analyze", str(e2e_workspace["ride_bike"]),
+                           "--out", str(out),
+                           "--model", str(e2e_workspace["model"]),
+                           "--trainset", str(trainset))
+            assert rc == 0
+            frames.append((out / "frames.ndjson").read_bytes())
+        assert frames[0] == frames[1]
+        assert factors and set(factors) == {3.0}
+
 
 class TestEval:
     def test_risk_identity_on_training_data(self, e2e_workspace, tmp_path,
@@ -347,7 +381,8 @@ class TestDryRunAndExitCodes:
         for bad in ("vision.lk_window=4", "vision.corner_quality=0",
                     "foe.max_refine_iters=0", "foe.smooth_decay=-1",
                     "behavior.smooth_decay=-1", "seed=abc",
-                    'foe.max_refine_iters="x"'):
+                    'foe.max_refine_iters="x"', "emd.k=1.5",
+                    "vision.lk_levels=1.5", "emd.cross_factor=NaN"):
             rc, _, err = run(capsys, "--set", bad, "gen-scene",
                              "--out", str(tmp_path / "s"))
             assert rc == 3, bad
@@ -367,6 +402,23 @@ class TestDryRunAndExitCodes:
                          "--out", str(tmp_path / "o"),
                          "--model", str(e2e_workspace["model"]),
                          "--trainset", str(e2e_workspace["trainset"]))
+        assert rc == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")],
+                             ids=["Infinity", "NaN"])
+    def test_non_finite_training_bin_exit_2(self, e2e_workspace, tmp_path,
+                                            capsys, bad):
+        head, body = e2e_workspace["trainset"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["items"][4]["values"][7] = bad   # json writes Infinity / NaN
+        trainset = tmp_path / "bad.cyts"
+        trainset.write_text(head + "\n" + json.dumps(body) + "\n")
+        rc, _, err = run(capsys, "--criterion", "proximity", "analyze",
+                         str(e2e_workspace["ride_bike"]),
+                         "--out", str(tmp_path / "o"),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(trainset))
         assert rc == 2
         assert "input error" in err
 

@@ -81,6 +81,9 @@ class TestFromDict:
             PipelineConfig.from_dict({"vision": {"lk_window": 4}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"foe": {"ring_radii": [0.5, 0.3, 0.2]}})
+        for factor in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="cross_factor"):
+                PipelineConfig.from_dict({"emd": {"cross_factor": factor}})
 
     def test_lists_become_tuples(self):
         cfg = PipelineConfig.from_dict({"foe": {"ring_radii": [0.1, 0.2, 0.4]}})
@@ -139,3 +142,12 @@ class TestOverrides:
     def test_override_still_validates(self):
         with pytest.raises(ConfigError):
             apply_overrides(PipelineConfig(), ["behavior.C=-1"])
+
+    @pytest.mark.parametrize("key", [
+        "vision.corner_max_per_cell", "vision.lk_window", "vision.lk_levels",
+        "vision.frame_stride", "foe.max_refine_iters", "foe.min_flows",
+        "foe.smooth_window", "emd.k", "behavior.smooth_window"])
+    @pytest.mark.parametrize("value", ["5.0", "true"])
+    def test_integer_keys_need_integers(self, key, value):
+        with pytest.raises(ConfigError, match="integer"):
+            apply_overrides(PipelineConfig(), [f"{key}={value}"])

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import cyclerisk.emd
 from cyclerisk.emd import (
+    RiskLevel,
     RiskTrainingSet,
     TrainingItem,
     build_distance_matrix,
     classify_risk,
     emd,
     emd_with_flow,
+    relaxed_lower_bounds,
 )
 from cyclerisk.errors import InvalidInputError, ZeroMassError
 from cyclerisk.risk import (
@@ -16,7 +19,9 @@ from cyclerisk.risk import (
     RiskDescriptor,
     lane_region_map,
     proximity_region_map,
+    risk_descriptor,
 )
+from cyclerisk.synth import gen_risk_detections
 
 DIMS = (480, 360)
 
@@ -37,6 +42,36 @@ def lp_transport(a, b, cost):
                   bounds=(0, None), method="highs")
     assert res.status == 0
     return res.fun
+
+
+def brute_force_classify(values, train, dist, k):
+    """All-pairs retrieval: one exact solve per usable training item."""
+    values = np.asarray(values, dtype=np.float64).reshape(25)
+    if values.sum() <= 0.0:
+        return RiskLevel(level=1, neighbor_distances=(), votes={})
+    usable = [it for it in train.items if it.values.sum() > 0.0]
+    dists = np.array([emd(values, it.values, dist) for it in usable])
+    order = np.lexsort((np.arange(len(usable)), dists))
+    nearest = order[:min(k, len(usable))]
+    votes, sums = {}, {}
+    for idx in nearest:
+        lv = usable[idx].level
+        votes[lv] = votes.get(lv, 0) + 1
+        sums[lv] = sums.get(lv, 0.0) + float(dists[idx])
+    top = max(votes.values())
+    tied = sorted(lv for lv, c in votes.items() if c == top)
+    winner = min(tied, key=lambda lv: (sums[lv], lv))
+    return RiskLevel(level=winner,
+                     neighbor_distances=tuple(float(dists[i]) for i in nearest),
+                     votes=votes)
+
+
+def sparse_signature(rng, keep):
+    """g04-style random signature: uniform bins, each kept with prob keep."""
+    while True:
+        v = rng.uniform(0, 1, 25) * (rng.uniform(0, 1, 25) < keep)
+        if v.sum() > 0.0:
+            return v
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +127,11 @@ class TestDistanceMatrix:
 
     def test_bad_cross_factor(self):
         m = lane_region_map((240.0, 180.0), DIMS)
-        with pytest.raises(InvalidInputError):
-            build_distance_matrix(m, cross_factor=0.5)
+        for factor in (0.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                build_distance_matrix(m, cross_factor=factor)
+            with pytest.raises(InvalidInputError):
+                RiskTrainingSet(criterion="lane", items=[], cross_factor=factor)
 
 
 class TestTransportValue:
@@ -255,6 +293,94 @@ class TestClassify:
     def test_bad_level_rejected(self):
         with pytest.raises(InvalidInputError):
             TrainingItem(singleton(1), 4)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_bad_bins_rejected(self, bad):
+        v = singleton(1)
+        v[7] = bad
+        with pytest.raises(InvalidInputError):
+            TrainingItem(v, 2)
+        with pytest.raises(InvalidInputError):
+            RiskDescriptor(values=v, criterion="lane")
+        train = RiskTrainingSet(criterion="lane", items=[TrainingItem(singleton(2), 3)])
+        with pytest.raises(InvalidInputError):
+            classify_risk(v, train, chain_matrix(), k=1)
+
+
+class TestPrunedRetrieval:
+    def test_matches_brute_force(self, lane_D, prox_D):
+        rng = np.random.default_rng(808)
+        for D in (lane_D, prox_D):
+            for _ in range(2):
+                base = [sparse_signature(rng, rng.choice([0.1, 0.3, 0.7]))
+                        for _ in range(20)]
+                # duplicates of earlier items, in both scales, plus an empty one
+                values = base + [base[2], 3.0 * base[5], base[5], np.zeros(25)]
+                train = RiskTrainingSet(criterion="lane", items=[
+                    TrainingItem(v, int(rng.integers(1, 4))) for v in values])
+                # queries equal to training items tie exactly at distance 0
+                queries = [base[2], base[5], sparse_signature(rng, 0.3),
+                           sparse_signature(rng, 0.1)]
+                for q in queries:
+                    for k in (1, 3, 5, 50):
+                        got = classify_risk(q, train, D, k=k)
+                        want = brute_force_classify(q, train, D, k)
+                        assert got.level == want.level
+                        assert got.votes == want.votes
+                        assert got.neighbor_distances == want.neighbor_distances
+
+    def test_tie_at_kth_distance_is_solved(self):
+        # the lower-index item ties the k-th exact distance and its bound
+        # equals it, so it must still be solved and win the index tie-break
+        D = chain_matrix()
+        late = singleton(2, 0.5) + singleton(7, 0.5)    # bound 0.10 = EMD 0.10
+        early = singleton(3, 0.5) + singleton(6, 0.5)   # bound 0.08 < EMD 0.10
+        train = RiskTrainingSet(criterion="lane", items=[
+            TrainingItem(late, 3), TrainingItem(early, 1)])
+        query = singleton(0, 0.5) + singleton(4, 0.5)
+        bounds = relaxed_lower_bounds(query, [late, early], D)
+        assert bounds[1] < bounds[0] == emd(query, late, D) == emd(query, early, D)
+        got = classify_risk(query, train, D, k=1)
+        assert got == brute_force_classify(query, train, D, 1)
+        assert got.level == 3
+
+    def test_bound_below_dense_lp(self, lane_D, prox_D):
+        rng = np.random.default_rng(404)
+        ratios = []
+        for D in (lane_D, prox_D):
+            for trial in range(60):
+                keep = 0.7 if trial % 2 else 0.3
+                a = sparse_signature(rng, keep)
+                b = sparse_signature(rng, keep)
+                bound = relaxed_lower_bounds(a, b[None, :], D)[0]
+                ref = lp_transport(a, b, D)
+                assert bound <= ref + 1e-9
+                ratios.append(bound / ref)
+        assert np.median(ratios) > 0.2   # the bound is far from vacuous
+
+    def test_prunes_solves_on_retrieval_set(self, monkeypatch):
+        rmap = proximity_region_map(DIMS)
+        D = build_distance_matrix(rmap)
+        by_level = {lv: [risk_descriptor(
+            gen_risk_detections(rmap, lv, seed=50_000 + 1000 * lv + i, frame=i),
+            rmap, frame=i).values for i in range(100)] for lv in (1, 2, 3)}
+        train = RiskTrainingSet(criterion="proximity", items=[
+            TrainingItem(values=v, level=lv)
+            for lv in (1, 2, 3) for v in by_level[lv][:75]])
+        queries = [v for lv in (1, 2, 3) for v in by_level[lv][75:]]
+        calls = []
+
+        def counted(a, b, dist):
+            calls.append(1)
+            return emd(a, b, dist)
+
+        monkeypatch.setattr(cyclerisk.emd, "emd", counted)
+        k = 5
+        for q in queries:
+            before = len(calls)
+            classify_risk(q, train, D, k=k)
+            assert len(calls) - before >= k
+        assert len(calls) < len(queries) * len(train.items)
 
 
 def test_transport_speed(lane_D):

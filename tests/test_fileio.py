@@ -206,6 +206,15 @@ class TestDescriptorRecords:
         crit, descs = fio.read_descriptors(p)
         assert crit == "lane" and descs == []
 
+    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN"])
+    def test_non_finite_bin_rejected(self, tmp_path, bad):
+        p = tmp_path / "d.cydr"
+        fio.write_descriptors(p, "lane", [RiskDescriptor(
+            values=np.full(25, 0.5), criterion="lane")])
+        p.write_bytes(p.read_bytes().replace(b"0.5", bad, 1))
+        with pytest.raises(RecordParseError, match="finite"):
+            fio.read_descriptors(p)
+
 
 class TestTrainingSetRecords:
     def test_round_trip(self, tmp_path):
@@ -224,6 +233,18 @@ class TestTrainingSetRecords:
         p2 = tmp_path / "again.cyts"
         fio.write_training_set(p2, back)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("old,bad", [(b"0.5", b"Infinity"), (b"0.5", b"NaN"),
+                                         (b"2.0", b"NaN")])
+    def test_non_finite_values_rejected(self, tmp_path, old, bad):
+        # one bin, or the cross_factor, made non-finite
+        p = tmp_path / "train.cyts"
+        fio.write_training_set(p, RiskTrainingSet(
+            criterion="lane", items=[TrainingItem(np.full(25, 0.5), 1)],
+            cross_factor=2.0))
+        p.write_bytes(p.read_bytes().replace(old, bad, 1))
+        with pytest.raises(RecordParseError, match="finite"):
+            fio.read_training_set(p)
 
 
 class TestModelRecords:
