@@ -46,6 +46,22 @@ def _check_ints(section) -> None:
             raise ConfigError(f"{f.name} must be an integer, got {v!r}")
 
 
+def _check_finite(name: str, value, strict: bool) -> None:
+    """value must be finite and > 0 (strict) or >= 0; NaN fails both."""
+    if not ((0.0 < value if strict else 0.0 <= value) and value < math.inf):
+        bound = "> 0" if strict else ">= 0"
+        raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+
+
+def _check_grid(name: str, grid) -> None:
+    """A grid is two positive integers (not bools)."""
+    if (len(grid) != 2
+            or any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                   for v in grid)
+            or min(grid) < 1):
+        raise ConfigError(f"{name} must be two integers >= 1, got {grid}")
+
+
 @dataclass
 class VisionConfig:
     clahe_grid: tuple[int, int] = (4, 4)
@@ -59,12 +75,10 @@ class VisionConfig:
 
     def validate(self) -> None:
         _check_ints(self)
-        if len(self.clahe_grid) != 2 or min(self.clahe_grid) < 1:
-            raise ConfigError(f"bad clahe_grid {self.clahe_grid}")
+        _check_grid("clahe_grid", self.clahe_grid)
         if not 0.0 < self.clahe_clip <= 1.0:
             raise ConfigError(f"clahe_clip must be in (0, 1], got {self.clahe_clip}")
-        if len(self.corner_grid) != 2 or min(self.corner_grid) < 1:
-            raise ConfigError(f"bad corner_grid {self.corner_grid}")
+        _check_grid("corner_grid", self.corner_grid)
         if self.corner_max_per_cell < 1:
             raise ConfigError("corner_max_per_cell must be >= 1")
         if not 0.0 < self.corner_quality <= 1.0:
@@ -90,10 +104,8 @@ class FoeConfig:
 
     def validate(self) -> None:
         _check_ints(self)
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        _check_finite("delta", self.delta, strict=True)
+        _check_finite("tol", self.tol, strict=True)
         if not 0.0 < self.angle_thresh < 90.0:
             raise ConfigError("angle_thresh must be in (0, 90) degrees")
         if self.max_refine_iters < 1:
@@ -101,12 +113,11 @@ class FoeConfig:
         if self.min_flows < 3:
             raise ConfigError("min_flows must be >= 3")
         r = self.ring_radii
-        if len(r) != 3 or not (0 < r[0] < r[1] < r[2]):
-            raise ConfigError(f"ring_radii must be 3 increasing fractions, got {r}")
+        if len(r) != 3 or not (0 < r[0] < r[1] < r[2] < math.inf):
+            raise ConfigError(f"ring_radii must be 3 increasing finite values, got {r}")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
-        if self.smooth_decay < 0:
-            raise ConfigError("smooth_decay must be >= 0")
+        _check_finite("smooth_decay", self.smooth_decay, strict=False)
 
 
 @dataclass
@@ -121,8 +132,7 @@ class RiskConfig:
                               f"got {self.criterion!r}")
         if not 0.0 < self.footprint_frac <= 1.0:
             raise ConfigError("footprint_frac must be in (0, 1]")
-        if self.footprint_min_px < 0:
-            raise ConfigError("footprint_min_px must be >= 0")
+        _check_finite("footprint_min_px", self.footprint_min_px, strict=False)
 
 
 @dataclass
@@ -149,16 +159,14 @@ class BehaviorConfig:
 
     def validate(self) -> None:
         _check_ints(self)
-        if self.C <= 0:
-            raise ConfigError("C must be positive")
+        _check_finite("C", self.C, strict=True)
         if self.kernel not in ("linear", "poly2", "poly3", "gaussian"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive when given")
+        if self.bandwidth is not None:
+            _check_finite("bandwidth", self.bandwidth, strict=True)
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
-        if self.smooth_decay < 0:
-            raise ConfigError("smooth_decay must be >= 0")
+        _check_finite("smooth_decay", self.smooth_decay, strict=False)
 
 
 _SECTIONS = {"vision": VisionConfig, "foe": FoeConfig, "risk": RiskConfig,

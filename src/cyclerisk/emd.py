@@ -66,9 +66,8 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
     base = np.minimum(direct, folded) / np.hypot(w, h)
     base[base < 1e-12] = 0.0  # mirror-pair rounding residue snaps to exact zero
 
-    groups = [region_map.cross_group(k) for k in range(1, 26)]
-    cross = np.array([[1.0 if gi == gj else cross_factor for gj in groups]
-                      for gi in groups])
+    g = np.array([region_map.cross_group(k) for k in range(1, 26)])
+    cross = np.where(g[:, None] == g[None, :], 1.0, cross_factor)
     dist = base * cross
     np.fill_diagonal(dist, 0.0)
     # folded terms round differently across the diagonal; pin exact symmetry

@@ -4,6 +4,11 @@ Scores follow the small-eigenvalue criterion on the 2x2 structure tensor,
 built from 3x3 Sobel gradients summed over a 5x5 box. Keeping at most
 max_per_cell corners per grid cell spreads detections across the frame instead
 of letting one textured area take every slot.
+
+All local maxima are refined at once by a parabola through their 3x3
+neighbourhood. The cap ranks each corner within its cell in the global
+(score descending, y, x) order and keeps ranks below max_per_cell, which
+selects exactly what taking corners one by one in that order would.
 """
 
 from __future__ import annotations
@@ -48,16 +53,22 @@ def min_eigen_response(img: np.ndarray) -> np.ndarray:
     return (trace - root) / 2.0
 
 
-def _subpixel_offset(patch: np.ndarray) -> tuple[float, float]:
-    """Parabolic peak refinement from a 3x3 score patch, clamped to +-0.5."""
-    def axis_offset(a: float, b: float, c: float) -> float:
-        denom = a - 2.0 * b + c
-        if denom >= 0.0:  # not a local max along this axis
-            return 0.0
-        return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+def _subpixel_offsets(score: np.ndarray, ys: np.ndarray,
+                      xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic peak refinement from the 3x3 neighbourhood of each peak.
 
-    dy = axis_offset(patch[0, 1], patch[1, 1], patch[2, 1])
-    dx = axis_offset(patch[1, 0], patch[1, 1], patch[1, 2])
+    Per axis, the offset is 0.5 * (a - c) / (a - 2b + c), clamped to +-0.5,
+    or 0 where the curvature is not negative (not a local max along it).
+    """
+    def axis_offset(a, b, c):
+        denom = a - 2.0 * b + c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            off = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
+        return np.where(denom >= 0.0, 0.0, off)
+
+    mid = score[ys, xs]
+    dy = axis_offset(score[ys - 1, xs], mid, score[ys + 1, xs])
+    dx = axis_offset(score[ys, xs - 1], mid, score[ys, xs + 1])
     return dx, dy
 
 
@@ -99,11 +110,8 @@ def detect_corners(
         return CornerSet(np.empty((0, 2)), np.empty(0), frame_index=frame.index)
 
     vals = score[ys, xs]
-    refined = np.empty((ys.size, 2), dtype=np.float64)
-    for i in range(ys.size):
-        y, x = int(ys[i]), int(xs[i])
-        dx, dy = _subpixel_offset(score[y - 1:y + 2, x - 1:x + 2])
-        refined[i] = (x + dx, y + dy)
+    dx, dy = _subpixel_offsets(score, ys, xs)
+    refined = np.stack((xs + dx, ys + dy), axis=1)
 
     # Cell membership comes from the refined position so the per-cell cap
     # holds for the coordinates callers actually see.
@@ -112,16 +120,13 @@ def detect_corners(
     cells = ((refined[:, 1].astype(np.intp) // cell_h) * cols
              + refined[:, 0].astype(np.intp) // cell_w)
 
-    # Deterministic order: score descending, then y, then x.
+    # Deterministic order: score descending, then y, then x. A corner is
+    # kept when fewer than max_per_cell corners of its cell precede it.
     order = np.lexsort((xs, ys, -vals))
-    chosen: list[int] = []
-    taken = np.zeros(rows * cols, dtype=np.int64)
-    for idx in order:
-        cell = cells[idx]
-        if taken[cell] < max_per_cell:
-            taken[cell] += 1
-            chosen.append(int(idx))
+    by_cell = np.lexsort((xs, ys, -vals, cells))
+    sorted_cells = cells[by_cell]
+    rank = np.empty(ys.size, dtype=np.intp)
+    rank[by_cell] = np.arange(ys.size) - np.searchsorted(sorted_cells, sorted_cells)
+    chosen = order[rank[order] < max_per_cell]
 
-    pts = refined[chosen].reshape(-1, 2)
-    resp = vals[np.asarray(chosen, dtype=np.intp)] if chosen else np.empty(0)
-    return CornerSet(pts, resp, frame_index=frame.index)
+    return CornerSet(refined[chosen], vals[chosen], frame_index=frame.index)

@@ -1,10 +1,18 @@
 """Sparse optical flow: iterative Lucas-Kanade with an optional pyramid.
 
-Each corner is tracked independently. The spatial gradient and its 2x2 normal
-matrix come from the earlier frame and stay fixed while the update iterations
-re-sample the later frame at the moving position. A point is reported as
-untracked when its normal matrix is near singular (no texture to lock onto) or
-when the window leaves the frame.
+Each corner is tracked on its own terms, but the tracker works on a block of
+corners at a time (Bouguet, "Pyramidal Implementation of the Lucas Kanade
+Feature Tracker", 2001). The spatial gradient and its 2x2 normal matrix come
+from the earlier frame and stay fixed while the update iterations re-sample
+the later frame at the moving position; each corner leaves the block's
+working set when it converges or is rejected. A point is reported as
+untracked when it is too close to the border for its window, when its normal
+matrix is near singular (no texture to lock onto) or when the window leaves
+the frame. One that runs out of iterations inside the frame counts as
+tracked. A coarse level that loses a point restarts the finer level from zero.
+
+Blocks bound memory (see _BLOCK). Every product and sum is evaluated in the
+same order as a one-corner-at-a-time loop, so the flow is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from ..errors import InvalidInputError
@@ -23,6 +32,10 @@ from .frames import GrayFrame
 _MIN_EIG = 1e-3
 _MAX_ITERS = 20
 _CONVERGENCE = 0.01  # pixels
+# Corners tracked together. A block's (n, window, window) working arrays are
+# a few hundred kB. Tracking all 128 corners of a 240x180 frame in one block
+# made a ride analysis no faster and took its peak memory from 71 to 77 MB.
+_BLOCK = 32
 
 
 @dataclass
@@ -43,77 +56,124 @@ class FlowField:
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample img at float coordinates. Callers keep coordinates in bounds."""
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.clip(x0, 0, img.shape[1] - 2)
-    y0 = np.clip(y0, 0, img.shape[0] - 2)
-    fx = xs - x0
-    fy = ys - y0
-    p00 = img[y0, x0]
-    p01 = img[y0, x0 + 1]
-    p10 = img[y0 + 1, x0]
-    p11 = img[y0 + 1, x0 + 1]
-    return (p00 * (1 - fx) * (1 - fy) + p01 * fx * (1 - fy)
-            + p10 * (1 - fx) * fy + p11 * fx * fy)
+    """Sample a C-contiguous img on n square grids at once.
+
+    xs and ys are (n, W) float coordinates; row r, column c of window i
+    samples (xs[i, c], ys[i, r]). Returns (n, W, W). Callers keep coordinates
+    in bounds. Floor, clip and the fractional weights work on the (n, W)
+    vectors. When every window's integer taps are consecutive, which they are
+    unless a coordinate sits on the last row or column, each window reads one
+    (W+1, W+1) block of img instead of four scattered gathers.
+    """
+    h, w = img.shape
+    x0 = np.clip(np.floor(xs).astype(np.intp), 0, w - 2)
+    y0 = np.clip(np.floor(ys).astype(np.intp), 0, h - 2)
+    fx = (xs - x0)[:, None, :]
+    fy = (ys - y0)[:, :, None]
+    size = xs.shape[1]
+    steps = np.arange(size)
+    if (x0 == x0[:, :1] + steps).all() and (y0 == y0[:, :1] + steps).all():
+        blocks = sliding_window_view(img, (size + 1, size + 1))[y0[:, 0], x0[:, 0]]
+        p00, p01 = blocks[:, :-1, :-1], blocks[:, :-1, 1:]
+        p10, p11 = blocks[:, 1:, :-1], blocks[:, 1:, 1:]
+    else:
+        flat = img.ravel()
+        i00 = y0[:, :, None] * w + x0[:, None, :]
+        p00, p01 = flat[i00], flat[i00 + 1]
+        p10, p11 = flat[i00 + w], flat[i00 + (w + 1)]
+    # p00*(1-fx)*(1-fy) + p01*fx*(1-fy) + p10*(1-fx)*fy + p11*fx*fy, in place,
+    # with the same products and left-to-right sums
+    cx, cy = 1 - fx, 1 - fy
+    out = p00 * cx
+    out *= cy
+    term = p01 * fx
+    term *= cy
+    out += term
+    np.multiply(p10, cx, out=term)
+    term *= fy
+    out += term
+    np.multiply(p11, fx, out=term)
+    term *= fy
+    out += term
+    return out
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
     blurred = ndimage.gaussian_filter(img, sigma=1.0, mode="nearest")
-    return blurred[::2, ::2]
+    return np.ascontiguousarray(blurred[::2, ::2])
 
 
-def _track_one(
+def _track_level(
     prev: np.ndarray,
     gx: np.ndarray,
     gy: np.ndarray,
     nxt: np.ndarray,
-    point: np.ndarray,
+    points: np.ndarray,
     guess: np.ndarray,
     half: int,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the displacements of a block of points at one pyramid level.
+
+    Returns (vectors, tracked). A point that is rejected before iterating
+    keeps its guess; one whose window leaves the frame keeps the estimate
+    from before that step.
+    """
     h, w = prev.shape
-    px, py = point
+    v = guess.copy()
+    ok = np.zeros(len(points), dtype=bool)
+    px, py = points[:, 0], points[:, 1]
 
-    if px < half or py < half or px > w - 1 - half or py > h - 1 - half:
-        return guess, False
-
-    ox, oy = np.meshgrid(np.arange(-half, half + 1, dtype=np.float64),
-                         np.arange(-half, half + 1, dtype=np.float64))
-    wx = px + ox
-    wy = py + oy
+    idx = np.flatnonzero(~((px < half) | (py < half)
+                           | (px > w - 1 - half) | (py > h - 1 - half)))
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
+    wx = px[idx, None] + offsets
+    wy = py[idx, None] + offsets
 
     i_win = _bilinear(prev, wx, wy)
     ix = _bilinear(gx, wx, wy)
     iy = _bilinear(gy, wx, wy)
 
-    gxx = float((ix * ix).sum())
-    gxy = float((ix * iy).sum())
-    gyy = float((iy * iy).sum())
+    gxx = (ix * ix).sum(axis=(1, 2))
+    gxy = (ix * iy).sum(axis=(1, 2))
+    gyy = (iy * iy).sum(axis=(1, 2))
     trace = gxx + gyy
     det = gxx * gyy - gxy * gxy
-    min_eig = (trace - np.sqrt(max(trace * trace - 4.0 * det, 0.0))) / 2.0
+    min_eig = (trace - np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))) / 2.0
     npix = (2 * half + 1) ** 2
-    if min_eig / npix < _MIN_EIG:
-        return guess, False
+    keep = ~(min_eig / npix < _MIN_EIG)
 
-    v = guess.astype(np.float64).copy()
+    vv = v[idx]
     for _ in range(_MAX_ITERS):
-        qx = wx + v[0]
-        qy = wy + v[1]
-        if (qx.min() < 0 or qy.min() < 0
-                or qx.max() > w - 1 or qy.max() > h - 1):
-            return v, False
+        if not keep.all():
+            idx, vv, wx, wy, i_win, ix, iy, gxx, gxy, gyy, det = (
+                a[keep] for a in (idx, vv, wx, wy, i_win, ix, iy,
+                                  gxx, gxy, gyy, det))
+        if idx.size == 0:
+            return v, ok
+        qx = wx + vv[:, :1]
+        qy = wy + vv[:, 1:]
+        inside = ~((qx.min(axis=1) < 0) | (qy.min(axis=1) < 0)
+                   | (qx.max(axis=1) > w - 1) | (qy.max(axis=1) > h - 1))
+        if not inside.all():
+            v[idx[~inside]] = vv[~inside]  # left the frame: untracked
+            idx, vv, qx, qy, wx, wy, i_win, ix, iy, gxx, gxy, gyy, det = (
+                a[inside] for a in (idx, vv, qx, qy, wx, wy, i_win, ix, iy,
+                                    gxx, gxy, gyy, det))
         diff = i_win - _bilinear(nxt, qx, qy)
-        bx = float((ix * diff).sum())
-        by = float((iy * diff).sum())
+        bx = (ix * diff).sum(axis=(1, 2))
+        by = (iy * diff).sum(axis=(1, 2))
         dx = (gyy * bx - gxy * by) / det
         dy = (gxx * by - gxy * bx) / det
-        v[0] += dx
-        v[1] += dy
-        if dx * dx + dy * dy < _CONVERGENCE * _CONVERGENCE:
-            return v, True
-    return v, True  # ran out of iterations but stayed in frame
+        vv[:, 0] += dx
+        vv[:, 1] += dy
+        converged = dx * dx + dy * dy < _CONVERGENCE * _CONVERGENCE
+        v[idx[converged]] = vv[converged]
+        ok[idx[converged]] = True
+        keep = ~converged
+    # ran out of iterations but stayed in frame
+    v[idx[keep]] = vv[keep]
+    ok[idx[keep]] = True
+    return v, ok
 
 
 def lk_flow(
@@ -155,21 +215,18 @@ def lk_flow(
     vectors = np.zeros((n, 2), dtype=np.float64)
     tracked = np.zeros(n, dtype=bool)
 
-    for i in range(n):
-        pt = corners.points[i]
-        v = np.zeros(2)
-        ok = False
+    for start in range(0, n, _BLOCK):
+        points = corners.points[start:start + _BLOCK]
+        v = np.zeros((len(points), 2))
         for level in range(len(prevs) - 1, -1, -1):
-            scale = 2.0 ** level
             gx, gy = grads[level]
-            v, ok = _track_one(prevs[level], gx, gy, nxts[level],
-                               pt / scale, v, half)
+            v, ok = _track_level(prevs[level], gx, gy, nxts[level],
+                                 points / 2.0 ** level, v, half)
             if level > 0:
                 v = v * 2.0
-            if not ok and level > 0:
-                v = np.zeros(2)  # restart the finer level from scratch
-        vectors[i] = v
-        tracked[i] = ok
+                v[~ok] = 0.0  # restart the finer level from scratch
+        vectors[start:start + _BLOCK] = v
+        tracked[start:start + _BLOCK] = ok
 
     return FlowField(points=corners.points.copy(), vectors=vectors,
                      tracked=tracked, frame_index=prev.index)

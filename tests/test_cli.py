@@ -382,7 +382,13 @@ class TestDryRunAndExitCodes:
                     "foe.max_refine_iters=0", "foe.smooth_decay=-1",
                     "behavior.smooth_decay=-1", "seed=abc",
                     'foe.max_refine_iters="x"', "emd.k=1.5",
-                    "vision.lk_levels=1.5", "emd.cross_factor=NaN"):
+                    "vision.lk_levels=1.5", "emd.cross_factor=NaN",
+                    "foe.delta=NaN", "foe.tol=NaN", "foe.smooth_decay=NaN",
+                    "behavior.C=NaN", "behavior.smooth_decay=NaN",
+                    "behavior.bandwidth=NaN", "risk.footprint_min_px=NaN",
+                    "foe.delta=Infinity", "vision.clahe_grid=[1.5,2]",
+                    "vision.corner_grid=[2,2.5]",
+                    "vision.corner_grid=[true,2]"):
             rc, _, err = run(capsys, "--set", bad, "gen-scene",
                              "--out", str(tmp_path / "s"))
             assert rc == 3, bad

@@ -84,6 +84,21 @@ class TestFromDict:
         for factor in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="cross_factor"):
                 PipelineConfig.from_dict({"emd": {"cross_factor": factor}})
+        nan, inf = float("nan"), float("inf")
+        for section, key in (("foe", "delta"), ("foe", "tol"),
+                             ("foe", "smooth_decay"), ("behavior", "C"),
+                             ("behavior", "smooth_decay"),
+                             ("behavior", "bandwidth"),
+                             ("risk", "footprint_min_px")):
+            for bad in (nan, inf):
+                with pytest.raises(ConfigError, match=key):
+                    PipelineConfig.from_dict({section: {key: bad}})
+        with pytest.raises(ConfigError, match="ring_radii"):
+            PipelineConfig.from_dict({"foe": {"ring_radii": [0.1, 0.2, inf]}})
+        for key in ("clahe_grid", "corner_grid"):
+            for grid in ([1.5, 2], [2, 2.5], [True, 2], [2, 2, 2], [0, 2]):
+                with pytest.raises(ConfigError, match=key):
+                    PipelineConfig.from_dict({"vision": {key: grid}})
 
     def test_lists_become_tuples(self):
         cfg = PipelineConfig.from_dict({"foe": {"ring_radii": [0.1, 0.2, 0.4]}})

@@ -3,8 +3,10 @@ import pytest
 
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.vision import GrayFrame, detect_corners
+from cyclerisk.vision.corners import _subpixel_offsets
 
 from conftest import smooth_texture
+from vision_reference import _subpixel_offset, reference_corners
 
 
 def test_bright_square_yields_four_vertex_corners():
@@ -80,3 +82,40 @@ def test_quality_threshold_filters_weak_corners():
 def test_bad_parameters_rejected(texture_frame, kwargs):
     with pytest.raises(InvalidInputError):
         detect_corners(texture_frame, **kwargs)
+
+
+def _oracle_images():
+    rng = np.random.default_rng(17)
+    tiles = np.zeros((150, 200), dtype=np.uint8)   # repeated squares: tied scores
+    for y in range(10, 140, 30):
+        for x in range(10, 190, 30):
+            tiles[y:y + 15, x:x + 15] = 200
+    return [rng.integers(0, 256, size=(150, 200), dtype=np.uint8),
+            smooth_texture(180, 240, seed=19),
+            smooth_texture(120, 160, seed=23, sigma=4.0),
+            tiles]
+
+
+@pytest.mark.parametrize("quality", [0.001, 0.01, 0.5])
+@pytest.mark.parametrize("grid", [(1, 1), (3, 5), (4, 4)])
+@pytest.mark.parametrize("max_per_cell", [1, 3, 8])
+def test_matches_per_peak_reference(max_per_cell, grid, quality):
+    for img in _oracle_images():
+        found = detect_corners(GrayFrame(img), max_per_cell=max_per_cell,
+                               grid=grid, quality=quality)
+        points, response = reference_corners(img, max_per_cell, grid, quality)
+        assert len(found) > 0
+        assert found.points.tobytes() == points.tobytes()
+        assert found.response.tobytes() == response.tobytes()
+
+
+def test_subpixel_offsets_match_reference():
+    # small integer scores: many flat and zero-curvature neighbourhoods
+    score = np.random.default_rng(29).integers(0, 4, size=(40, 50)).astype(float)
+    ys, xs = (a.ravel() for a in np.mgrid[1:39, 1:49])
+    dx, dy = _subpixel_offsets(score, ys, xs)
+    ref = np.array([_subpixel_offset(score[y - 1:y + 2, x - 1:x + 2])
+                    for y, x in zip(ys, xs)])
+    assert (ref == 0.0).any() and (np.abs(ref) == 0.5).any()
+    assert dx.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes()
+    assert dy.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes()

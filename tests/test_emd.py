@@ -117,6 +117,19 @@ class TestDistanceMatrix:
         assert same == pytest.approx(10.0 / np.hypot(50, 50))
         assert cross == pytest.approx(2.0 * same)
 
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 3.7])
+    def test_cross_factor_applies_per_group_pair(self, factor):
+        maps = [proximity_region_map(DIMS)] + [
+            lane_region_map(foe, DIMS) for foe in
+            ((240.0, 180.0), (100.5, 60.25), (430.0, 300.0))]
+        for m in maps:
+            groups = [m.cross_group(k) for k in range(1, 26)]
+            cross = np.array([[1.0 if gi == gj else factor for gj in groups]
+                              for gi in groups])
+            plain = build_distance_matrix(m, cross_factor=1.0)
+            D = build_distance_matrix(m, cross_factor=factor)
+            assert D.tobytes() == (plain * cross).tobytes()
+
     def test_empty_subregions_stay_finite(self, prox_D):
         # a 4:3 frame leaves the outermost annulus corner sectors without any
         # pixels; those bins can never carry mass, but entries must stay finite

@@ -5,6 +5,7 @@ from cyclerisk.errors import InvalidInputError
 from cyclerisk.vision import CornerSet, GrayFrame, detect_corners, lk_flow
 
 from conftest import smooth_texture
+from vision_reference import reference_flow
 
 
 def _shifted_pair(seed, dx, dy, h=240, w=320):
@@ -99,3 +100,68 @@ def test_deterministic(texture_frame):
     b = lk_flow(prev, nxt, corners)
     assert np.array_equal(a.vectors, b.vectors)
     assert np.array_equal(a.tracked, b.tracked)
+
+
+def _oracle_case(seed, window, h=180, w=240):
+    """A shifted textured pair with flat patches, and points that probe every
+    untracked rule: on and just inside/outside the border margin, in a flat
+    patch, near the edge the shift pushes windows across."""
+    rng = np.random.default_rng(seed)
+    base = smooth_texture(h, w, seed=seed)
+    base[20:70, 150:210] = 90   # flat in both frames: near-singular normal matrix
+    dx, dy = rng.integers(-6, 7, size=2)
+    moved = np.roll(np.roll(base, dy, axis=0), dx, axis=1)
+    noise = rng.integers(-2, 3, size=moved.shape)
+    moved = np.clip(moved.astype(np.int16) + noise, 0, 255).astype(np.uint8)
+
+    half = window // 2
+    lo, hi_x, hi_y = float(half), float(w - 1 - half), float(h - 1 - half)
+    edge = []
+    for off in (0.0, 0.25, -0.25, 1.5):
+        edge += [(lo + off, 90.0), (hi_x - off, 91.5), (120.25, lo + off),
+                 (60.75, hi_y - off)]
+    edge += [(180.0, 45.0), (172.5, 50.5)]   # inside the flat patch
+    rand = np.column_stack([rng.uniform(1.0, w - 2.0, 53),
+                            rng.uniform(1.0, h - 2.0, 53)])
+    points = np.vstack([np.array(edge), rand])
+    points = points[rng.permutation(len(points))]   # edge cases in every block
+    return GrayFrame(base), GrayFrame(moved), CornerSet(points, np.ones(len(points)))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("window", [3, 21, 35])
+def test_matches_per_corner_reference(window, levels):
+    for seed in (window * 10 + levels, window * 10 + levels + 100):
+        prev, nxt, corners = _oracle_case(seed, window)
+        assert len(corners) > 64 and len(corners) % 32   # > two blocks, ragged tail
+        flow = lk_flow(prev, nxt, corners, window=window, pyramid_levels=levels)
+        vectors, tracked = reference_flow(prev, nxt, corners.points,
+                                          window=window, pyramid_levels=levels)
+        assert flow.vectors.tobytes() == vectors.tobytes()
+        assert flow.tracked.tobytes() == tracked.tobytes()
+        assert flow.points.tobytes() == corners.points.tobytes()
+        assert tracked.any() and not tracked.all()
+
+
+def test_matches_reference_on_detected_corners():
+    prev, nxt = _shifted_pair(seed=41, dx=4, dy=-3, h=180, w=240)
+    corners = detect_corners(prev)
+    assert len(corners) > 32
+    for levels in (1, 3):
+        flow = lk_flow(prev, nxt, corners, pyramid_levels=levels)
+        vectors, tracked = reference_flow(prev, nxt, corners.points,
+                                          pyramid_levels=levels)
+        assert flow.vectors.tobytes() == vectors.tobytes()
+        assert flow.tracked.tobytes() == tracked.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_and_single_corner_match_reference(n):
+    prev, nxt, _ = _oracle_case(seed=7, window=21)
+    subset = CornerSet(np.array([[120.5, 90.25]])[:n].reshape(n, 2), np.ones(n))
+    flow = lk_flow(prev, nxt, subset, window=21, pyramid_levels=2)
+    vectors, tracked = reference_flow(prev, nxt, subset.points, window=21,
+                                      pyramid_levels=2)
+    assert flow.vectors.shape == (n, 2) and flow.tracked.shape == (n,)
+    assert flow.vectors.tobytes() == vectors.tobytes()
+    assert flow.tracked.tobytes() == tracked.tobytes()
