@@ -56,31 +56,23 @@ class FlowField:
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a C-contiguous img on n square grids at once.
+    """Sample img on n square grids at once.
 
-    xs and ys are (n, W) float coordinates; row r, column c of window i
-    samples (xs[i, c], ys[i, r]). Returns (n, W, W). Callers keep coordinates
-    in bounds. Floor, clip and the fractional weights work on the (n, W)
-    vectors. When every window's integer taps are consecutive, which they are
-    unless a coordinate sits on the last row or column, each window reads one
-    (W+1, W+1) block of img instead of four scattered gathers.
+    img carries one zero row and column past the frame (see _pad). xs and ys
+    are (n, W) float coordinates inside the frame; row r, column c of window i
+    samples (xs[i, c], ys[i, r]). Returns (n, W, W). Floor and the fractional
+    weights work on the (n, W) vectors, and each window reads one (W+1, W+1)
+    block of img. On the last row or column the weight of the zero padding is
+    0, which gives the value of clamping the taps to the frame.
     """
-    h, w = img.shape
-    x0 = np.clip(np.floor(xs).astype(np.intp), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(np.intp), 0, h - 2)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
     fx = (xs - x0)[:, None, :]
     fy = (ys - y0)[:, :, None]
     size = xs.shape[1]
-    steps = np.arange(size)
-    if (x0 == x0[:, :1] + steps).all() and (y0 == y0[:, :1] + steps).all():
-        blocks = sliding_window_view(img, (size + 1, size + 1))[y0[:, 0], x0[:, 0]]
-        p00, p01 = blocks[:, :-1, :-1], blocks[:, :-1, 1:]
-        p10, p11 = blocks[:, 1:, :-1], blocks[:, 1:, 1:]
-    else:
-        flat = img.ravel()
-        i00 = y0[:, :, None] * w + x0[:, None, :]
-        p00, p01 = flat[i00], flat[i00 + 1]
-        p10, p11 = flat[i00 + w], flat[i00 + (w + 1)]
+    blocks = sliding_window_view(img, (size + 1, size + 1))[y0[:, 0], x0[:, 0]]
+    p00, p01 = blocks[:, :-1, :-1], blocks[:, :-1, 1:]
+    p10, p11 = blocks[:, 1:, :-1], blocks[:, 1:, 1:]
     # p00*(1-fx)*(1-fy) + p01*fx*(1-fy) + p10*(1-fx)*fy + p11*fx*fy, in place,
     # with the same products and left-to-right sums
     cx, cy = 1 - fx, 1 - fy
@@ -96,6 +88,12 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     term *= fy
     out += term
     return out
+
+
+def _pad(img: np.ndarray) -> np.ndarray:
+    """img with one zero row and column appended, so that every bilinear tap
+    of an in-frame coordinate has a right and a lower neighbour."""
+    return np.pad(img, ((0, 1), (0, 1)))
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -118,13 +116,15 @@ def _track_level(
     keeps its guess; one whose window leaves the frame keeps the estimate
     from before that step.
     """
-    h, w = prev.shape
+    h, w = prev.shape[0] - 1, prev.shape[1] - 1  # the frame, without the padding
     v = guess.copy()
     ok = np.zeros(len(points), dtype=bool)
     px, py = points[:, 0], points[:, 1]
 
     idx = np.flatnonzero(~((px < half) | (py < half)
                            | (px > w - 1 - half) | (py > h - 1 - half)))
+    if idx.size == 0:
+        return v, ok  # no window fits, or the frame is smaller than one
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     wx = px[idx, None] + offsets
     wy = py[idx, None] + offsets
@@ -144,21 +144,19 @@ def _track_level(
 
     vv = v[idx]
     for _ in range(_MAX_ITERS):
-        if not keep.all():
-            idx, vv, wx, wy, i_win, ix, iy, gxx, gxy, gyy, det = (
-                a[keep] for a in (idx, vv, wx, wy, i_win, ix, iy,
-                                  gxx, gxy, gyy, det))
-        if idx.size == 0:
-            return v, ok
         qx = wx + vv[:, :1]
         qy = wy + vv[:, 1:]
         inside = ~((qx.min(axis=1) < 0) | (qy.min(axis=1) < 0)
                    | (qx.max(axis=1) > w - 1) | (qy.max(axis=1) > h - 1))
-        if not inside.all():
-            v[idx[~inside]] = vv[~inside]  # left the frame: untracked
+        left = keep & ~inside
+        v[idx[left]] = vv[left]  # left the frame: untracked
+        keep &= inside
+        if not keep.all():
             idx, vv, qx, qy, wx, wy, i_win, ix, iy, gxx, gxy, gyy, det = (
-                a[inside] for a in (idx, vv, qx, qy, wx, wy, i_win, ix, iy,
-                                    gxx, gxy, gyy, det))
+                a[keep] for a in (idx, vv, qx, qy, wx, wy, i_win, ix, iy,
+                                  gxx, gxy, gyy, det))
+            if idx.size == 0:
+                return v, ok
         diff = i_win - _bilinear(nxt, qx, qy)
         bx = (ix * diff).sum(axis=(1, 2))
         by = (iy * diff).sum(axis=(1, 2))
@@ -208,8 +206,10 @@ def lk_flow(
 
     grads = []
     for level_img in prevs:
-        grads.append((ndimage.sobel(level_img, axis=1, mode="nearest") / 8.0,
-                      ndimage.sobel(level_img, axis=0, mode="nearest") / 8.0))
+        grads.append((_pad(ndimage.sobel(level_img, axis=1, mode="nearest") / 8.0),
+                      _pad(ndimage.sobel(level_img, axis=0, mode="nearest") / 8.0)))
+    prevs = [_pad(img) for img in prevs]
+    nxts = [_pad(img) for img in nxts]
 
     n = len(corners)
     vectors = np.zeros((n, 2), dtype=np.float64)

@@ -165,3 +165,25 @@ def test_empty_and_single_corner_match_reference(n):
     assert flow.vectors.shape == (n, 2) and flow.tracked.shape == (n,)
     assert flow.vectors.tobytes() == vectors.tobytes()
     assert flow.tracked.tobytes() == tracked.tobytes()
+
+
+@pytest.mark.parametrize("shape,window,levels,points,dx", [
+    # the window is larger than the frame: no point fits, all untracked
+    ((40, 40), 41, 1, [[20.0, 20.0], [0.0, 0.0], [39.0, 39.0]], 1),
+    # level 1 is 35x50, one window tall: the windows touch its first and last
+    # rows, and any vertical step takes them out of it
+    ((70, 100), 35, 2, [[50.0, 34.0], [49.5, 34.0], [30.0, 34.0], [50.0, 35.0]], 1),
+    # the block's only live window leaves that level mid-iteration
+    ((70, 100), 35, 2, [[64.0, 34.0]], 3),
+])
+def test_windows_as_large_as_the_frame_match_reference(shape, window, levels, points, dx):
+    base = smooth_texture(*shape, seed=5)
+    prev, nxt = GrayFrame(base), GrayFrame(np.roll(base, dx, axis=1))
+    points = np.array(points)
+    flow = lk_flow(prev, nxt, CornerSet(points, np.ones(len(points))),
+                   window=window, pyramid_levels=levels)
+    vectors, tracked = reference_flow(prev, nxt, points, window=window,
+                                      pyramid_levels=levels)
+    assert flow.vectors.tobytes() == vectors.tobytes()
+    assert flow.tracked.tobytes() == tracked.tobytes()
+    assert tracked.any() == (window < min(shape))
