@@ -57,10 +57,6 @@ class SensorStream:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
     def channel_matrix(self) -> np.ndarray:
         """Feature channels as one (n, 7) block: ax ay az gx gy gz speed."""
         return np.column_stack([getattr(self, c) for c in CHANNEL_NAMES])

@@ -28,8 +28,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.name not in ("linear", "poly2", "poly3", "gaussian"):
             raise InvalidInputError(f"unknown kernel {self.name!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise InvalidInputError("kernel bandwidth must be positive")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise InvalidInputError("kernel bandwidth must be finite and positive")
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -120,11 +120,6 @@ class BinarySvm:
             return Xs @ self.weights + self.bias
         return kernel_matrix(spec, Xs, self.sv_x) @ self.sv_coef + self.bias
 
-    def dual_objective(self, spec: KernelSpec) -> float:
-        """0.5 a'Qa - sum(a) restated over the stored support coefficients."""
-        K = kernel_matrix(spec, self.sv_x, self.sv_x)
-        return float(0.5 * self.sv_coef @ K @ self.sv_coef - np.abs(self.sv_coef).sum())
-
 
 @dataclass
 class SvmModel:
@@ -158,13 +153,11 @@ class SvmModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise InvalidInputError("feature matrix must be 2-D")
-        if X.shape[1] == self.feature_mask.size:
-            return X[:, self.feature_mask]
-        if X.shape[1] == int(self.feature_mask.sum()):
-            return X
-        raise InvalidInputError(
-            f"feature matrix has {X.shape[1]} columns; schema expects "
-            f"{self.feature_mask.size} (or {int(self.feature_mask.sum())} pre-masked)")
+        if X.shape[1] != self.feature_mask.size:
+            raise InvalidInputError(
+                f"feature matrix has {X.shape[1]} columns; schema expects "
+                f"{self.feature_mask.size}")
+        return X[:, self.feature_mask]
 
     def predict(self, X: np.ndarray) -> list[str]:
         dv = self.decision_values(X)

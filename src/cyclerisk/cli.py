@@ -98,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--trainset", required=True,
                    help="risk reference descriptors (.cyts)")
     a.add_argument("--gamma-profile", help="JSON risk-coefficient override file")
-    a.add_argument("--window", type=int, help="flow tracking window (px)")
-    a.add_argument("--pyramid-levels", type=int, help="flow pyramid levels")
-    a.add_argument("--skip", type=int, help="frame stride between flow pairs")
-    a.add_argument("--clahe-grid", help="contrast tile grid, e.g. 4x4")
-    a.add_argument("--clip-limit", type=float, help="contrast clip limit")
     a.set_defaults(func=cmd_analyze,
                    inputs=("ride", "model", "trainset", "gamma_profile"))
 
@@ -117,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--rides", nargs="+", required=True,
                     help="ride directories with sensors.csv and labels.ndjson")
     tb.add_argument("--out", required=True, help="output .cymd file")
-    tb.add_argument("--C", type=float, help="margin penalty")
-    tb.add_argument("--kernel", choices=EVAL_KERNELS, help="kernel name")
     tb.add_argument("--rfe-top", type=int, metavar="M",
                     help="keep only the top-M consensus-ranked features")
     tb.set_defaults(func=cmd_train_behavior, inputs=("rides",))
@@ -176,21 +169,6 @@ def resolve_config(args) -> PipelineConfig:
         overrides.append(f"seed={args.seed}")
     if args.criterion is not None:
         overrides.append(f"risk.criterion={args.criterion}")
-    # per-command shortcut flags map onto the same config keys
-    shortcuts = (("window", "vision.lk_window"),
-                 ("pyramid_levels", "vision.lk_levels"),
-                 ("skip", "vision.frame_stride"),
-                 ("clip_limit", "vision.clahe_clip"),
-                 ("C", "behavior.C"),
-                 ("kernel", "behavior.kernel"))
-    for attr, key in shortcuts:
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides.append(f"{key}={val}")
-    grid = getattr(args, "clahe_grid", None)
-    if grid is not None:
-        gw, gh = _parse_size(grid)
-        overrides.append(f"vision.clahe_grid=[{gw},{gh}]")
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
@@ -371,13 +349,11 @@ def cmd_gen_scene(args, cfg: PipelineConfig) -> int:
              "seed": cfg.seed, "inliers": int(scene.inlier_mask.sum())}
     (out / "truth.json").write_text(fileio.canonical_json(truth) + "\n",
                                     encoding="utf-8")
-    lines = []
-    for obs, inlier in zip(scene.observations, scene.inlier_mask):
-        lines.append(fileio.canonical_json(
-            {"point": [obs.point[0], obs.point[1]],
-             "vec": [obs.vector[0], obs.vector[1]],
-             "inlier": bool(inlier)}))
-    (out / "flows.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fileio.write_ndjson(out / "flows.ndjson", (fileio.canonical_json(
+        {"point": [obs.point[0], obs.point[1]],
+         "vec": [obs.vector[0], obs.vector[1]],
+         "inlier": bool(inlier)})
+        for obs, inlier in zip(scene.observations, scene.inlier_mask)))
     print(f"wrote {out}: {args.n} flows, {truth['inliers']} inliers")
     return 0
 

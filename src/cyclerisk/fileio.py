@@ -61,6 +61,19 @@ def _float_list(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=np.float64)]
 
 
+def write_ndjson(path, lines) -> None:
+    """Write text lines, each ended by a newline; no lines, an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in lines),
+                          encoding="utf-8")
+
+
+def _numbered_lines(path):
+    """(line number, text) for each nonblank line of a text file."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [(n, line) for n, line in enumerate(text.splitlines(), 1)
+            if line.strip()]
+
+
 # ----------------------------------------------------------------- PGM (P5)
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -126,24 +139,18 @@ def list_frames(directory) -> list[tuple[int, Path]]:
 # ------------------------------------------------------------- detections
 
 def write_detections(path, detections) -> None:
-    lines = []
-    for det in detections:
-        lines.append(canonical_json({
-            "frame": int(det.frame),
-            "class": det.label,
-            "score": float(det.score),
-            "bbox": _float_list(det.bbox),
-        }))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_ndjson(path, (canonical_json({
+        "frame": int(det.frame),
+        "class": det.label,
+        "score": float(det.score),
+        "bbox": _float_list(det.bbox),
+    }) for det in detections))
 
 
 def read_detections(path) -> list[Detection]:
     path = Path(path)
     out = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(path):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -252,6 +259,14 @@ def _read_record(path, magic: bytes) -> dict:
                               line=2) from exc
 
 
+def _finite(values) -> np.ndarray:
+    """values as a float64 array whose every entry is finite."""
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("non-finite number")
+    return arr
+
+
 def write_descriptors(path, criterion: str, descriptors) -> None:
     frames = [{"frame": int(d.frame), "values": _float_list(d.values),
                "skipped_unknown": int(d.skipped_unknown)} for d in descriptors]
@@ -267,7 +282,8 @@ def read_descriptors(path) -> tuple[str, list[RiskDescriptor]]:
                               criterion=criterion, frame=int(f["frame"]),
                               skipped_unknown=int(f.get("skipped_unknown", 0)))
                for f in body["frames"]]
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidInputError) as exc:
         raise RecordParseError(f"bad descriptor body: {exc}", path=str(path),
                               line=2) from exc
     return criterion, out
@@ -289,7 +305,8 @@ def read_training_set(path) -> RiskTrainingSet:
                               level=int(i["level"])) for i in body["items"]]
         return RiskTrainingSet(criterion=str(body["criterion"]), items=items,
                                cross_factor=float(body.get("cross_factor", 2.0)))
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidInputError) as exc:
         raise RecordParseError(f"bad training-set body: {exc}", path=str(path),
                               line=2) from exc
 
@@ -322,29 +339,33 @@ def read_model(path) -> SvmModel:
     try:
         kern = body["kernel"]
         binaries = tuple(
-            BinarySvm(sv_x=np.array(b["sv_x"], dtype=np.float64).reshape(
+            BinarySvm(sv_x=_finite(b["sv_x"]).reshape(
                           len(b["sv_coef"]), -1) if b["sv_coef"] else
                       np.zeros((0, len(body["mu"]))),
-                      sv_coef=np.array(b["sv_coef"], dtype=np.float64),
-                      bias=float(b["bias"]),
+                      sv_coef=_finite(b["sv_coef"]),
+                      bias=float(_finite(b["bias"])),
                       weights=None if b["weights"] is None
-                      else np.array(b["weights"], dtype=np.float64))
+                      else _finite(b["weights"]))
             for b in body["binaries"])
-        return SvmModel(
+        model = SvmModel(
             classes=tuple(str(c) for c in body["classes"]),
             kernel=KernelSpec(str(kern["name"]),
                               None if kern["bandwidth"] is None
                               else float(kern["bandwidth"])),
-            C=float(body["C"]),
-            mu=np.array(body["mu"], dtype=np.float64),
-            scale=np.array(body["scale"], dtype=np.float64),
+            C=float(_finite(body["C"])),
+            mu=_finite(body["mu"]),
+            scale=_finite(body["scale"]),
             binaries=binaries,
-            priors={str(k): float(v) for k, v in body["priors"].items()},
+            priors={str(k): float(_finite(v)) for k, v in body["priors"].items()},
             feature_mask=np.array(body["feature_mask"], dtype=bool),
             smoother_bandwidth=None if body.get("smoother_bandwidth") is None
-            else float(body["smoother_bandwidth"]),
+            else float(_finite(body["smoother_bandwidth"])),
         )
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+        if not (model.scale > 0).all():
+            raise InvalidInputError("every scale must be > 0")
+        return model
+    except (KeyError, TypeError, ValueError, OverflowError,
+            InvalidInputError) as exc:
         raise RecordParseError(f"bad model body: {exc}", path=str(path),
                               line=2) from exc
 
@@ -406,18 +427,14 @@ def read_ride_meta(path) -> dict:
 
 def write_window_labels(path, labels) -> None:
     """labels: iterable of (start_index, label) pairs."""
-    lines = [canonical_json({"start": int(s), "label": str(lb)})
-             for s, lb in labels]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_ndjson(path, (canonical_json({"start": int(s), "label": str(lb)})
+                        for s, lb in labels))
 
 
 def read_window_labels(path) -> list[tuple[int, str]]:
     path = Path(path)
     out = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(path):
         try:
             rec = json.loads(line)
             out.append((int(rec["start"]), str(rec["label"])))

@@ -101,10 +101,10 @@ class HuberConfig:
     irls_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise InvalidInputError(f"delta must be > 0, got {self.delta}")
-        if self.tol <= 0:
-            raise InvalidInputError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.delta < np.inf:
+            raise InvalidInputError(f"delta must be finite and > 0, got {self.delta}")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidInputError(f"tol must be finite and > 0, got {self.tol}")
         if not 0.0 < self.angle_thresh <= 90.0:
             raise InvalidInputError(
                 f"angle_thresh must be in (0, 90] degrees, got {self.angle_thresh}")
@@ -112,7 +112,7 @@ class HuberConfig:
             raise InvalidInputError("max_refine_iters must be >= 1")
         if self.min_flows < 2:
             raise InvalidInputError("min_flows must be >= 2")
-        if self.irls_max_iters < 1 or self.irls_tol <= 0:
+        if self.irls_max_iters < 1 or not 0.0 < self.irls_tol < np.inf:
             raise InvalidInputError("bad IRLS settings")
 
 

@@ -159,14 +159,7 @@ def mode_at(windows: list[WindowRow], t: float) -> str:
     return windows[int(np.argmin(np.abs(centers - t)))].label
 
 
-# ------------------------------------------------------------ vision stage
-
-@dataclass
-class _PairObs:
-    frame: int            # first frame of the pair
-    observations: list
-    note: str = ""
-
+# ------------------------------------------------------------- full analyze
 
 def _load_clahe(path, index, cfg: PipelineConfig) -> GrayFrame:
     img = fileio.read_pgm(path)
@@ -175,34 +168,24 @@ def _load_clahe(path, index, cfg: PipelineConfig) -> GrayFrame:
 
 
 def _pair_observations(prev: GrayFrame, nxt: GrayFrame,
-                       cfg: PipelineConfig) -> _PairObs:
-    try:
-        cs = detect_corners(prev, max_per_cell=cfg.vision.corner_max_per_cell,
-                            grid=cfg.vision.corner_grid,
-                            quality=cfg.vision.corner_quality)
-        fl = lk_flow(prev, nxt, cs, window=cfg.vision.lk_window,
-                     pyramid_levels=cfg.vision.lk_levels)
-        return _PairObs(frame=prev.index, observations=observations_from_flow(fl))
-    except CycleRiskError as exc:
-        return _PairObs(frame=prev.index, observations=[], note=str(exc))
+                       cfg: PipelineConfig) -> list:
+    """Flow observations from prev's corners tracked into nxt."""
+    cs = detect_corners(prev, max_per_cell=cfg.vision.corner_max_per_cell,
+                        grid=cfg.vision.corner_grid,
+                        quality=cfg.vision.corner_quality)
+    fl = lk_flow(prev, nxt, cs, window=cfg.vision.lk_window,
+                 pyramid_levels=cfg.vision.lk_levels)
+    return observations_from_flow(fl)
 
-
-def vision_pass(ride: RideInputs, pair_first: list[int],
-                cfg: PipelineConfig) -> list[_PairObs]:
-    """Flow observations for each (t, t + stride) frame pair, in order."""
-    stride = cfg.vision.frame_stride
-    by_index = dict(ride.frames)
-    needed = sorted({i for f in pair_first for i in (f, f + stride)})
-    frames = {i: _load_clahe(by_index[i], i, cfg) for i in needed}
-    return [_pair_observations(frames[f], frames[f + stride], cfg)
-            for f in pair_first]
-
-
-# ------------------------------------------------------------- full analyze
 
 def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
-                 cfg: PipelineConfig,
-                 risk_params: RiskParams | None = None) -> RideAnalysis:
+                 cfg: PipelineConfig, risk_params: RiskParams) -> RideAnalysis:
+    """Label the ride's windows, then score each bike frame pair in order.
+
+    Each pair's frames are read and equalized as the loop reaches it; the
+    later frame carries over as the next pair's earlier frame, so every
+    frame is read once and at most two are held.
+    """
     criterion = cfg.risk.criterion
     if train.criterion != criterion:
         raise InvalidInputError(
@@ -214,17 +197,11 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
     result = RideAnalysis(criterion=criterion)
     result.windows = label_windows(ride.stream, model, cfg)
 
-    if risk_params is None:
-        risk_params = RiskParams(
-            footprint_height_frac=cfg.risk.footprint_frac,
-            footprint_min_height=cfg.risk.footprint_min_px)
-
     # processed frames: every stride-th index that still has a flow partner
     stride = cfg.vision.frame_stride
-    indices = [i for i, _ in ride.frames]
-    index_set = set(indices)
-    processed = [i for i in indices if i % stride == 0
-                 and i + stride in index_set]
+    by_index = dict(ride.frames)
+    processed = [i for i in by_index if i % stride == 0
+                 and i + stride in by_index]
 
     rows = {}
     for i in processed:
@@ -233,31 +210,33 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                            pos=_gps_at(ride.stream, t))
     bike = [i for i in processed if rows[i].mode == "bike"]
 
-    pair_obs = {po.frame: po for po in vision_pass(ride, bike, cfg)}
-
-    img = fileio.read_pgm(ride.frames[0][1])
-    h, w = img.shape
-    dims = (w, h)
     hcfg = HuberConfig(delta=cfg.foe.delta, tol=cfg.foe.tol,
                        angle_thresh=cfg.foe.angle_thresh,
                        max_refine_iters=cfg.foe.max_refine_iters,
                        min_flows=cfg.foe.min_flows)
     smoother = FoeSmoother(window=cfg.foe.smooth_window,
                            decay=cfg.foe.smooth_decay)
-    prev_foe = np.array([w / 2.0, h / 2.0])
-    prox_map = proximity_region_map(dims) if criterion == "proximity" else None
-    prox_dist = (build_distance_matrix(prox_map, train.cross_factor)
-                 if prox_map is not None else None)
-
+    nxt = None
     for i in bike:
         row = rows[i]
-        po = pair_obs[i]
-        dets = ride.detections.get(i, [])
-        if po.note:
-            row.note = f"vision failed: {po.note}"
-            continue
+        # reads stay outside the try: an unreadable frame ends the run
+        prev = (nxt if nxt is not None and nxt.index == i
+                else _load_clahe(by_index[i], i, cfg))
+        nxt = _load_clahe(by_index[i + stride], i + stride, cfg)
+        if i == bike[0]:
+            h, w = prev.data.shape
+            dims = (w, h)
+            prev_foe = np.array([w / 2.0, h / 2.0])
+            if criterion == "proximity":
+                prox_map = proximity_region_map(dims)
+                prox_dist = build_distance_matrix(prox_map, train.cross_factor)
         try:
-            obs = po.observations
+            obs = _pair_observations(prev, nxt, cfg)
+        except CycleRiskError as exc:
+            row.note = f"vision failed: {exc}"
+            continue
+        dets = ride.detections.get(i, [])
+        try:
             assign_magnitude_weights(obs, prev_foe, dims, cfg.foe.ring_radii)
             assign_object_weights(obs, dets)
             refined = refine_foe(obs, hcfg)
@@ -348,22 +327,16 @@ def write_analysis(out_dir, result: RideAnalysis) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_descriptors(out_dir / "descriptors.cydr", result.criterion,
                              result.descriptors)
-    frame_lines = []
-    for row in result.frames:
-        frame_lines.append(fileio.canonical_json({
-            "frame": row.frame, "t": row.t, "mode": row.mode,
-            "foe": None if row.foe is None else list(row.foe),
-            "level": row.level,
-            "pos": None if row.pos is None else list(row.pos),
-            "note": row.note,
-        }))
-    (out_dir / "frames.ndjson").write_text(
-        "\n".join(frame_lines) + ("\n" if frame_lines else ""), encoding="utf-8")
+    fileio.write_ndjson(out_dir / "frames.ndjson", (fileio.canonical_json({
+        "frame": row.frame, "t": row.t, "mode": row.mode,
+        "foe": None if row.foe is None else list(row.foe),
+        "level": row.level,
+        "pos": None if row.pos is None else list(row.pos),
+        "note": row.note,
+    }) for row in result.frames))
     write_windows(out_dir / "windows.ndjson", result.windows)
     fileio.write_report_geojson(out_dir / "report.geojson", result.segments)
 
 
 def write_windows(path, windows: list[WindowRow]) -> None:
-    lines = [w.to_json() for w in windows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    fileio.write_ndjson(path, (w.to_json() for w in windows))

@@ -277,13 +277,13 @@ class RiskParams:
             cc = np.asarray(self.cell_coeffs, dtype=np.float64)
             if cc.shape != (26,):
                 raise InvalidInputError("cell_coeffs must have 26 entries")
-            if (cc[1:] < 0).any():
-                raise InvalidInputError("cell coefficients must be nonnegative")
+            if not ((cc[1:] >= 0) & (cc[1:] < np.inf)).all():
+                raise InvalidInputError("cell coefficients must be finite and nonnegative")
             self.cell_coeffs = cc
         if not 0.0 < self.footprint_height_frac <= 1.0:
             raise InvalidInputError("footprint_height_frac must be in (0, 1]")
-        if self.footprint_min_height < 0:
-            raise InvalidInputError("footprint_min_height must be >= 0")
+        if not 0.0 <= self.footprint_min_height < np.inf:
+            raise InvalidInputError("footprint_min_height must be finite and >= 0")
 
 
 def object_footprint(

@@ -48,7 +48,7 @@ def clahe(frame: GrayFrame, grid: tuple[int, int] = (4, 4), clip_limit: float = 
 
     grid is (rows, cols); clip_limit is the histogram ceiling as a fraction of
     the tile pixel count and must lie in (0, 1]. The remapped frame keeps the
-    source timestamp and index.
+    source index.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
@@ -100,4 +100,4 @@ def clahe(frame: GrayFrame, grid: tuple[int, int] = (4, 4), clip_limit: float = 
     out = (1.0 - wy[:, None]) * top + wy[:, None] * bot
 
     out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return GrayFrame(out, timestamp=frame.timestamp, index=frame.index)
+    return GrayFrame(out, index=frame.index)

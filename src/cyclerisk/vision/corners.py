@@ -34,7 +34,6 @@ class CornerSet:
 
     points: np.ndarray  # (n, 2) float64, x then y
     response: np.ndarray  # (n,) float64 min-eigenvalue score
-    frame_index: int = 0
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -101,13 +100,13 @@ def detect_corners(
 
     best = float(score[interior].max()) if interior.any() else 0.0
     if best <= 0.0:
-        return CornerSet(np.empty((0, 2)), np.empty(0), frame_index=frame.index)
+        return CornerSet(np.empty((0, 2)), np.empty(0))
 
     local_max = score == ndimage.maximum_filter(score, size=_NMS_SIZE, mode="nearest")
     keep = local_max & interior & (score >= quality * best)
     ys, xs = np.nonzero(keep)
     if ys.size == 0:
-        return CornerSet(np.empty((0, 2)), np.empty(0), frame_index=frame.index)
+        return CornerSet(np.empty((0, 2)), np.empty(0))
 
     vals = score[ys, xs]
     dx, dy = _subpixel_offsets(score, ys, xs)
@@ -129,4 +128,4 @@ def detect_corners(
     rank[by_cell] = np.arange(ys.size) - np.searchsorted(sorted_cells, sorted_cells)
     chosen = order[rank[order] < max_per_cell]
 
-    return CornerSet(refined[chosen], vals[chosen], frame_index=frame.index)
+    return CornerSet(refined[chosen], vals[chosen])

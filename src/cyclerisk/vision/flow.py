@@ -49,7 +49,6 @@ class FlowField:
     points: np.ndarray  # (n, 2) float64
     vectors: np.ndarray  # (n, 2) float64
     tracked: np.ndarray  # (n,) bool
-    frame_index: int = 0
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -229,7 +228,7 @@ def lk_flow(
         tracked[start:start + _BLOCK] = ok
 
     return FlowField(points=corners.points.copy(), vectors=vectors,
-                     tracked=tracked, frame_index=prev.index)
+                     tracked=tracked)
 
 
 __all__ = ["FlowField", "lk_flow"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,12 +13,11 @@ from ..errors import InvalidInputError
 class GrayFrame:
     """A single grayscale video frame.
 
-    data holds luminance as a (height, width) uint8 array; timestamp is in
-    seconds and index is the position of the frame in its source sequence.
+    data holds luminance as a (height, width) uint8 array; index is the
+    position of the frame in its source sequence.
     """
 
     data: np.ndarray
-    timestamp: float = 0.0
     index: int = 0
 
     def __post_init__(self) -> None:
@@ -30,19 +29,6 @@ class GrayFrame:
                 raise InvalidInputError("luminance values must lie in [0, 255]")
             arr = arr.astype(np.uint8)
         self.data = arr
-
-    @property
-    def height(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.data.shape[1])
-
-    @property
-    def size(self) -> tuple[int, int]:
-        """(width, height) in pixels."""
-        return self.width, self.height
 
     def as_float(self) -> np.ndarray:
         return self.data.astype(np.float64)

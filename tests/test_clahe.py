@@ -50,7 +50,6 @@ def test_output_shape_and_dtype(texture_frame):
     out = clahe(texture_frame)
     assert out.data.shape == texture_frame.data.shape
     assert out.data.dtype == np.uint8
-    assert out.timestamp == texture_frame.timestamp
     assert out.index == texture_frame.index
 
 

@@ -79,20 +79,6 @@ class TestGammaProfile:
 
 
 class TestResolveConfig:
-    def test_shortcut_flags_reach_config(self):
-        parser_args = ["--dry-run", "analyze", "r", "--out", "o", "--model",
-                       "m", "--trainset", "t", "--window", "21", "--skip",
-                       "10", "--pyramid-levels", "2", "--clahe-grid", "8x8",
-                       "--clip-limit", "0.05"]
-        from cyclerisk.cli import build_parser
-        args = build_parser().parse_args(parser_args)
-        cfg = resolve_config(args)
-        assert cfg.vision.lk_window == 21
-        assert cfg.vision.frame_stride == 10
-        assert cfg.vision.lk_levels == 2
-        assert cfg.vision.clahe_grid == (8, 8)
-        assert cfg.vision.clahe_clip == 0.05
-
     def test_set_overrides(self):
         from cyclerisk.cli import build_parser
         args = build_parser().parse_args(
@@ -427,6 +413,49 @@ class TestDryRunAndExitCodes:
                          "--trainset", str(trainset))
         assert rc == 2
         assert "input error" in err
+
+    def test_non_finite_model_exit_2(self, e2e_workspace, tmp_path, capsys):
+        head, body = e2e_workspace["model"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["kernel"]["bandwidth"] = float("nan")   # json writes NaN
+        model = tmp_path / "bad.cymd"
+        model.write_text(head + "\n" + json.dumps(body) + "\n")
+        rc, _, err = run(capsys, "classify-behavior", "--model", str(model),
+                         "--ride", str(e2e_workspace["train_ride"]))
+        assert rc == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("where", ["bike_pair", "walk_frame_0"])
+    def test_truncated_frame(self, e2e_workspace, tmp_path, capsys, where):
+        src = e2e_workspace["ride_mixed"]
+        ride = tmp_path / "ride"
+        (ride / "frames").mkdir(parents=True)
+        for name in ("ride.json", "sensors.csv", "detections.ndjson"):
+            (ride / name).symlink_to(src / name)
+        for p in (src / "frames").iterdir():
+            (ride / "frames" / p.name).symlink_to(p)
+        rows = [json.loads(line) for line in
+                (e2e_workspace["out_mixed"] / "frames.ndjson")
+                .read_text().splitlines()]
+        bike = [r["frame"] for r in rows if r["mode"] == "bike"]
+        assert rows[0]["mode"] != "bike"   # frame 0 is read only in a bike pair
+        frame = bike[len(bike) // 2] if where == "bike_pair" else 0
+        bad = ride / "frames" / fileio.frame_filename(frame)
+        bad.unlink()
+        bad.write_bytes((src / "frames" / bad.name).read_bytes()[:-10])
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "--criterion", "proximity", "analyze",
+                         str(ride), "--out", str(out),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(e2e_workspace["trainset"]))
+        if where == "bike_pair":
+            assert rc == 2
+            assert "truncated" in err
+        else:
+            assert rc == 0
+            for name in ("frames.ndjson", "descriptors.cydr"):
+                assert ((out / name).read_bytes()
+                        == (e2e_workspace["out_mixed"] / name).read_bytes())
 
     def test_single_class_training_exit_4(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "--seed", "3", "gen-ride", "--out",

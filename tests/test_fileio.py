@@ -206,13 +206,14 @@ class TestDescriptorRecords:
         crit, descs = fio.read_descriptors(p)
         assert crit == "lane" and descs == []
 
-    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN"])
+    @pytest.mark.parametrize("bad", [
+        b"Infinity", b"NaN", pytest.param(b"1" + b"0" * 400, id="huge-int")])
     def test_non_finite_bin_rejected(self, tmp_path, bad):
         p = tmp_path / "d.cydr"
         fio.write_descriptors(p, "lane", [RiskDescriptor(
             values=np.full(25, 0.5), criterion="lane")])
         p.write_bytes(p.read_bytes().replace(b"0.5", bad, 1))
-        with pytest.raises(RecordParseError, match="finite"):
+        with pytest.raises(RecordParseError, match="finite|too large"):
             fio.read_descriptors(p)
 
 
@@ -234,8 +235,9 @@ class TestTrainingSetRecords:
         fio.write_training_set(p2, back)
         assert p.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("old,bad", [(b"0.5", b"Infinity"), (b"0.5", b"NaN"),
-                                         (b"2.0", b"NaN")])
+    @pytest.mark.parametrize("old,bad", [
+        (b"0.5", b"Infinity"), (b"0.5", b"NaN"), (b"2.0", b"NaN"),
+        pytest.param(b"2.0", b"1" + b"0" * 400, id="huge-int-cross-factor")])
     def test_non_finite_values_rejected(self, tmp_path, old, bad):
         # one bin, or the cross_factor, made non-finite
         p = tmp_path / "train.cyts"
@@ -243,7 +245,7 @@ class TestTrainingSetRecords:
             criterion="lane", items=[TrainingItem(np.full(25, 0.5), 1)],
             cross_factor=2.0))
         p.write_bytes(p.read_bytes().replace(old, bad, 1))
-        with pytest.raises(RecordParseError, match="finite"):
+        with pytest.raises(RecordParseError, match="finite|too large"):
             fio.read_training_set(p)
 
 
@@ -268,6 +270,35 @@ class TestModelRecords:
         p2 = tmp_path / "again.cymd"
         fio.write_model(p2, back)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("where,literal", [
+        (("kernel", "bandwidth"), "NaN"),
+        (("kernel", "bandwidth"), "Infinity"),
+        (("mu", 0), "NaN"),
+        (("smoother_bandwidth",), "NaN"),
+        (("binaries", 1, "bias"), "-Infinity"),
+        (("binaries", 0, "sv_coef", 0), "1e999"),
+        (("C",), "1" + "0" * 400),
+        (("scale", 0), "0.0"),
+        (("scale", 2), "-1.5"),
+    ], ids=["nan-bandwidth", "inf-bandwidth", "nan-mu", "nan-smoother",
+            "neg-inf-bias", "overflow-sv-coef", "huge-int-C", "zero-scale",
+            "negative-scale"])
+    def test_bad_numbers_rejected(self, tmp_path, where, literal):
+        rng = np.random.default_rng(13)
+        X = np.vstack([rng.normal(0, 1, (8, 4)), rng.normal(3, 1, (8, 4))])
+        model = train_svm(X, ["a"] * 8 + ["b"] * 8, kernel=KernelSpec("gaussian"))
+        p = tmp_path / "model.cymd"
+        fio.write_model(p, model)
+        head, body = p.read_text().split("\n", 1)
+        body = json.loads(body)
+        node = body
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "@BAD@"
+        p.write_text(head + "\n" + json.dumps(body).replace('"@BAD@"', literal))
+        with pytest.raises(RecordParseError, match="finite|scale|too large"):
+            fio.read_model(p)
 
     def test_feature_mask_survives(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -299,6 +299,8 @@ class TestConfig:
         {"delta": 0.0}, {"delta": -1.0}, {"tol": 0.0},
         {"angle_thresh": 0.0}, {"angle_thresh": 120.0},
         {"max_refine_iters": 0}, {"min_flows": 1},
+        {"delta": float("nan")}, {"tol": float("nan")}, {"delta": float("inf")},
+        {"angle_thresh": float("nan")}, {"irls_tol": float("nan")},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):

@@ -1,14 +1,18 @@
 """Orchestration-layer units: window labeling, segmentation, vision pass."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cyclerisk import fileio
 from cyclerisk.behavior.stream import SensorStream
+from cyclerisk.cli import main
 from cyclerisk.config import PipelineConfig
 from cyclerisk.errors import InvalidInputError
-from cyclerisk.pipeline import (FrameRow, RideInputs, WindowRow, label_windows,
-                                load_ride, mode_at, segment_modes, vision_pass)
+from cyclerisk.pipeline import (FrameRow, WindowRow, _load_clahe,
+                                _pair_observations, label_windows, load_ride,
+                                mode_at, segment_modes)
 from cyclerisk.synth import gen_ride
 
 
@@ -141,8 +145,35 @@ class TestLoadRide:
 class TestVisionPass:
     def test_observations_are_plentiful(self, e2e_workspace):
         ride = load_ride(e2e_workspace["ride_bike"])
-        firsts = [0, 5, 10, 15]
-        out = vision_pass(ride, firsts, PipelineConfig())
-        assert [p.frame for p in out] == firsts
-        assert out[0].note == ""
-        assert len(out[0].observations) >= 30
+        cfg = PipelineConfig()
+        by_index = dict(ride.frames)
+        prev, nxt = (_load_clahe(by_index[i], i, cfg) for i in (0, 5))
+        assert (prev.index, nxt.index) == (0, 5)
+        assert len(_pair_observations(prev, nxt, cfg)) >= 30
+
+    @pytest.mark.parametrize("ride_key,out_key", [("ride_bike", "out_bike"),
+                                                  ("ride_mixed", "out_mixed")])
+    def test_each_bike_pair_frame_read_once_in_order(
+            self, e2e_workspace, tmp_path, monkeypatch, ride_key, out_key):
+        reads = []
+        read_pgm = fileio.read_pgm
+
+        def counting_read(path):
+            reads.append(path.name)
+            return read_pgm(path)
+
+        monkeypatch.setattr(fileio, "read_pgm", counting_read)
+        out = tmp_path / "out"
+        assert main(["--criterion", "proximity", "analyze",
+                     str(e2e_workspace[ride_key]), "--out", str(out),
+                     "--model", str(e2e_workspace["model"]),
+                     "--trainset", str(e2e_workspace["trainset"])]) == 0
+        frames = (out / "frames.ndjson").read_bytes()
+        assert frames == (e2e_workspace[out_key] / "frames.ndjson").read_bytes()
+        rows = [json.loads(line) for line in frames.splitlines()]
+        bike = [r for r in rows if r["mode"] == "bike"]
+        assert [r["note"] for r in bike[:4]] == [""] * 4
+        assert all(r["level"] is not None for r in bike[:4])
+        stride = PipelineConfig().vision.frame_stride
+        pair_frames = {r["frame"] + d for r in bike for d in (0, stride)}
+        assert reads == [fileio.frame_filename(i) for i in sorted(pair_frames)]

@@ -225,10 +225,24 @@ class TestValidation:
     def test_bad_cell_coeffs_rejected(self):
         with pytest.raises(InvalidInputError):
             RiskParams(cell_coeffs=np.zeros(25))
+        for bad in (-1.0, np.nan, np.inf):
+            cells = np.ones(26)
+            cells[7] = bad
+            with pytest.raises(InvalidInputError):
+                RiskParams(cell_coeffs=cells)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"footprint_min_height": -1.0}, {"footprint_min_height": float("nan")},
+        {"footprint_height_frac": float("nan")},
+    ])
+    def test_bad_footprint_rejected(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            RiskParams(**kwargs)
 
     def test_bad_class_coeff_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RiskParams(class_coeffs={"car": 1.7})
+        for bad in (1.7, float("nan")):
+            with pytest.raises(InvalidInputError):
+                RiskParams(class_coeffs={"car": bad})
 
     def test_bad_assignment_rejected(self):
         with pytest.raises(InvalidInputError):

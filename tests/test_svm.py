@@ -126,6 +126,11 @@ class TestKernels:
         with pytest.raises(InvalidInputError):
             KernelSpec("sigmoid")
 
+    @pytest.mark.parametrize("bw", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_bandwidth_rejected(self, bw):
+        with pytest.raises(InvalidInputError):
+            KernelSpec("gaussian", bandwidth=bw)
+
 
 def blob_data(rng, centers, n_per, spread=0.3):
     X, y = [], []
@@ -216,11 +221,12 @@ class TestTraining:
         X, y = blob_data(rng, {"a": (0, 0, 0), "b": (5, 0, 0)}, 10)
         mask = np.array([True, False, False])
         model = train_svm(X, y, C=1.0, kernel=KernelSpec("linear"), feature_mask=mask)
-        full = model.predict(X)            # full schema in
-        masked = model.predict(X[:, :1])   # pre-masked in
-        assert full == masked
-        with pytest.raises(InvalidInputError):
-            model.predict(X[:, :2])
+        scrambled = X.copy()
+        scrambled[:, 1:] = rng.normal(size=(X.shape[0], 2))
+        assert model.predict(scrambled) == model.predict(X)
+        for width in (1, 2):   # only the full schema is accepted
+            with pytest.raises(InvalidInputError):
+                model.predict(X[:, :width])
 
 
 class TestLoss:
