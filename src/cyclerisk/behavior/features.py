@@ -22,6 +22,8 @@ from .stream import CHANNEL_NAMES
 
 _STATS = ("mean", "std", "rms", "mad")
 _PAIRS = (("ax", "ay", 0, 1), ("ax", "az", 0, 2), ("ay", "az", 1, 2))
+_PAIR_A = [i for _, _, i, _ in _PAIRS]
+_PAIR_B = [j for _, _, _, j in _PAIRS]
 
 
 def _build_names() -> tuple[str, ...]:
@@ -39,31 +41,37 @@ N_FEATURES = len(FEATURE_NAMES)
 assert N_FEATURES == 54
 
 
-def _time_stats(x: np.ndarray) -> tuple[float, float, float, float]:
-    mu = float(x.mean())
-    centered = x - mu
-    std = float(np.sqrt((centered ** 2).mean()))
-    rms = float(np.sqrt((x ** 2).mean()))
-    mad = float(np.abs(centered).mean())
-    return mu, std, rms, mad
+def _time_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std, rms, mad) over the last axis, stacked last; and x centered."""
+    mu = x.mean(axis=-1)
+    centered = x - mu[..., None]
+    stats = np.stack([mu, np.sqrt((centered ** 2).mean(axis=-1)),
+                      np.sqrt((x ** 2).mean(axis=-1)),
+                      np.abs(centered).mean(axis=-1)], axis=-1)
+    return stats, centered
 
 
-def _spectral(x: np.ndarray) -> tuple[float, float]:
-    n = x.size
-    power = np.abs(np.fft.rfft(x)) ** 2
-    tail = power[1:]  # DC excluded
-    total = float(tail.sum())
-    energy = total / n
-    if total <= 0.0:
-        return energy, 0.0
-    q = tail / total
-    nz = q[q > 0]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    return energy, entropy
+def _spectral(x: np.ndarray) -> np.ndarray:
+    """(energy, entropy) over the last axis, stacked last."""
+    n = x.shape[-1]
+    tail = (np.abs(np.fft.rfft(x, axis=-1)) ** 2)[..., 1:]  # DC excluded
+    total = tail.sum(axis=-1)
+    entropy = np.zeros_like(total)
+    live = total > 0.0
+    q = tail[live] / total[live][:, None]
+    ent = np.empty(q.shape[0])
+    full = (q > 0).all(axis=1)
+    qf = q[full]
+    ent[full] = -(qf * np.log2(qf)).sum(axis=1)
+    # zero bins are dropped; compress row by row to keep the summation order
+    for r in np.flatnonzero(~full):
+        nz = q[r][q[r] > 0]
+        ent[r] = -(nz * np.log2(nz)).sum()
+    entropy[live] = ent
+    return np.stack([total / n, entropy], axis=-1)
 
 
-def extract_features(window) -> np.ndarray:
-    """54 descriptors for one (n, 7) window; accepts RawWindow or array."""
+def _window_data(window) -> np.ndarray:
     data = window.data if isinstance(window, RawWindow) else np.asarray(window, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != 7:
@@ -72,23 +80,35 @@ def extract_features(window) -> np.ndarray:
         raise InvalidInputError("window too short for spectral statistics")
     if not np.isfinite(data).all():
         raise InvalidInputError("window contains non-finite samples")
+    return data
 
-    out = np.empty(N_FEATURES)
-    for ch in range(7):
-        out[4 * ch:4 * ch + 4] = _time_stats(data[:, ch])
-    for ch in range(7):
-        out[28 + 2 * ch], out[28 + 2 * ch + 1] = _spectral(data[:, ch])
-    base = 42
-    for _, _, i, j in _PAIRS:
-        a = data[:, i] - data[:, i].mean()
-        b = data[:, j] - data[:, j].mean()
-        out[base:base + 4] = _time_stats(a * b)
-        base += 4
-    return out
+
+def _stacked_features(datas: list) -> np.ndarray:
+    """(m, 54) features of m validated (n, 7) windows of one length.
+
+    The windows are stacked channel-major into one contiguous (m, 7, n)
+    array, so every statistic reduces over a contiguous last axis and each
+    window's numbers sum in the same order as they would alone.
+    """
+    m = len(datas)
+    channels = np.ascontiguousarray(np.stack(datas).transpose(0, 2, 1))
+    stats, centered = _time_stats(channels)
+    pair_stats, _ = _time_stats(centered[:, _PAIR_A] * centered[:, _PAIR_B])
+    return np.concatenate([stats.reshape(m, 28),
+                           _spectral(channels).reshape(m, 14),
+                           pair_stats.reshape(m, 12)], axis=1)
+
+
+def extract_features(window) -> np.ndarray:
+    """54 descriptors for one (n, 7) window; accepts RawWindow or array."""
+    return features_matrix([window])[0]
 
 
 def features_matrix(windows: list) -> np.ndarray:
     """Stack per-window feature vectors into an (m, 54) design matrix."""
     if not windows:
         raise InvalidInputError("no windows to featurize")
-    return np.vstack([extract_features(w) for w in windows])
+    datas = [_window_data(w) for w in windows]
+    if any(d.shape[0] != datas[0].shape[0] for d in datas):
+        return np.vstack([_stacked_features([d]) for d in datas])
+    return _stacked_features(datas)

@@ -70,16 +70,19 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-6,
     if max_iter is None:
         max_iter = max(20000, 200 * n)
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # Q @ alpha - 1 at alpha = 0
-    Qy = K * (y[:, None] * y[None, :])
+    # vals = -y * grad, grad = Q @ alpha - 1. As y is +-1, y[t] * Q[t] equals
+    # y * K[t] exactly, so a step moves vals by step * (K[i] - K[j]) and Q is
+    # never formed; vals match the grad update bit for bit, up to the sign of
+    # an exact zero
+    vals = y.copy()
 
     pos = y > 0
+    up = (pos & (alpha < C - _SUPPORT_EPS)) | (~pos & (alpha > _SUPPORT_EPS))
+    low = (~pos & (alpha < C - _SUPPORT_EPS)) | (pos & (alpha > _SUPPORT_EPS))
+    n_up, n_low = int(up.sum()), int(low.sum())
     it = 0
     for it in range(1, max_iter + 1):
-        vals = -y * grad
-        up = (pos & (alpha < C - _SUPPORT_EPS)) | (~pos & (alpha > _SUPPORT_EPS))
-        low = (~pos & (alpha < C - _SUPPORT_EPS)) | (pos & (alpha > _SUPPORT_EPS))
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             break
         i = int(np.where(up, vals, -np.inf).argmax())
         j = int(np.where(low, vals, np.inf).argmin())
@@ -95,13 +98,17 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-6,
         step = min(step, limit_i, limit_j)
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        grad += step * (y[i] * Qy[i] - y[j] * Qy[j])
+        vals -= step * (K[i] - K[j])
+        # only alpha[i] and alpha[j] moved, so only they can change set
+        for t in {i, j}:
+            below_c, above_0 = alpha[t] < C - _SUPPORT_EPS, alpha[t] > _SUPPORT_EPS
+            in_up, in_low = (below_c, above_0) if pos[t] else (above_0, below_c)
+            n_up += int(in_up) - int(up[t])
+            n_low += int(in_low) - int(low[t])
+            up[t], low[t] = in_up, in_low
 
-    vals = -y * grad
-    up = (pos & (alpha < C - _SUPPORT_EPS)) | (~pos & (alpha > _SUPPORT_EPS))
-    low = (~pos & (alpha < C - _SUPPORT_EPS)) | (pos & (alpha > _SUPPORT_EPS))
-    hi = float(np.where(up, vals, -np.inf).max()) if up.any() else 0.0
-    lo = float(np.where(low, vals, np.inf).min()) if low.any() else 0.0
+    hi = float(np.where(up, vals, -np.inf).max()) if n_up else 0.0
+    lo = float(np.where(low, vals, np.inf).min()) if n_low else 0.0
     bias = 0.5 * (hi + lo)
     return alpha, bias, it
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -203,28 +204,43 @@ def _inventory(args) -> list[str]:
 
 # ----------------------------------------------------------------- commands
 
+def _is_finite(value) -> bool:
+    """A JSON number (not a bool) that a finite float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _load_gamma_profile(path, cfg: PipelineConfig) -> RiskParams:
     base = dict(footprint_height_frac=cfg.risk.footprint_frac,
                 footprint_min_height=cfg.risk.footprint_min_px)
     if path is None:
         return RiskParams(**base)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(fileio.read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"bad coefficient profile: {exc.msg}",
                               path=str(path), line=exc.lineno)
+    if not isinstance(data, dict):
+        raise InvalidInputError("coefficient profile must be a JSON object")
     unknown = set(data) - {"class_coeffs", "cell_coeffs"}
     if unknown:
         raise InvalidInputError(
             f"unknown coefficient profile key(s) {sorted(unknown)}")
     if "class_coeffs" in data:
-        base["class_coeffs"] = {str(k): float(v)
-                                for k, v in data["class_coeffs"].items()}
+        coeffs = data["class_coeffs"]
+        if not isinstance(coeffs, dict) or not all(map(_is_finite, coeffs.values())):
+            raise InvalidInputError("class_coeffs must map class names to finite numbers")
+        base["class_coeffs"] = {str(k): float(v) for k, v in coeffs.items()}
     if "cell_coeffs" in data:
-        cells = [float(v) for v in data["cell_coeffs"]]
-        if len(cells) != 25:
-            raise InvalidInputError("cell_coeffs must list 25 values")
-        base["cell_coeffs"] = np.array([0.0] + cells)
+        cells = data["cell_coeffs"]
+        if (not isinstance(cells, list) or len(cells) != 25
+                or not all(map(_is_finite, cells))):
+            raise InvalidInputError("cell_coeffs must list 25 finite numbers")
+        base["cell_coeffs"] = np.array([0.0] + [float(v) for v in cells])
     return RiskParams(**base)
 
 

@@ -217,6 +217,8 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}")
     return PipelineConfig.from_dict(data)
 
 

@@ -67,9 +67,28 @@ def write_ndjson(path, lines) -> None:
                           encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file with universal newlines, as `Path.read_text` reads it.
+
+    A byte sequence that is not UTF-8 raises RecordParseError naming the line
+    it sits on.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise RecordParseError(f"not UTF-8 text: {exc.reason}", path=str(path),
+                               line=line) from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _numbered_lines(path):
     """(line number, text) for each nonblank line of a text file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     return [(n, line) for n, line in enumerate(text.splitlines(), 1)
             if line.strip()]
 
@@ -190,12 +209,42 @@ def write_sensor_csv(path, stream: SensorStream) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+_BLOCK_ROWS = 256  # rows per parse block: bounds the temporary strings
+
+
 def read_sensor_csv(path) -> SensorStream:
+    """Parse a sensor log; blank rows are skipped, numbers follow `float()`.
+
+    Well-formed files are parsed in blocks of rows into one array and checked
+    as arrays. A file with a blank row, or one that fails any check, is read
+    again row by row, which gives the failing line its message.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != SENSOR_HEADER:
         raise RecordParseError(f"header must be {SENSOR_HEADER!r}", path=str(path),
                               line=1)
+    width = len(_SENSOR_FIELDS)
+    body = lines[1:]
+    if body and all(line.count(",") == width - 1 for line in body):
+        values = np.empty((width, len(body)))
+        try:
+            for start in range(0, len(body), _BLOCK_ROWS):
+                block = body[start:start + _BLOCK_ROWS]
+                parsed = np.fromiter(map(float, ",".join(block).split(",")),
+                                     np.float64, width * len(block))
+                values[:, start:start + len(block)] = parsed.reshape(-1, width).T
+        except ValueError:
+            pass
+        else:
+            t = values[0]
+            if np.isfinite(values).all() and (t[1:] > t[:-1]).all():
+                return SensorStream(**dict(zip(_SENSOR_FIELDS, values)))
+    return _read_sensor_rows(lines, path)
+
+
+def _read_sensor_rows(lines: list[str], path: Path) -> SensorStream:
+    """The row-by-row reader: skips blank rows, names the first malformed one."""
     columns: list[list[float]] = [[] for _ in _SENSOR_FIELDS]
     prev_t = None
     for lineno, line in enumerate(lines[1:], 2):
@@ -401,7 +450,7 @@ def write_report_geojson(path, segments) -> None:
 def read_report_geojson(path) -> dict:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"bad GeoJSON: {exc.msg}", path=str(path),
                               line=exc.lineno) from exc
@@ -419,7 +468,7 @@ def write_ride_meta(path, meta: dict) -> None:
 def read_ride_meta(path) -> dict:
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"bad ride metadata: {exc.msg}", path=str(path),
                               line=exc.lineno) from exc

@@ -1,6 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import ndimage
+
+# HYPOTHESIS_PROFILE=ci makes every fuzz run replayable from its log: the
+# examples are derived from each test's name, and a failure prints its blob.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

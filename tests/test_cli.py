@@ -1,9 +1,13 @@
 """Command-line behavior: flows, gating, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclerisk import fileio
 from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
@@ -11,7 +15,8 @@ from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
                            resolve_config)
 from cyclerisk.config import PipelineConfig
 from cyclerisk.emd import build_distance_matrix
-from cyclerisk.errors import InvalidInputError
+from cyclerisk.errors import InvalidInputError, RecordParseError
+from test_fileio import sensor_csv_text
 
 
 def run(capsys, *argv):
@@ -76,6 +81,28 @@ class TestGammaProfile:
         p.write_text(json.dumps({"gammas": []}))
         with pytest.raises(InvalidInputError, match="unknown"):
             _load_gamma_profile(p, PipelineConfig())
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "gamma.json"
+        p.write_bytes(b'{"class_coeffs": {"\xff": 0.5}}')
+        with pytest.raises(RecordParseError, match="UTF-8"):
+            _load_gamma_profile(p, PipelineConfig())
+
+    @pytest.mark.parametrize("body", [
+        "5", '{"class_coeffs": {"car": "abc"}}', '{"cell_coeffs": 3}',
+        json.dumps({"cell_coeffs": [True] + [0.1] * 24})])
+    def test_malformed_profile_exit_2(self, e2e_workspace, tmp_path, capsys,
+                                      body):
+        p = tmp_path / "gamma.json"
+        p.write_text(body)
+        rc, _, err = run(capsys, "--criterion", "proximity", "analyze",
+                         str(e2e_workspace["ride_bike"]),
+                         "--out", str(tmp_path / "o"),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(e2e_workspace["trainset"]),
+                         "--gamma-profile", str(p))
+        assert rc == 2
+        assert "input error" in err
 
 
 class TestResolveConfig:
@@ -456,6 +483,27 @@ class TestDryRunAndExitCodes:
             for name in ("frames.ndjson", "descriptors.cydr"):
                 assert ((out / name).read_bytes()
                         == (e2e_workspace["out_mixed"] / name).read_bytes())
+
+    def test_not_utf8_sensor_log_exit_2(self, e2e_workspace, tmp_path, capsys):
+        p = tmp_path / "sensors.csv"
+        p.write_bytes((e2e_workspace["ride_bike"] / "sensors.csv").read_bytes()
+                      .replace(b"\n", b"\n\xff", 1))
+        rc, _, err = run(capsys, "classify-behavior", "--model",
+                         str(e2e_workspace["model"]), "--ride", str(p))
+        assert rc == 2
+        assert "sensors.csv:2: not UTF-8 text" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sensor_csv_text().map(str.encode), st.binary(max_size=400)))
+    def test_garbage_sensor_log_exit_2_3_or_4(self, e2e_workspace,
+                                              tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("garbage") / "sensors.csv"
+        p.write_bytes(raw)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["classify-behavior", "--model",
+                       str(e2e_workspace["model"]), "--ride", str(p)])
+        assert rc in (2, 3, 4)
 
     def test_single_class_training_exit_4(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "--seed", "3", "gen-ride", "--out",

@@ -130,6 +130,12 @@ class TestFile:
         with pytest.raises(ConfigError, match="line"):
             load_config(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_config(p)
+
 
 class TestOverrides:
     def test_dotted_assignments(self):

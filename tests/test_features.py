@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from behavior_reference import reference_features
 from cyclerisk.behavior import FEATURE_NAMES, extract_features, features_matrix
 from cyclerisk.behavior.preprocess import RawWindow
 from cyclerisk.errors import InvalidInputError
@@ -155,3 +158,51 @@ def test_determinism():
     rng = np.random.default_rng(21)
     data = rng.normal(size=(100, 7))
     assert np.array_equal(extract_features(data), extract_features(data.copy()))
+
+
+@st.composite
+def channel(draw, n):
+    """One channel of n samples: noise, a constant, or a short integer period."""
+    kind = draw(st.sampled_from(["noise", "constant", "period"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "noise":
+        return rng.normal(draw(st.floats(-50, 50)), draw(st.floats(0, 20)), n)
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3)))
+    # a period dividing n leaves exact-zero DFT bins
+    period = draw(st.sampled_from([p for p in (1, 2, 3, 4, 5) if n % p == 0]))
+    return np.resize(rng.integers(-3, 4, period).astype(np.float64), n)
+
+
+@st.composite
+def window_batch(draw):
+    n = draw(st.sampled_from([4, 7, 50, 100, 128, 130]))
+    m = draw(st.integers(1, 6))
+    return [np.column_stack([draw(channel(n)) for _ in range(7)]) for _ in range(m)]
+
+
+class TestMatchesPerWindowOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(window_batch())
+    def test_random_windows_bit_identical(self, windows):
+        want = np.vstack([reference_features(w) for w in windows])
+        assert np.array_equal(features_matrix(windows), want)
+        assert np.array_equal(extract_features(windows[0]), want[0])
+
+    def test_zero_bin_rows_take_the_compress_path(self):
+        data = np.zeros((100, 7))
+        data[:, 0] = np.tile([1.0, -1.0], 50)        # one live bin, 49 zeros
+        data[:, 1] = np.tile([0.0, 1.0, 0.0, 0.0, 2.0], 20)
+        data[:, 2] = np.random.default_rng(4).normal(size=100)
+        assert np.array_equal(features_matrix([data])[0], reference_features(data))
+
+    def test_mixed_lengths_featurize_each_window(self):
+        rng = np.random.default_rng(5)
+        windows = [rng.normal(size=(100, 7)), rng.normal(size=(60, 7))]
+        want = np.vstack([reference_features(w) for w in windows])
+        assert np.array_equal(features_matrix(windows), want)
+
+    def test_later_bad_window_still_rejected(self):
+        good = np.zeros((100, 7))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            features_matrix([good, np.full((100, 7), np.inf)])

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclerisk.fileio as fio
+from behavior_reference import SENSOR_FIELDS, reference_read_sensor_csv
 from cyclerisk.behavior import KernelSpec, train_svm
 from cyclerisk.behavior.stream import SensorStream
 from cyclerisk.emd import RiskTrainingSet, TrainingItem
@@ -156,6 +159,128 @@ class TestSensorCsv:
         p.write_text(fio.SENSOR_HEADER + "\n0.0,1,2\n")
         with pytest.raises(RecordParseError, match="fields"):
             fio.read_sensor_csv(p)
+
+
+# field texts Python's float() takes or refuses; the reader must agree with it
+_ODD_FIELDS = ("nan", "inf", "-Infinity", "1e400", "-1e400", "1_0", " 1.5 ",
+               "0x10", "", " ", "abc", "1e-400", "-0", "+2.", ".5", "1,5")
+_HEADERS = (fio.SENSOR_HEADER, f" {fio.SENSOR_HEADER}\t", "t,ax,ay",
+            fio.SENSOR_HEADER.upper(), "", fio.SENSOR_HEADER + ",x")
+
+
+@st.composite
+def sensor_csv_text(draw):
+    """sensors.csv text: mostly valid rows, with the mutations readers meet."""
+    header = draw(st.sampled_from(_HEADERS[:1] * 6 + _HEADERS))
+    sep = draw(st.sampled_from([",", ", ", " ,"]))
+    t = draw(st.floats(-1e3, 1e3))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["ok"] * 12 + [
+            "blank", "spaces", "short", "long", "odd", "odd", "t_equal",
+            "t_back"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+            continue
+        t += {"t_equal": 0.0, "t_back": -0.05}.get(kind, 0.1)
+        fields = [repr(t)] + [repr(draw(st.floats(-1e6, 1e6))) for _ in range(10)]
+        if kind == "short":
+            fields = fields[:draw(st.integers(1, 10))]
+        elif kind == "long":
+            fields.append("0.0")
+        elif kind == "odd":
+            fields[draw(st.integers(0, 10))] = draw(st.sampled_from(_ODD_FIELDS))
+        lines.append(sep.join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _sensor_outcome(read, path):
+    """The columns' bytes, or the error's message and line."""
+    try:
+        stream = read(path)
+    except fio.RecordParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", tuple(getattr(stream, f).tobytes() for f in SENSOR_FIELDS))
+
+
+class TestSensorCsvMatchesRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=sensor_csv_text(), block=st.sampled_from([1, 3, fio._BLOCK_ROWS]))
+    def test_fuzz_same_arrays_or_same_error(self, tmp_path_factory, text, block):
+        p = tmp_path_factory.mktemp("csv") / "sensors.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fio, "_BLOCK_ROWS", block)
+            got = _sensor_outcome(fio.read_sensor_csv, p)
+        assert got == _sensor_outcome(reference_read_sensor_csv, p)
+
+    @pytest.mark.parametrize("bad_row", [None, 0, fio._BLOCK_ROWS - 1,
+                                         fio._BLOCK_ROWS, 2047, 2599])
+    def test_errors_past_block_edges_name_their_line(self, tmp_path, bad_row):
+        p = tmp_path / "sensors.csv"
+        fio.write_sensor_csv(p, small_stream(2600))
+        if bad_row is not None:
+            lines = p.read_text().splitlines()
+            fields = lines[bad_row + 1].split(",")
+            fields[3] = "nan"
+            lines[bad_row + 1] = ",".join(fields)
+            p.write_text("\n".join(lines) + "\n")
+        got = _sensor_outcome(fio.read_sensor_csv, p)
+        assert got == _sensor_outcome(reference_read_sensor_csv, p)
+        assert got[0] == ("ok" if bad_row is None else "error")
+        if bad_row is not None:
+            assert got[2] == bad_row + 2
+
+
+_NOT_UTF8 = b"\xff\xfe"
+
+
+class TestNotUtf8:
+    """A stray non-UTF-8 byte is a malformed record, named by its line."""
+
+    def test_sensor_csv(self, tmp_path):
+        p = tmp_path / "sensors.csv"
+        p.write_bytes(fio.SENSOR_HEADER.encode() + b"\r\n0.0," + _NOT_UTF8 + b"\n")
+        with pytest.raises(RecordParseError, match="UTF-8") as err:
+            fio.read_sensor_csv(p)
+        assert err.value.line == 2
+
+    def test_detections(self, tmp_path):
+        p = tmp_path / "detections.ndjson"
+        p.write_bytes(b"\n\n" + _NOT_UTF8)
+        with pytest.raises(RecordParseError, match="UTF-8") as err:
+            fio.read_detections(p)
+        assert err.value.line == 3
+
+    def test_window_labels(self, tmp_path):
+        p = tmp_path / "labels.ndjson"
+        p.write_bytes(b'{"label":"walk","start":0}\n{"label":"' + _NOT_UTF8 + b'"}\n')
+        with pytest.raises(RecordParseError, match="UTF-8") as err:
+            fio.read_window_labels(p)
+        assert err.value.line == 2
+
+    def test_ride_meta(self, tmp_path):
+        p = tmp_path / "ride.json"
+        p.write_bytes(b'{"fps": 5, "name": "' + _NOT_UTF8 + b'"}')
+        with pytest.raises(RecordParseError, match="UTF-8") as err:
+            fio.read_ride_meta(p)
+        assert err.value.line == 1
+
+    def test_report_geojson(self, tmp_path):
+        p = tmp_path / "report.geojson"
+        p.write_bytes(b'{"type":\r\r"' + _NOT_UTF8 + b'"}')
+        with pytest.raises(RecordParseError, match="UTF-8") as err:
+            fio.read_report_geojson(p)
+        assert err.value.line == 3
+
+    def test_newlines_read_as_path_read_text_does(self, tmp_path):
+        p = tmp_path / "mixed.txt"
+        p.write_bytes("a\r\nb\rc\n\u00e9\r".encode("utf-8"))
+        assert fio.read_text(p) == p.read_text(encoding="utf-8")
 
 
 class TestDescriptorRecords:

@@ -11,6 +11,8 @@ from cyclerisk.behavior.svm import (
 )
 from cyclerisk.errors import DegenerateTrainingError, InvalidInputError
 
+from behavior_reference import reference_smo
+
 
 def qp_oracle(K, y, C):
     """Global dual minimum by enumerating every active-set face.
@@ -88,6 +90,39 @@ class TestSmoAgainstOracle:
         alpha, _, _ = _smo(K, y, 2.0)
         assert (alpha >= -1e-12).all() and (alpha <= 2.0 + 1e-12).all()
         assert abs(alpha @ y) < 1e-9
+
+
+class TestSmoMatchesReferenceLoop:
+    """The incremental working sets retrace the full-recompute loop exactly."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_problems_bit_identical(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(5, 201))
+        X = rng.normal(size=(n, int(rng.integers(1, 6))))
+        if seed % 5 == 0:
+            X[n // 2:] = X[:n - n // 2]          # duplicate points: zero quad
+        y = np.where(X[:, 0] + rng.normal(0, 0.7, n) > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)                       # both classes present
+        C = float(rng.choice([0.1, 1.0, 10.0]))
+        name = str(rng.choice(["linear", "poly2", "gaussian"]))
+        K = kernel_matrix(KernelSpec(name, 1.5 if name == "gaussian" else None),
+                          X, X)
+        alpha, bias, iters = _smo(K, y, C)
+        ref_alpha, ref_bias, ref_iters = reference_smo(K, y, C)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+        assert iters == ref_iters
+
+    def test_iteration_cap_matches(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 2))
+        y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+        K = kernel_matrix(KernelSpec("gaussian", 0.5), X, X)
+        got = _smo(K, y, 10.0, max_iter=7)
+        want = reference_smo(K, y, 10.0, max_iter=7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1], got[2]) == (want[1], want[2]) and got[2] == 7
 
 
 class TestKernels:
