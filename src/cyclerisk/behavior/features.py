@@ -105,10 +105,23 @@ def extract_features(window) -> np.ndarray:
 
 
 def features_matrix(windows: list) -> np.ndarray:
-    """Stack per-window feature vectors into an (m, 54) design matrix."""
+    """Stack per-window feature vectors into an (m, 54) design matrix.
+
+    Finite samples can still be large enough to overflow the squares and
+    spectra; a window whose features are not all finite is an input error.
+    """
     if not windows:
         raise InvalidInputError("no windows to featurize")
     datas = [_window_data(w) for w in windows]
-    if any(d.shape[0] != datas[0].shape[0] for d in datas):
-        return np.vstack([_stacked_features([d]) for d in datas])
-    return _stacked_features(datas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if any(d.shape[0] != datas[0].shape[0] for d in datas):
+            X = np.vstack([_stacked_features([d]) for d in datas])
+        else:
+            X = _stacked_features(datas)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        at = f" (sample {windows[k].start})" if isinstance(windows[k], RawWindow) else ""
+        raise InvalidInputError(
+            f"window {k}{at} has non-finite features: sensor values too large")
+    return X

@@ -366,10 +366,8 @@ def cmd_gen_scene(args, cfg: PipelineConfig) -> int:
     (out / "truth.json").write_text(fileio.canonical_json(truth) + "\n",
                                     encoding="utf-8")
     fileio.write_ndjson(out / "flows.ndjson", (fileio.canonical_json(
-        {"point": [obs.point[0], obs.point[1]],
-         "vec": [obs.vector[0], obs.vector[1]],
-         "inlier": bool(inlier)})
-        for obs, inlier in zip(scene.observations, scene.inlier_mask)))
+        {"point": [p[0], p[1]], "vec": [v[0], v[1]], "inlier": bool(inlier)})
+        for p, v, inlier in zip(scene.points, scene.vectors, scene.inlier_mask)))
     print(f"wrote {out}: {args.n} flows, {truth['inliers']} inliers")
     return 0
 

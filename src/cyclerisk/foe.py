@@ -1,11 +1,14 @@
 """Focus-of-expansion estimation from sparse optical flow.
 
-Each tracked flow vector spans a line through its source point; during forward
-motion those lines meet near one image point. The estimate is the point
-minimizing a robust (Huber) sum of weighted point-to-line distances, where the
-per-flow weight combines a magnitude-consistency term (flows that disagree
-with their neighborhood's mean speed are discounted) and an object term
-(flows sitting on detected moving objects are discounted). An orientation
+Flows arrive as plain arrays, one row per flow: (n, 2) source points, (n, 2)
+displacement vectors and (n,) weights. Each flow spans a line through its
+source point; during forward motion those lines meet near one image point.
+The estimate is the point minimizing a robust (Huber) sum of weighted
+point-to-line distances. A flow's weight is the product of a
+magnitude-consistency term (`magnitude_weights`: flows that disagree with
+their annulus's mean speed are discounted) and an object term
+(`object_weights`: flows sitting on detected moving objects are discounted);
+rows with a zero weight or a zero vector take no part. An orientation
 refinement pass then drops flows whose direction disagrees with the radial
 expansion pattern around the estimate and re-solves.
 """
@@ -27,41 +30,14 @@ _MAG_INLIER = 1.00
 
 _COND_LIMIT = 1e12
 
+# Reweighted solves per estimate, and the step (px) that ends them. The
+# tolerance is deliberately much tighter than HuberConfig.tol: the inner
+# solver must localize the optimum well below a pixel for the refinement
+# geometry to be meaningful.
+_IRLS_MAX_ITERS = 50
+_IRLS_TOL = 1e-8
+
 DEFAULT_RING_RADII = (0.15, 0.30, 0.50)
-
-
-@dataclass
-class FlowObservation:
-    """One flow vector with the weights assigned to it.
-
-    point is the (x, y) source position, vector the displacement. weight is
-    always the product of the magnitude and object terms.
-    """
-
-    point: np.ndarray
-    vector: np.ndarray
-    mag_weight: float = 1.0
-    obj_weight: float = 1.0
-    ring: int = -1
-
-    def __post_init__(self) -> None:
-        self.point = np.asarray(self.point, dtype=np.float64).reshape(2)
-        self.vector = np.asarray(self.vector, dtype=np.float64).reshape(2)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.hypot(self.vector[0], self.vector[1]))
-
-    @property
-    def direction(self) -> np.ndarray:
-        mag = self.magnitude
-        if mag == 0.0:
-            raise InvalidInputError("zero-length flow has no direction")
-        return self.vector / mag
-
-    @property
-    def weight(self) -> float:
-        return self.mag_weight * self.obj_weight
 
 
 @dataclass
@@ -87,9 +63,7 @@ class HuberConfig:
 
     delta is the Huber corner in weighted-residual units; tol the convergence
     threshold in pixels for the refinement loop; angle_thresh the maximum
-    radial deviation in degrees a flow may have and survive pruning. irls_tol
-    is deliberately much tighter than tol: the inner solver must localize the
-    optimum well below a pixel for the refinement geometry to be meaningful.
+    radial deviation in degrees a flow may have and survive pruning.
     """
 
     delta: float = 1.0
@@ -97,8 +71,6 @@ class HuberConfig:
     angle_thresh: float = 30.0
     max_refine_iters: int = 10
     min_flows: int = 8
-    irls_max_iters: int = 50
-    irls_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < np.inf:
@@ -112,40 +84,34 @@ class HuberConfig:
             raise InvalidInputError("max_refine_iters must be >= 1")
         if self.min_flows < 2:
             raise InvalidInputError("min_flows must be >= 2")
-        if self.irls_max_iters < 1 or not 0.0 < self.irls_tol < np.inf:
-            raise InvalidInputError("bad IRLS settings")
 
 
-def observations_from_flow(flow) -> list[FlowObservation]:
-    """Keep tracked, nonzero flow vectors as weight-1 observations."""
-    out = []
-    for i in range(len(flow.points)):
-        if not flow.tracked[i]:
-            continue
-        v = flow.vectors[i]
-        if v[0] == 0.0 and v[1] == 0.0:
-            continue
-        out.append(FlowObservation(point=flow.points[i].copy(), vector=v.copy()))
-    return out
+def _magnitudes(vectors: np.ndarray) -> np.ndarray:
+    return np.hypot(vectors[:, 0], vectors[:, 1])
 
 
-def assign_magnitude_weights(
-    observations: list[FlowObservation],
+def magnitude_weights(
+    points: np.ndarray,
+    vectors: np.ndarray,
     prev_foe: np.ndarray,
     frame_size: tuple[int, int],
     radii: tuple[float, ...] = DEFAULT_RING_RADII,
-) -> None:
+) -> np.ndarray:
     """Weight each flow by how well its speed matches its annulus.
 
     Concentric annuli around the previous focus estimate (radii are fractions
-    of the frame diagonal; the last annulus is unbounded) group flows whose
-    apparent speed should be comparable. Within annulus mean magnitude vbar,
-    a flow at absolute deviation dev gets 0.10 when dev >= vbar^(2/3), 1.00
-    when dev <= vbar^(1/2), and 0.75 strictly between; the first rule wins
-    when the bounds cross (vbar < 1).
+    of the frame diagonal; a point on a bound belongs to the inner annulus,
+    and the last annulus is unbounded) group flows whose apparent speed
+    should be comparable. Within annulus mean magnitude vbar, a flow at
+    absolute deviation dev gets 0.10 when dev >= vbar^(2/3), 1.00 when
+    dev <= vbar^(1/2), and 0.75 strictly between; the first rule wins when
+    the bounds cross (vbar < 1).
     """
-    if not observations:
-        return
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, 2)
+    weights = np.ones(len(vectors))
+    if not len(vectors):
+        return weights
     w, h = frame_size
     if w <= 0 or h <= 0:
         raise InvalidInputError(f"bad frame size {frame_size}")
@@ -153,14 +119,12 @@ def assign_magnitude_weights(
         raise InvalidInputError(f"ring radii must be positive and increasing: {radii}")
 
     prev_foe = np.asarray(prev_foe, dtype=np.float64).reshape(2)
-    diag = math.hypot(w, h)
-    bounds = np.asarray(radii, dtype=np.float64) * diag
+    bounds = np.asarray(radii, dtype=np.float64) * math.hypot(w, h)
 
-    mags = np.array([o.magnitude for o in observations])
+    mags = _magnitudes(vectors)
     if (mags == 0.0).any():
         raise InvalidInputError("zero-length flows must be dropped before weighting")
-    pts = np.array([o.point for o in observations])
-    dist = np.linalg.norm(pts - prev_foe, axis=1)
+    dist = np.linalg.norm(points - prev_foe, axis=1)
     rings = np.searchsorted(bounds, dist, side="left")
 
     for ring in np.unique(rings):
@@ -169,37 +133,23 @@ def assign_magnitude_weights(
         hi = vbar ** (2.0 / 3.0)
         lo = vbar ** 0.5
         dev = np.abs(mags[members] - vbar)
-        weights = np.where(dev >= hi, _MAG_OUTLIER,
-                           np.where(dev <= lo, _MAG_INLIER, _MAG_MID))
-        for slot, obs_idx in enumerate(np.nonzero(members)[0]):
-            observations[obs_idx].ring = int(ring)
-            observations[obs_idx].mag_weight = float(weights[slot])
+        weights[members] = np.where(dev >= hi, _MAG_OUTLIER,
+                                    np.where(dev <= lo, _MAG_INLIER, _MAG_MID))
+    return weights
 
 
-def assign_object_weights(observations: list[FlowObservation], detections) -> None:
+def object_weights(points: np.ndarray, detections) -> np.ndarray:
     """Discount flows that sit on detected objects: weight exp(-score).
 
-    A flow covered by several boxes takes the highest detection score; one
-    covered by none keeps weight 1.
+    A flow covered by several boxes (edges included) takes the highest
+    detection score; one covered by none keeps weight 1.
     """
-    if not observations:
-        return
-    boxes = []
-    for det in detections:
-        x, y, bw, bh = det.bbox
-        if bw < 0 or bh < 0:
-            raise InvalidInputError(f"negative box size in {det.bbox}")
-        boxes.append((x, y, x + bw, y + bh, det.score))
-
-    for obs in observations:
-        if obs.magnitude == 0.0:
-            raise InvalidInputError("zero-length flows must be dropped before weighting")
-        px, py = obs.point
-        score = 0.0
-        for x0, y0, x1, y1, s in boxes:
-            if x0 <= px <= x1 and y0 <= py <= y1:
-                score = max(score, s)
-        obs.obj_weight = float(np.exp(-score))
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    x, y, bw, bh, score = np.array([(*det.bbox, det.score) for det in detections],
+                                   dtype=np.float64).reshape(-1, 5).T
+    px, py = points[:, :1], points[:, 1:]
+    inside = (x <= px) & (px <= x + bw) & (y <= py) & (py <= y + bh)
+    return np.exp(-np.where(inside, score, 0.0).max(axis=1, initial=0.0))
 
 
 def _huber_value(t: np.ndarray, delta: float) -> np.ndarray:
@@ -207,12 +157,17 @@ def _huber_value(t: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * t * t, delta * (a - 0.5 * delta))
 
 
-def _usable(observations: list[FlowObservation]) -> list[FlowObservation]:
-    return [o for o in observations
-            if o.weight > 0.0 and (o.vector[0] != 0.0 or o.vector[1] != 0.0)]
+def _usable(points, vectors, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows with a positive weight and a nonzero vector."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    keep = (weights > 0.0) & (vectors != 0.0).any(axis=1)
+    return points[keep], vectors[keep], weights[keep]
 
 
-def estimate_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
+def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
+                 cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
     """Robustly intersect the flow lines.
 
     Solves argmin_x sum_i huber_delta(f(x, L_i) / w_i) where f is the
@@ -220,15 +175,12 @@ def estimate_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberCo
     2x2 normal system. Raises InsufficientFlowError below the quorum and
     DegenerateGeometryError when the lines do not pin down a point.
     """
-    usable = _usable(observations)
-    n = len(usable)
+    pts, vecs, wts = _usable(points, vectors, weights)
+    n = len(wts)
     if n < cfg.min_flows:
         raise InsufficientFlowError(f"{n} usable flows, need {cfg.min_flows}")
 
-    pts = np.array([o.point for o in usable])
-    dirs = np.array([o.direction for o in usable])
-    wts = np.array([o.weight for o in usable])
-
+    dirs = vecs / _magnitudes(vecs)[:, None]
     normals = np.column_stack((-dirs[:, 1], dirs[:, 0]))
     offsets = np.einsum("ij,ij->i", normals, pts)  # n_i . p_i
 
@@ -253,7 +205,7 @@ def estimate_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberCo
     history = [objective(x)]
     iterations = 1
     stop = "max_iters"
-    for _ in range(cfg.irls_max_iters - 1):
+    for _ in range(_IRLS_MAX_ITERS - 1):
         scaled = np.abs(normals @ x - offsets) / wts
         hub = np.where(scaled <= cfg.delta, 1.0,
                        cfg.delta / np.maximum(scaled, 1e-300))
@@ -262,7 +214,7 @@ def estimate_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberCo
         history.append(objective(x_next))
         step = float(np.linalg.norm(x_next - x))
         x = x_next
-        if step < cfg.irls_tol:
+        if step < _IRLS_TOL:
             stop = "converged"
             break
 
@@ -271,7 +223,8 @@ def estimate_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberCo
                        objective_history=history)
 
 
-def refine_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
+def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
+               cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
     """Alternate estimation with radial-orientation pruning.
 
     After each solve, flows whose direction deviates from the outward radial
@@ -281,20 +234,21 @@ def refine_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberConf
     (the last feasible estimate is returned, flagged "quorum"), or after
     max_refine_iters rounds.
     """
-    active = _usable(observations)
-    est = estimate_foe(active, cfg)
+    points, vectors, weights = _usable(points, vectors, weights)
+    est = estimate_foe(points, vectors, weights, cfg)
+    dirs = vectors / _magnitudes(vectors)[:, None]
+    active = np.arange(len(weights))
     solves = 1
     cos_limit = math.cos(math.radians(cfg.angle_thresh))
 
     stop = "max_iters"
     while solves < cfg.max_refine_iters + 1:
-        radial = np.array([o.point for o in active]) - est.point
+        radial = points[active] - est.point
         norms = np.linalg.norm(radial, axis=1)
-        dirs = np.array([o.direction for o in active])
         # A flow starting exactly at the estimate carries no direction
         # information; it is never pruned.
         cosang = np.where(norms > 0.0,
-                          np.einsum("ij,ij->i", dirs, radial) / np.maximum(norms, 1e-300),
+                          np.einsum("ij,ij->i", dirs[active], radial) / np.maximum(norms, 1e-300),
                           1.0)
         keep = cosang >= cos_limit
         if keep.all():
@@ -303,8 +257,8 @@ def refine_foe(observations: list[FlowObservation], cfg: HuberConfig = HuberConf
         if int(keep.sum()) < cfg.min_flows:
             stop = "quorum"
             break
-        pruned = [o for o, k in zip(active, keep) if k]
-        new_est = estimate_foe(pruned, cfg)
+        pruned = active[keep]
+        new_est = estimate_foe(points[pruned], vectors[pruned], weights[pruned], cfg)
         solves += 1
         moved = float(np.linalg.norm(new_est.point - est.point))
         active, est = pruned, new_est

@@ -25,8 +25,8 @@ from .behavior.svm import SvmModel
 from .config import PipelineConfig
 from .emd import RiskTrainingSet, build_distance_matrix, classify_risk
 from .errors import (CycleRiskError, InvalidInputError)
-from .foe import (FoeSmoother, HuberConfig, assign_magnitude_weights,
-                  assign_object_weights, observations_from_flow, refine_foe)
+from .foe import (FoeSmoother, HuberConfig, magnitude_weights, object_weights,
+                  refine_foe)
 from .risk import RiskParams, lane_region_map, proximity_region_map, risk_descriptor
 from .vision import GrayFrame, clahe, detect_corners, lk_flow
 
@@ -167,15 +167,16 @@ def _load_clahe(path, index, cfg: PipelineConfig) -> GrayFrame:
                  grid=cfg.vision.clahe_grid, clip_limit=cfg.vision.clahe_clip)
 
 
-def _pair_observations(prev: GrayFrame, nxt: GrayFrame,
-                       cfg: PipelineConfig) -> list:
-    """Flow observations from prev's corners tracked into nxt."""
+def _pair_flows(prev: GrayFrame, nxt: GrayFrame,
+                cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(points, vectors) of prev's corners tracked into nxt, zero flows dropped."""
     cs = detect_corners(prev, max_per_cell=cfg.vision.corner_max_per_cell,
                         grid=cfg.vision.corner_grid,
                         quality=cfg.vision.corner_quality)
     fl = lk_flow(prev, nxt, cs, window=cfg.vision.lk_window,
                  pyramid_levels=cfg.vision.lk_levels)
-    return observations_from_flow(fl)
+    keep = fl.tracked & (fl.vectors != 0.0).any(axis=1)
+    return fl.points[keep], fl.vectors[keep]
 
 
 def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
@@ -231,15 +232,16 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                 prox_map = proximity_region_map(dims)
                 prox_dist = build_distance_matrix(prox_map, train.cross_factor)
         try:
-            obs = _pair_observations(prev, nxt, cfg)
+            points, vectors = _pair_flows(prev, nxt, cfg)
         except CycleRiskError as exc:
             row.note = f"vision failed: {exc}"
             continue
         dets = ride.detections.get(i, [])
         try:
-            assign_magnitude_weights(obs, prev_foe, dims, cfg.foe.ring_radii)
-            assign_object_weights(obs, dets)
-            refined = refine_foe(obs, hcfg)
+            weights = (magnitude_weights(points, vectors, prev_foe, dims,
+                                         cfg.foe.ring_radii)
+                       * object_weights(points, dets))
+            refined = refine_foe(points, vectors, weights, hcfg)
             smoothed = smoother.push(i, refined.point)
             prev_foe = smoothed
             row.foe = (float(smoothed[0]), float(smoothed[1]))

@@ -6,12 +6,11 @@ freeze expectations against generated data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .foe import FlowObservation
 from .risk import proximity_region_map
 
 
@@ -19,19 +18,15 @@ from .risk import proximity_region_map
 class SyntheticScene:
     """Ground-truthed single-frame scene.
 
-    observations carry flow vectors with inlier_mask marking which follow the
-    radial expansion; detections (when scripted) come with the risk level they
-    were placed to produce.
+    points are the (n, 2) flow sources and vectors the (n, 2) displacements;
+    inlier_mask marks the flows that follow the radial expansion.
     """
 
     dims: tuple[int, int]
     foe: np.ndarray
-    observations: list[FlowObservation] = field(default_factory=list)
-    inlier_mask: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    detections: list = field(default_factory=list)
-    risk_level: int | None = None
-    criterion: str | None = None
-    seed: int = 0
+    points: np.ndarray
+    vectors: np.ndarray
+    inlier_mask: np.ndarray
 
 
 def gen_expansion_scene(
@@ -48,7 +43,7 @@ def gen_expansion_scene(
     Inlier flows are lam * (p - foe) plus isotropic Gaussian noise with the
     given pixel sigma, lam drawn uniformly from depth_range. Outliers keep an
     inlier-like magnitude but point in a uniformly random direction. Exactly
-    round(outlier_frac * n) observations are outliers.
+    round(outlier_frac * n) flows are outliers.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -86,9 +81,8 @@ def gen_expansion_scene(
     if noise > 0:
         vecs = vecs + rng.normal(0.0, noise, size=(n, 2))
 
-    obs = [FlowObservation(point=pts[i], vector=vecs[i]) for i in range(n)]
-    return SyntheticScene(dims=dims, foe=foe_pt, observations=obs,
-                          inlier_mask=inlier, seed=seed)
+    return SyntheticScene(dims=dims, foe=foe_pt, points=pts, vectors=vecs,
+                          inlier_mask=inlier)
 
 
 def gen_risk_detections(region_map, level: int, seed: int = 0, frame: int = 0) -> list:

@@ -40,11 +40,10 @@ def gate(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def unit_ls_focus(observations):
+def unit_ls_focus(pts, vecs):
     """Plain unweighted least-squares line intersection (no robust loss)."""
-    dirs = np.array([o.direction for o in observations])
+    dirs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
     normals = np.column_stack((-dirs[:, 1], dirs[:, 0]))
-    pts = np.array([o.point for o in observations])
     offsets = (normals * pts).sum(axis=1)
     x, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     return x
@@ -123,7 +122,7 @@ def test_g01_clean_scene_focus_exact():
         scene = gen_expansion_scene(target, n=100, noise=0.0,
                                     outlier_frac=0.0, seed=s)
         t0 = time.perf_counter()
-        est = refine_foe(scene.observations)
+        est = refine_foe(scene.points, scene.vectors, np.ones(len(scene.points)))
         times.append(time.perf_counter() - t0)
         errs.append(float(np.linalg.norm(est.point - scene.foe)))
     ok = max(errs) <= 1e-3 and max(times) < 1.0
@@ -137,8 +136,10 @@ def test_g02_contaminated_scene_beats_plain_ls():
         target = (240.0 + 60 * np.sin(s), 180.0 + 45 * np.cos(2 * s))
         scene = gen_expansion_scene(target, n=100, noise=1.0,
                                     outlier_frac=0.3, seed=s)
-        e_ls = float(np.linalg.norm(unit_ls_focus(scene.observations) - scene.foe))
-        e_rf = float(np.linalg.norm(refine_foe(scene.observations).point - scene.foe))
+        ones = np.ones(len(scene.points))
+        e_ls = float(np.linalg.norm(unit_ls_focus(scene.points, scene.vectors) - scene.foe))
+        e_rf = float(np.linalg.norm(
+            refine_foe(scene.points, scene.vectors, ones).point - scene.foe))
         refined.append(e_rf)
         wins += e_rf < e_ls
     med = float(np.median(refined))
@@ -154,11 +155,10 @@ def test_g03_robust_objective_beats_pixel_lattice():
         target = (float(rng.uniform(100, 380)), float(rng.uniform(80, 280)))
         scene = gen_expansion_scene(target, n=100, noise=1.0,
                                     outlier_frac=0.3, seed=300 + s)
-        est = estimate_foe(scene.observations)
-        dirs = np.array([o.direction for o in scene.observations])
+        est = estimate_foe(scene.points, scene.vectors, np.ones(len(scene.points)))
+        dirs = scene.vectors / np.linalg.norm(scene.vectors, axis=1)[:, None]
         normals = np.column_stack((-dirs[:, 1], dirs[:, 0]))
-        pts = np.array([o.point for o in scene.observations])
-        offsets = (normals * pts).sum(axis=1)
+        offsets = (normals * scene.points).sum(axis=1)
         best = np.inf
         xs = np.arange(0.0, DIMS[0] + 1.0)
         for yv in np.arange(0.0, DIMS[1] + 1.0):

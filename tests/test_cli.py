@@ -1,8 +1,10 @@
 """Command-line behavior: flows, gating, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -504,6 +506,32 @@ class TestDryRunAndExitCodes:
             rc = main(["classify-behavior", "--model",
                        str(e2e_workspace["model"]), "--ride", str(p)])
         assert rc in (2, 3, 4)
+
+    @pytest.mark.parametrize("command", ["classify-behavior", "train-behavior", "analyze"])
+    def test_huge_sensor_values_exit_2(self, e2e_workspace, tmp_path, capsys, command):
+        # finite samples whose squares overflow: the features are not finite
+        src = e2e_workspace["ride_bike"]
+        ride = tmp_path / "ride"
+        ride.mkdir()
+        for name in ("ride.json", "labels.ndjson", "detections.ndjson"):
+            (ride / name).write_bytes((src / name).read_bytes())
+        (ride / "frames").symlink_to(src / "frames")
+        stream = fileio.read_sensor_csv(src / "sensors.csv")
+        fileio.write_sensor_csv(ride / "sensors.csv",
+                                dataclasses.replace(stream, ax=stream.ax * 1e200))
+        model, trainset = str(e2e_workspace["model"]), str(e2e_workspace["trainset"])
+        argv = {"classify-behavior": ["classify-behavior", "--model", model,
+                                      "--ride", str(ride)],
+                "train-behavior": ["train-behavior", "--rides", str(ride),
+                                   "--out", str(tmp_path / "m.cymd")],
+                "analyze": ["--criterion", "proximity", "analyze", str(ride),
+                            "--out", str(tmp_path / "out"), "--model", model,
+                            "--trainset", trainset]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert "non-finite features" in err
 
     def test_single_class_training_exit_4(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "--seed", "3", "gen-ride", "--out",

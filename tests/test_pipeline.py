@@ -11,7 +11,7 @@ from cyclerisk.cli import main
 from cyclerisk.config import PipelineConfig
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.pipeline import (FrameRow, WindowRow, _load_clahe,
-                                _pair_observations, label_windows, load_ride,
+                                _pair_flows, label_windows, load_ride,
                                 mode_at, segment_modes)
 from cyclerisk.synth import gen_ride
 
@@ -149,7 +149,9 @@ class TestVisionPass:
         by_index = dict(ride.frames)
         prev, nxt = (_load_clahe(by_index[i], i, cfg) for i in (0, 5))
         assert (prev.index, nxt.index) == (0, 5)
-        assert len(_pair_observations(prev, nxt, cfg)) >= 30
+        points, vectors = _pair_flows(prev, nxt, cfg)
+        assert points.shape == vectors.shape
+        assert points.shape[0] >= 30
 
     @pytest.mark.parametrize("ride_key,out_key", [("ride_bike", "out_bike"),
                                                   ("ride_mixed", "out_mixed")])

@@ -12,11 +12,11 @@ DIMS = (480, 360)
 class TestExpansionScene:
     def test_clean_flows_pass_through_focus(self):
         scene = gen_expansion_scene((200.0, 150.0), n=50, seed=1)
-        for obs in scene.observations:
+        for point, vector in zip(scene.points, scene.vectors):
             # signed perpendicular distance of the focus from the flow line
-            d = obs.vector / np.linalg.norm(obs.vector)
+            d = vector / np.linalg.norm(vector)
             normal = np.array([-d[1], d[0]])
-            assert abs(normal @ (scene.foe - obs.point)) < 1e-9
+            assert abs(normal @ (scene.foe - point)) < 1e-9
 
     def test_outlier_count_exact(self):
         scene = gen_expansion_scene((240.0, 180.0), n=100, outlier_frac=0.3, seed=2)
@@ -27,9 +27,8 @@ class TestExpansionScene:
                                 outlier_frac=0.2, seed=7)
         b = gen_expansion_scene((240.0, 180.0), n=40, noise=1.0,
                                 outlier_frac=0.2, seed=7)
-        for oa, ob in zip(a.observations, b.observations):
-            assert np.array_equal(oa.point, ob.point)
-            assert np.array_equal(oa.vector, ob.vector)
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
     def test_bad_params(self):
         with pytest.raises(InvalidInputError):
