@@ -11,18 +11,20 @@ paths under node potentials: deterministic, no tolerance tuning, and fast at
 25 bins because supports are usually sparse.
 
 Retrieval is exact k-NN, but most exact solves are skipped. For unit masses
-q and t and any nonnegative ground distance D, the relaxed transport bound
-(RWMD; Kusner et al., ICML 2015)
-
-    lb(q, t) = max(sum_i q_i min_{j in supp t} D_ij,
-                   sum_j t_j min_{i in supp q} D_ij)
-
-never exceeds EMD(q, t): dropping either marginal constraint can only lower
-the optimum. Training items are solved in ascending (bound, index) order,
-and the search stops once k are solved and the next bound lies above the
-k-th exact distance by more than a roundoff margin. Every skipped item is
-then strictly farther than the k-th neighbor, so the result is the one an
-all-pairs search would give, bit for bit.
+q and t and any nonnegative ground distance D, the iterative constrained
+transfers bound (ICT; Atasu & Mittelholzer, ICML 2019) never exceeds
+EMD(q, t). Its forward fill ships each q_i to the bins of t in ascending
+D_ij order, at most t_j along each edge; its backward fill ships each t_j to
+the bins of q the same way, at most q_i along each edge. Each fill keeps one
+marginal of the transport problem and caps every edge at a mass that any
+feasible plan also respects, so it relaxes the problem, and the larger of
+the two is the bound. It is never below the relaxed transport bound (RWMD;
+Kusner et al., ICML 2015), which drops the caps. Training items are solved
+in ascending (bound, index) order, and the search stops once k are solved
+and the next bound lies above the k-th exact distance by more than a
+roundoff margin. Every skipped item is then strictly farther than the k-th
+neighbor, so the result is the one an all-pairs search would give, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ def emd_with_flow(a, b, dist: np.ndarray):
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape or a.shape[0] != dist.shape[0] or dist.shape[0] != dist.shape[1]:
         raise InvalidInputError("signature and distance matrix sizes disagree")
-    if (a < 0).any() or (b < 0).any():
-        raise InvalidInputError("signatures must be nonnegative")
-    ta, tb = a.sum(), b.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta, tb = a.sum(), b.sum()
+    if not (np.isfinite(ta) and np.isfinite(tb)) or (a < 0).any() or (b < 0).any():
+        raise InvalidInputError("signatures must be nonnegative with finite totals")
     if ta <= 0.0 or tb <= 0.0:
         raise ZeroMassError("cannot compare a signature with no mass")
     a = a / ta
@@ -242,8 +245,20 @@ class RiskLevel:
     votes: dict[int, int]
 
 
-def relaxed_lower_bounds(query, items, dist: np.ndarray) -> np.ndarray:
-    """RWMD lower bound on EMD(query, item) for each row of items.
+def _fill_cost(filled, cost) -> np.ndarray:
+    """Total cost of fills along edges taken in order (axis 0).
+
+    filled[k] is the mass a fill has shipped over its first k + 1 edges and
+    cost[k] the unit price of edge k, so the fill pays
+    sum_k (filled_k - filled_{k-1}) cost_k = sum_k filled_k (cost_k - cost_{k+1}).
+    """
+    step = cost.copy()
+    step[:-1] -= cost[1:]
+    return np.tensordot(step, filled, axes=2)
+
+
+def transfer_lower_bounds(query, items, dist: np.ndarray) -> np.ndarray:
+    """ICT lower bound on EMD(query, item) for each row of items.
 
     query is one 25-bin signature and items an (N, 25) stack, all finite,
     nonnegative and with positive mass; both are normalized to unit mass
@@ -252,13 +267,22 @@ def relaxed_lower_bounds(query, items, dist: np.ndarray) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     t = np.asarray(items, dtype=np.float64)
     q = q / q.sum()
-    t = t / t.sum(axis=1, keepdims=True)
+    t = np.ascontiguousarray((t / t.sum(axis=1, keepdims=True)).T)   # (25, N)
     supp = q > 0.0
+    mass = q[supp]
     rows = np.asarray(dist, dtype=np.float64)[supp]     # (|supp q|, 25)
-    # every query bin ships its mass to the nearest bin the item occupies
-    near_item = np.where(t[:, None, :] > 0.0, rows[None], np.inf).min(axis=2)
-    # every item bin receives its mass from the nearest occupied query bin
-    return np.maximum(near_item @ q[supp], t @ rows.min(axis=0))
+    # backward: item bin j fills the query's bins nearest first, q_i per edge
+    bwd = np.argsort(rows, axis=0, kind="stable")
+    backward = _fill_cost(np.minimum(np.cumsum(mass[bwd], axis=0)[:, :, None], t),
+                          np.take_along_axis(rows, bwd, axis=0))
+    # forward: query bin i fills the item's bins nearest first, t_j per edge;
+    # one (25, |supp q|, N) array goes from capacities to shipped mass
+    fwd = np.argsort(rows, axis=1, kind="stable")
+    filled = t[fwd.T]
+    np.cumsum(filled, axis=0, out=filled)
+    np.minimum(filled, mass[:, None], out=filled)
+    forward = _fill_cost(filled, np.take_along_axis(rows, fwd, axis=1).T)
+    return np.maximum(forward, backward)
 
 
 def classify_risk(
@@ -275,7 +299,7 @@ def classify_risk(
     compared and are ignored.
 
     The k nearest items, ordered by (distance, index), are exact. Items are
-    solved in ascending (`relaxed_lower_bounds`, index) order; the search
+    solved in ascending (`transfer_lower_bounds`, index) order; the search
     stops once k are solved and the next bound exceeds the k-th exact
     distance by more than a roundoff margin, since no later item can then
     displace a neighbor.
@@ -292,7 +316,7 @@ def classify_risk(
         raise ZeroMassError("every training descriptor has zero mass")
 
     k = min(k, len(usable))
-    bounds = relaxed_lower_bounds(values, [it.values for it in usable], dist)
+    bounds = transfer_lower_bounds(values, [it.values for it in usable], dist)
     margin = _PRUNE_MARGIN * max(1.0, float(np.max(dist)))
     solved: list[tuple[float, int]] = []   # (exact distance, index), sorted
     for idx in np.lexsort((np.arange(len(usable)), bounds)):

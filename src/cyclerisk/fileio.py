@@ -303,7 +303,9 @@ def _read_record(path, magic: bytes) -> dict:
                               path=str(path), line=1)
     try:
         return json.loads(raw[nl + 1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer too long to parse;
+    # RecursionError, arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise RecordParseError(f"bad record body: {exc}", path=str(path),
                               line=2) from exc
 

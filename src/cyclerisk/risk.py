@@ -309,10 +309,17 @@ def object_footprint(
 
 
 def descriptor_bins(values) -> np.ndarray:
-    """The 25 bins as float64, rejecting negative or non-finite mass."""
+    """The 25 bins as float64, rejecting negative or non-finite mass.
+
+    The total must be finite too, since retrieval divides by it; a finite
+    total also rules out any non-finite bin.
+    """
     v = np.asarray(values, dtype=np.float64).reshape(25)
-    if not (np.isfinite(v).all() and (v >= 0).all()):
-        raise InvalidInputError("descriptor bins must be finite and nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = v.sum()
+    if not (np.isfinite(total) and (v >= 0).all()):
+        raise InvalidInputError(
+            "descriptor bins must be nonnegative with a finite total")
     return v
 
 

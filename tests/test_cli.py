@@ -18,7 +18,7 @@ from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
 from cyclerisk.config import PipelineConfig
 from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError, RecordParseError
-from test_fileio import sensor_csv_text
+from test_fileio import record_bytes, sensor_csv_text
 
 
 def run(capsys, *argv):
@@ -443,6 +443,41 @@ class TestDryRunAndExitCodes:
         assert rc == 2
         assert "input error" in err
 
+    def test_overflowing_training_item_exit_2(self, e2e_workspace, tmp_path,
+                                              capsys):
+        # every bin finite, but the item's total overflows
+        head, body = e2e_workspace["trainset"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["items"][4]["values"][3] = body["items"][4]["values"][7] = 1e308
+        trainset = tmp_path / "bad.cyts"
+        trainset.write_text(head + "\n" + json.dumps(body) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, "--criterion", "proximity", "analyze",
+                             str(e2e_workspace["ride_bike"]),
+                             "--out", str(tmp_path / "o"),
+                             "--model", str(e2e_workspace["model"]),
+                             "--trainset", str(trainset))
+        assert rc == 2
+        assert "finite total" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_descriptor_exit_2(self, e2e_workspace, tmp_path,
+                                           capsys):
+        head, body = e2e_workspace["level2"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["frames"][0]["values"][0] = body["frames"][0]["values"][1] = 1e308
+        level2 = tmp_path / "level2.cydr"
+        level2.write_text(head + "\n" + json.dumps(body) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, "train-risk",
+                             f"1:{e2e_workspace['level1']}", f"2:{level2}",
+                             f"3:{e2e_workspace['level3']}",
+                             "--out", str(tmp_path / "t.cyts"))
+        assert rc == 2
+        assert "finite total" in err
+
     def test_non_finite_model_exit_2(self, e2e_workspace, tmp_path, capsys):
         head, body = e2e_workspace["model"].read_text().split("\n", 1)
         body = json.loads(body)
@@ -558,3 +593,64 @@ class TestDryRunAndExitCodes:
                          str(e2e_workspace["model"]), "--ride", str(d))
         assert rc == 4
         assert "numeric failure" in err
+
+
+def quiet_main(argv):
+    """Exit code and standard error of one command, output discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def readable(read, path):
+    try:
+        read(path)
+    except RecordParseError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def short_bike_ride(e2e_workspace, tmp_path_factory):
+    """The seed-11 bike ride cut to frames 0-10: two flow pairs to score."""
+    src = e2e_workspace["ride_bike"]
+    ride = tmp_path_factory.mktemp("short") / "ride"
+    (ride / "frames").mkdir(parents=True)
+    for name in ("ride.json", "sensors.csv", "detections.ndjson"):
+        (ride / name).symlink_to(src / name)
+    for _, path in fileio.list_frames(src / "frames")[:11]:
+        (ride / "frames" / path.name).symlink_to(path)
+    return ride
+
+
+class TestRecordFuzzExitCodes:
+    """A garbage `.cydr` or `.cyts` exits 2, 3 or 4, never with a traceback;
+    one the reader takes may also exit 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=record_bytes(b"CYDR"))
+    def test_train_risk_descriptors(self, e2e_workspace, tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("cydr")
+        (root / "level2.cydr").write_bytes(raw)
+        rc, err = quiet_main(["train-risk", f"1:{e2e_workspace['level1']}",
+                              f"2:{root / 'level2.cydr'}",
+                              f"3:{e2e_workspace['level3']}",
+                              "--out", str(root / "t.cyts")])
+        ok = readable(fileio.read_descriptors, root / "level2.cydr")
+        assert rc in ((0, 2, 3, 4) if ok else (2,))
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=record_bytes(b"CYTS"))
+    def test_analyze_trainset(self, e2e_workspace, short_bike_ride,
+                              tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("cyts")
+        (root / "t.cyts").write_bytes(raw)
+        rc, err = quiet_main(["--criterion", "proximity", "analyze",
+                              str(short_bike_ride), "--out", str(root / "o"),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(root / "t.cyts")])
+        ok = readable(fileio.read_training_set, root / "t.cyts")
+        assert rc in ((0, 2, 3, 4) if ok else (2,))
+        assert "Traceback" not in err

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import cyclerisk.emd
@@ -11,7 +15,7 @@ from cyclerisk.emd import (
     classify_risk,
     emd,
     emd_with_flow,
-    relaxed_lower_bounds,
+    transfer_lower_bounds,
 )
 from cyclerisk.errors import InvalidInputError, ZeroMassError
 from cyclerisk.risk import (
@@ -22,6 +26,7 @@ from cyclerisk.risk import (
     risk_descriptor,
 )
 from cyclerisk.synth import gen_risk_detections
+from emd_reference import relaxed_lower_bounds
 
 DIMS = (480, 360)
 
@@ -211,6 +216,19 @@ class TestTransportValue:
         with pytest.raises(InvalidInputError):
             emd(np.ones(10), np.ones(25), lane_D)
 
+    @pytest.mark.parametrize("bins", [{7: np.nan}, {7: np.inf},
+                                      {3: 1e308, 9: 1e308}],
+                             ids=["nan", "inf", "overflowing-total"])
+    def test_non_finite_mass_rejected(self, lane_D, bins):
+        bad = np.ones(25)
+        for i, v in bins.items():
+            bad[i] = v
+        for a, b in ((bad, np.ones(25)), (np.ones(25), bad)):
+            with pytest.raises(InvalidInputError):
+                emd(a, b, lane_D)
+            with pytest.raises(InvalidInputError):
+                emd_with_flow(a, b, lane_D)
+
 
 def singleton(i, mass=1.0):
     v = np.zeros(25)
@@ -319,6 +337,18 @@ class TestClassify:
         with pytest.raises(InvalidInputError):
             classify_risk(v, train, chain_matrix(), k=1)
 
+    def test_overflowing_total_rejected(self):
+        # every bin is finite, but their sum is not: the bound and the
+        # solver both divide by it
+        v = singleton(1, 1e308) + singleton(2, 1e308)
+        with pytest.raises(InvalidInputError, match="finite total"):
+            TrainingItem(v, 2)
+        with pytest.raises(InvalidInputError, match="finite total"):
+            RiskDescriptor(values=v, criterion="lane")
+        train = RiskTrainingSet(criterion="lane", items=[TrainingItem(singleton(2), 3)])
+        with pytest.raises(InvalidInputError, match="finite total"):
+            classify_risk(v, train, chain_matrix(), k=1)
+
 
 class TestPrunedRetrieval:
     def test_matches_brute_force(self, lane_D, prox_D):
@@ -351,7 +381,7 @@ class TestPrunedRetrieval:
         train = RiskTrainingSet(criterion="lane", items=[
             TrainingItem(late, 3), TrainingItem(early, 1)])
         query = singleton(0, 0.5) + singleton(4, 0.5)
-        bounds = relaxed_lower_bounds(query, [late, early], D)
+        bounds = transfer_lower_bounds(query, [late, early], D)
         assert bounds[1] < bounds[0] == emd(query, late, D) == emd(query, early, D)
         got = classify_risk(query, train, D, k=1)
         assert got == brute_force_classify(query, train, D, 1)
@@ -365,11 +395,11 @@ class TestPrunedRetrieval:
                 keep = 0.7 if trial % 2 else 0.3
                 a = sparse_signature(rng, keep)
                 b = sparse_signature(rng, keep)
-                bound = relaxed_lower_bounds(a, b[None, :], D)[0]
+                bound = transfer_lower_bounds(a, b[None, :], D)[0]
                 ref = lp_transport(a, b, D)
                 assert bound <= ref + 1e-9
                 ratios.append(bound / ref)
-        assert np.median(ratios) > 0.2   # the bound is far from vacuous
+        assert np.median(ratios) > 0.5   # the bound is far from vacuous
 
     def test_prunes_solves_on_retrieval_set(self, monkeypatch):
         rmap = proximity_region_map(DIMS)
@@ -389,11 +419,130 @@ class TestPrunedRetrieval:
 
         monkeypatch.setattr(cyclerisk.emd, "emd", counted)
         k = 5
+        got = []
         for q in queries:
             before = len(calls)
-            classify_risk(q, train, D, k=k)
+            got.append(classify_risk(q, train, D, k=k))
             assert len(calls) - before >= k
         assert len(calls) < len(queries) * len(train.items)
+
+        # the ICT bound is never below RWMD, and here it prunes at least as
+        # much, with the same answers
+        ict_solves = len(calls)
+        monkeypatch.setattr(cyclerisk.emd, "transfer_lower_bounds",
+                            relaxed_lower_bounds)
+        calls.clear()
+        assert [classify_risk(q, train, D, k=k) for q in queries] == got
+        assert ict_solves <= len(calls)
+
+
+@st.composite
+def signatures(draw, allow_empty=False):
+    """25 bins, each empty or a positive mass; nonempty unless allowed."""
+    bins = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                         min_size=25, max_size=25))
+    v = np.array(bins)
+    if not allow_empty and v.sum() == 0.0:
+        v[draw(st.integers(0, 24))] = 1.0
+    return v
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A training set with duplicates, scaled copies and zero-mass items,
+    a query (fresh, empty, or a scaled copy of an item) and a k from 1 to
+    beyond the set's size."""
+    values = [draw(signatures())]
+    for _ in range(draw(st.integers(0, 11))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "scaled", "empty"]))
+        if kind == "fresh":
+            values.append(draw(signatures()))
+        elif kind == "empty":
+            values.append(np.zeros(25))
+        else:
+            src = values[draw(st.integers(0, len(values) - 1))]
+            scale = 1.0 if kind == "duplicate" else draw(
+                st.sampled_from([1e-3, 0.5, 3.0, 1e4]))
+            values.append(scale * src)
+    levels = draw(st.lists(st.integers(1, 3), min_size=len(values),
+                           max_size=len(values)))
+    query = draw(st.one_of(
+        signatures(allow_empty=True),
+        st.tuples(st.sampled_from(values), st.sampled_from([1.0, 0.25, 8.0]))
+        .map(lambda vs: vs[0] * vs[1])))
+    k = draw(st.integers(1, len(values) + 2))
+    return values, levels, query, k
+
+
+GROUNDS = [(c, f) for c in ("lane", "proximity") for f in (1.0, 2.0, 7.5)]
+
+
+@functools.cache
+def ground(criterion, factor):
+    rmap = (lane_region_map((240.0, 180.0), DIMS) if criterion == "lane"
+            else proximity_region_map(DIMS))
+    return build_distance_matrix(rmap, cross_factor=factor)
+
+
+class TestTransferBound:
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 7.5])
+    def test_below_dense_lp(self, factor):
+        rng = np.random.default_rng(int(factor * 10))
+        for criterion in ("lane", "proximity"):
+            D = ground(criterion, factor)
+            for keep in (0.1, 0.3, 0.7, 1.0):   # 1.0: full support
+                for _ in range(6):
+                    a = sparse_signature(rng, keep)
+                    b = sparse_signature(rng, keep)
+                    bound = transfer_lower_bounds(a, b[None, :], D)[0]
+                    assert bound <= lp_transport(a, b, D) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(query=signatures(), items=st.lists(signatures(), min_size=1, max_size=8),
+           key=st.sampled_from(GROUNDS))
+    def test_between_rwmd_and_emd(self, query, items, key):
+        D = ground(*key)
+        ict = transfer_lower_bounds(query, items, D)
+        assert ict.shape == (len(items),)
+        assert (ict >= relaxed_lower_bounds(query, items, D) - 1e-12).all()
+        exact = np.array([emd(query, t, D) for t in items])
+        assert (ict <= exact + 1e-12).all()
+
+    def test_edge_caps_tighten_the_bound(self):
+        # each side's nearest bin is too small to take all the mass: RWMD
+        # ships it there anyway, ICT sends the rest on to the far bin
+        D = chain_matrix()
+        query = singleton(0, 0.5) + singleton(20, 0.5)
+        item = singleton(1, 0.1) + singleton(19, 0.9)
+        assert relaxed_lower_bounds(query, [item], D)[0] == pytest.approx(1 / 25)
+        ict = transfer_lower_bounds(query, [item], D)[0]
+        assert ict == pytest.approx(8.2 / 25)
+        assert ict == pytest.approx(emd(query, item, D))
+
+    def test_max_of_both_directions(self):
+        # query bins 0 and 1 both fill item bin 0 in the forward direction
+        # (0.5/25); item bin 10 must come back to query bin 1 (4.5/25). The
+        # bound takes the larger, whichever argument is the query.
+        D = chain_matrix()
+        query = singleton(0, 0.5) + singleton(1, 0.5)
+        item = singleton(0, 0.5) + singleton(10, 0.5)
+        assert emd(query, item, D) == pytest.approx(4.5 / 25)
+        for a, b in ((query, item), (item, query)):
+            assert transfer_lower_bounds(a, [b], D)[0] == pytest.approx(4.5 / 25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=retrieval_cases(), key=st.sampled_from(GROUNDS))
+def test_drawn_retrieval_matches_brute_force(case, key):
+    values, levels, query, k = case
+    D = ground(*key)
+    train = RiskTrainingSet(criterion="lane", items=[
+        TrainingItem(v, lv) for v, lv in zip(values, levels)])
+    got = classify_risk(query, train, D, k=k)
+    want = brute_force_classify(query, train, D, k)
+    assert got.level == want.level
+    assert got.votes == want.votes
+    assert got.neighbor_distances == want.neighbor_distances
 
 
 def test_transport_speed(lane_D):

@@ -341,6 +341,15 @@ class TestDescriptorRecords:
         with pytest.raises(RecordParseError, match="finite|too large"):
             fio.read_descriptors(p)
 
+    def test_overflowing_total_rejected(self, tmp_path):
+        # each bin is finite, but the total retrieval divides by is not
+        p = tmp_path / "d.cydr"
+        fio.write_descriptors(p, "lane", [RiskDescriptor(
+            values=np.full(25, 0.5), criterion="lane")])
+        p.write_bytes(p.read_bytes().replace(b"0.5", b"1e308", 2))
+        with pytest.raises(RecordParseError, match="finite total"):
+            fio.read_descriptors(p)
+
 
 class TestTrainingSetRecords:
     def test_round_trip(self, tmp_path):
@@ -372,6 +381,125 @@ class TestTrainingSetRecords:
         p.write_bytes(p.read_bytes().replace(old, bad, 1))
         with pytest.raises(RecordParseError, match="finite|too large"):
             fio.read_training_set(p)
+
+    def test_overflowing_total_rejected(self, tmp_path):
+        p = tmp_path / "train.cyts"
+        fio.write_training_set(p, RiskTrainingSet(
+            criterion="lane", items=[TrainingItem(np.full(25, 0.5), 1)]))
+        p.write_bytes(p.read_bytes().replace(b"0.5", b"1e308", 2))
+        with pytest.raises(RecordParseError, match="finite total"):
+            fio.read_training_set(p)
+
+
+# bin values a reader meets beside ordinary masses: the edges of float64,
+# non-finite and negative numbers, and JSON values that are not numbers
+_ODD_BINS = (0.0, -0.0, 1e308, 5e-324, -1.0, float("inf"), float("-inf"),
+             float("nan"), "0.5", None, True, [1.0], 10 ** 400)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+# bodies JSON cannot parse: cut short, nested too deep, an integer too long
+# to convert, bad UTF-8
+_BAD_BODIES = (b"", b"{", b'{"criterion": "lane"', b"[" * 5000, b"1" * 5000,
+               b'{"cross_factor": ' + b"1" * 5000 + b"}", _NOT_UTF8)
+
+
+@st.composite
+def bins_json(draw):
+    """A descriptor's `values`: 25 masses, some odd, or another JSON value."""
+    kind = draw(st.sampled_from(["ok"] * 4 + ["odd", "odd", "length", "json"]))
+    if kind == "json":
+        return draw(_JSON)
+    n = draw(st.integers(0, 30)) if kind == "length" else 25
+    values = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.25])) for _ in range(n)]
+    if kind == "odd":
+        for _ in range(draw(st.integers(1, 3))):
+            values[draw(st.integers(0, 24))] = draw(st.sampled_from(_ODD_BINS))
+    return values
+
+
+def _or_json(draw, good):
+    """Mostly a draw from `good`, one time in five any JSON value."""
+    return draw(_JSON) if draw(st.integers(0, 4)) == 0 else draw(good)
+
+
+@st.composite
+def record_bytes(draw, magic):
+    """A `.cydr` (magic b"CYDR") or `.cyts` (b"CYTS") file: mostly a good
+    header over a body with bad fields, sometimes a body JSON cannot parse,
+    or arbitrary bytes."""
+    kind = draw(st.sampled_from(["body"] * 8 + ["unparsable", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    head = draw(st.sampled_from([magic + b" 1.0.0"] * 12 + [
+        magic + b" 1.7.2", magic + b" 2.0.0", b"CYMD 1.0.0", magic, b""]))
+    if kind == "unparsable":
+        return head + b"\n" + draw(st.sampled_from(_BAD_BODIES))
+    criterion = _or_json(draw, st.sampled_from(["proximity"] * 3 + ["lane"]))
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        if magic == b"CYDR":
+            entry = {"frame": _or_json(draw, st.integers(0, 500))}
+            if draw(st.booleans()):
+                entry["skipped_unknown"] = _or_json(draw, st.integers(0, 3))
+        else:
+            entry = {"level": _or_json(draw, st.sampled_from([1, 2, 3] * 3 + [0, 4]))}
+        entry["values"] = draw(bins_json())
+        entries.append(entry if draw(st.integers(0, 9)) else draw(_JSON))
+    key = "frames" if magic == b"CYDR" else "items"
+    body = {"criterion": criterion, key: _or_json(draw, st.just(entries))}
+    if magic == b"CYTS" and draw(st.booleans()):
+        body["cross_factor"] = _or_json(draw, st.sampled_from(
+            [1.0, 2.0, 7.5, 0.5, 1e308, float("inf"), float("nan")]))
+    if draw(st.integers(0, 9)) == 0:
+        body = draw(_JSON)
+    # json.dumps writes NaN/Infinity tokens for non-finite floats
+    return head + b"\n" + json.dumps(body).encode("utf-8") + b"\n"
+
+
+def _finite_total(values):
+    return values.shape == (25,) and np.isfinite(values.sum()) and (values >= 0).all()
+
+
+class TestRecordFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=record_bytes(b"CYDR"))
+    def test_descriptors_read_or_record_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("cydr") / "d.cydr"
+        p.write_bytes(raw)
+        try:
+            criterion, descs = fio.read_descriptors(p)
+        except RecordParseError:
+            return
+        assert isinstance(criterion, str)
+        assert all(_finite_total(d.values) for d in descs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=record_bytes(b"CYTS"))
+    def test_training_set_read_or_record_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("cyts") / "t.cyts"
+        p.write_bytes(raw)
+        try:
+            ts = fio.read_training_set(p)
+        except RecordParseError:
+            return
+        assert ts.criterion in ("lane", "proximity")
+        assert 1.0 <= ts.cross_factor < float("inf")
+        assert all(_finite_total(it.values) and it.level in (1, 2, 3)
+                   for it in ts.items)
+
+    @pytest.mark.parametrize("body", _BAD_BODIES[3:],
+                             ids=["deep", "long-int", "long-int-field", "not-utf8"])
+    @pytest.mark.parametrize("magic", [b"CYDR", b"CYTS"])
+    def test_unparsable_body_is_a_record_error(self, tmp_path, magic, body):
+        p = tmp_path / "r"
+        p.write_bytes(magic + b" 1.0.0\n" + body)
+        read = fio.read_descriptors if magic == b"CYDR" else fio.read_training_set
+        with pytest.raises(RecordParseError) as info:
+            read(p)
+        assert info.value.line == 2
 
 
 class TestModelRecords:
