@@ -41,17 +41,17 @@ def rfe_rank(X: np.ndarray, y, C: float = 1.0) -> np.ndarray:
     d = X.shape[1]
     rank = np.zeros(d, dtype=np.intp)
     remaining = list(range(d))
-    while remaining:
-        if len(remaining) == 1:
-            rank[remaining[0]] = 1
-            break
+    alpha = None
+    while len(remaining) > 1:
         sub = Xs[:, remaining]
         K = sub @ sub.T
-        alpha, _, _ = _smo(K, ypm, C)
+        # the box and y'a = 0 outlive a dropped feature: start from last round
+        alpha, _, _ = _smo(K, ypm, C, alpha=alpha)
         w = sub.T @ (alpha * ypm)
         drop = int(np.argmin(w ** 2))  # first index wins ties
         rank[remaining[drop]] = len(remaining)
         remaining.pop(drop)
+    rank[remaining] = 1  # the survivor, if any
     return rank
 
 

@@ -3,6 +3,7 @@
 The dual problem is solved by a sequential two-variable method with
 maximal-violating-pair working-set selection. All tie-breaks fall to the
 lowest index, so training is a pure function of (data order, parameters).
+`rfe.rfe_rank` warm-starts the solver between rounds; `train_svm` starts cold.
 Features are standardized internally with train-set statistics, which are
 stored on the model and re-applied at prediction time.
 """
@@ -60,57 +61,56 @@ def median_pairwise_distance(X: np.ndarray) -> float:
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-6,
-         max_iter: int | None = None) -> tuple[np.ndarray, float, int]:
+         max_iter: int | None = None,
+         alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
     """Minimize 0.5 a'Qa - sum(a) s.t. 0 <= a <= C, y'a = 0, Q = yy' * K.
 
     Returns (alpha, bias, iterations). Pair selection is the most-violating
-    pair under the KKT conditions; ties resolve to the first index.
+    pair under the KKT conditions; ties resolve to the first index. A given
+    `alpha` is a feasible warm start (rfe_rank passes each round's solution
+    on); without one the solve starts cold from zero.
     """
     n = y.size
     if max_iter is None:
         max_iter = max(20000, 200 * n)
-    alpha = np.zeros(n)
-    # vals = -y * grad, grad = Q @ alpha - 1. As y is +-1, y[t] * Q[t] equals
-    # y * K[t] exactly, so a step moves vals by step * (K[i] - K[j]) and Q is
-    # never formed; vals match the grad update bit for bit, up to the sign of
-    # an exact zero
-    vals = y.copy()
-
+    alpha = np.zeros(n) if alpha is None else np.array(alpha, dtype=np.float64)
+    # vals = -y * grad = y - K @ (alpha * y), grad = Q @ alpha - 1. As y is
+    # +-1, y[t] * Q[t] equals y * K[t] exactly, so a step moves vals by
+    # step * (K[i] - K[j]) and Q is never formed. vu and vl are vals on the
+    # up and low sets and -inf / +inf off them; an empty set makes gap -inf
+    vals = y - K @ (alpha * y)
     pos = y > 0
-    up = (pos & (alpha < C - _SUPPORT_EPS)) | (~pos & (alpha > _SUPPORT_EPS))
-    low = (~pos & (alpha < C - _SUPPORT_EPS)) | (pos & (alpha > _SUPPORT_EPS))
-    n_up, n_low = int(up.sum()), int(low.sum())
+    below_c, above_0 = alpha < C - _SUPPORT_EPS, alpha > _SUPPORT_EPS
+    vu = np.where(np.where(pos, below_c, above_0), vals, -np.inf)
+    vl = np.where(np.where(pos, above_0, below_c), vals, np.inf)
+    a, ys, diag = alpha.tolist(), y.tolist(), np.diagonal(K).tolist()
     it = 0
     for it in range(1, max_iter + 1):
-        if not n_up or not n_low:
-            break
-        i = int(np.where(up, vals, -np.inf).argmax())
-        j = int(np.where(low, vals, np.inf).argmin())
-        gap = vals[i] - vals[j]
-        if gap < tol:
+        i, j = int(vu.argmax()), int(vl.argmin())
+        gap = vu[i] - vl[j]
+        if not gap >= tol:
             break
 
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        step = gap / max(quad, 1e-12)
+        step = gap / max(diag[i] + diag[j] - 2.0 * K[i, j], 1e-12)
         # stay inside the box along the feasible direction
-        limit_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        limit_j = alpha[j] if y[j] > 0 else C - alpha[j]
-        step = min(step, limit_i, limit_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        vals -= step * (K[i] - K[j])
-        # only alpha[i] and alpha[j] moved, so only they can change set
-        for t in {i, j}:
-            below_c, above_0 = alpha[t] < C - _SUPPORT_EPS, alpha[t] > _SUPPORT_EPS
-            in_up, in_low = (below_c, above_0) if pos[t] else (above_0, below_c)
-            n_up += int(in_up) - int(up[t])
-            n_low += int(in_low) - int(low[t])
-            up[t], low[t] = in_up, in_low
+        yi, yj = ys[i], ys[j]
+        step = min(step, C - a[i] if yi > 0 else a[i], a[j] if yj > 0 else C - a[j])
+        a[i] += yi * step
+        a[j] -= yj * step
+        d = (K[i] - K[j]) * step
+        vu -= d
+        vl -= d
+        # only i and j moved, so only they can change set; i was in up and
+        # j in low, so those entries hold their new vals
+        for t, v in ((i, vu[i]), (j, vl[j])):
+            below_c, above_0 = a[t] < C - _SUPPORT_EPS, a[t] > _SUPPORT_EPS
+            in_up, in_low = (below_c, above_0) if ys[t] > 0 else (above_0, below_c)
+            vu[t] = v if in_up else -np.inf
+            vl[t] = v if in_low else np.inf
 
-    hi = float(np.where(up, vals, -np.inf).max()) if n_up else 0.0
-    lo = float(np.where(low, vals, np.inf).min()) if n_low else 0.0
-    bias = 0.5 * (hi + lo)
-    return alpha, bias, it
+    hi, lo = float(vu.max()), float(vl.min())
+    bias = 0.5 * ((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0))
+    return np.array(a), bias, it
 
 
 @dataclass

@@ -8,7 +8,6 @@ gen-scene, gen-ride, eval. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -219,11 +218,7 @@ def _load_gamma_profile(path, cfg: PipelineConfig) -> RiskParams:
                 footprint_min_height=cfg.risk.footprint_min_px)
     if path is None:
         return RiskParams(**base)
-    try:
-        data = json.loads(fileio.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(f"bad coefficient profile: {exc.msg}",
-                              path=str(path), line=exc.lineno)
+    data = fileio.parse_json(fileio.read_text(path), "bad coefficient profile", path)
     if not isinstance(data, dict):
         raise InvalidInputError("coefficient profile must be a JSON object")
     unknown = set(data) - {"class_coeffs", "cell_coeffs"}

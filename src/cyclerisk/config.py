@@ -219,6 +219,9 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}")
+    # an integer too long to parse, or arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: unparsable JSON: {exc}")
     return PipelineConfig.from_dict(data)
 
 
@@ -237,6 +240,8 @@ def apply_overrides(cfg: PipelineConfig, assignments) -> PipelineConfig:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"override {key.strip()!r}: unparsable value: {exc}")
         parts = key.strip().split(".")
         if parts == ["seed"]:
             data["seed"] = value

@@ -41,6 +41,20 @@ def canonical_json(obj) -> str:
         raise InvalidInputError(f"value not serializable: {exc}") from exc
 
 
+def parse_json(text: str, what: str, path, line: int = 1):
+    """json.loads(text); a text that does not parse raises RecordParseError.
+
+    ValueError covers bad JSON and an integer too long to parse;
+    RecursionError, arrays or objects nested too deep. `line` is the line of
+    the file that `text` starts on.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise RecordParseError(f"{what}: {getattr(exc, 'msg', exc)}", path=str(path),
+                               line=line + getattr(exc, "lineno", 1) - 1) from exc
+
+
 def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
@@ -123,8 +137,8 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         token = raw[start:pos]
-        if not token.isdigit():
-            raise RecordParseError(f"bad PGM header token {token!r}", path=str(path))
+        if not token.isdigit() or len(token) > 9:  # 9 digits: a size no file reaches
+            raise RecordParseError(f"bad PGM header token {token[:12]!r}", path=str(path))
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
@@ -170,17 +184,13 @@ def read_detections(path) -> list[Detection]:
     path = Path(path)
     out = []
     for lineno, line in _numbered_lines(path):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"bad JSON: {exc.msg}", path=str(path),
-                                  line=lineno) from exc
+        rec = parse_json(line, "bad JSON", path, lineno)
         try:
             frame = int(rec["frame"])
             label = str(rec["class"])
             score = float(rec["score"])
             bbox = tuple(float(v) for v in rec["bbox"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RecordParseError(f"bad detection record: {exc}", path=str(path),
                                   line=lineno) from exc
         if len(bbox) != 4:
@@ -414,8 +424,20 @@ def read_model(path) -> SvmModel:
         )
         if not (model.scale > 0).all():
             raise InvalidInputError("every scale must be > 0")
+        d = int(model.feature_mask.sum())
+        if (not 2 <= len(set(model.classes)) == len(model.classes) == len(binaries)
+                or set(model.priors) != set(model.classes)
+                or model.feature_mask.ndim != 1 or model.mu.shape != (d,)
+                or model.scale.shape != (d,) or any(
+                    b.sv_coef.ndim != 1 or b.sv_x.shape != (b.sv_coef.size, d)
+                    or b.weights is not None and b.weights.shape != (d,)
+                    for b in binaries)):
+            raise InvalidInputError("classes, binaries, priors and feature "
+                                    "sizes disagree")
+        if model.kernel.name == "gaussian" and model.kernel.bandwidth is None:
+            raise InvalidInputError("a gaussian model needs its bandwidth")
         return model
-    except (KeyError, TypeError, ValueError, OverflowError,
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             InvalidInputError) as exc:
         raise RecordParseError(f"bad model body: {exc}", path=str(path),
                               line=2) from exc
@@ -451,12 +473,8 @@ def write_report_geojson(path, segments) -> None:
 
 def read_report_geojson(path) -> dict:
     path = Path(path)
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(f"bad GeoJSON: {exc.msg}", path=str(path),
-                              line=exc.lineno) from exc
-    if doc.get("type") != "FeatureCollection":
+    doc = parse_json(read_text(path), "bad GeoJSON", path)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise RecordParseError("expected a FeatureCollection", path=str(path), line=1)
     return doc
 
@@ -468,12 +486,7 @@ def write_ride_meta(path, meta: dict) -> None:
 
 
 def read_ride_meta(path) -> dict:
-    path = Path(path)
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(f"bad ride metadata: {exc.msg}", path=str(path),
-                              line=exc.lineno) from exc
+    return parse_json(read_text(path), "bad ride metadata", path)
 
 
 def write_window_labels(path, labels) -> None:
@@ -486,10 +499,10 @@ def read_window_labels(path) -> list[tuple[int, str]]:
     path = Path(path)
     out = []
     for lineno, line in _numbered_lines(path):
+        rec = parse_json(line, "bad label record", path, lineno)
         try:
-            rec = json.loads(line)
             out.append((int(rec["start"]), str(rec["label"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RecordParseError(f"bad label record: {exc}", path=str(path),
                                   line=lineno) from exc
     return out

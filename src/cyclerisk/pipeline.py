@@ -72,7 +72,7 @@ def load_ride(ride_dir) -> RideInputs:
     try:
         fps = float(meta.get("fps", 0.0))
         frame_start = float(meta.get("frame_start", 0.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
             f"ride.json fps and frame_start must be numbers: {exc}") from exc
     if not (math.isfinite(fps) and fps > 0):

@@ -1,10 +1,11 @@
 """Row-by-row reference implementations of the sensor-side fast paths.
 
 These are the straightforward loops that the batched code in `cyclerisk`
-replaced: the per-line sensor CSV reader, the per-window feature extractor
-and the SMO loop that recomputed its working sets over every point. The
-tests require the package to reproduce them byte for byte, so they share no
-helper with the code they check.
+replaced: the per-line sensor CSV reader, the per-window feature extractor,
+the SMO loop that recomputed its working sets over every point, and the
+feature elimination that started every round's solve from zero. The tests
+require the package to reproduce them (the rankings exactly, the rest byte
+for byte), so they share no helper with the code they check.
 """
 
 import math
@@ -135,3 +136,25 @@ def reference_smo(K, y, C, tol=1e-6, max_iter=None):
     hi = float(np.where(up, vals, -np.inf).max()) if up.any() else 0.0
     lo = float(np.where(low, vals, np.inf).min()) if low.any() else 0.0
     return alpha, 0.5 * (hi + lo), it
+
+
+def reference_rfe_rank(X, y, C=1.0):
+    """Feature ranks 1 (kept longest) .. d, every round solved cold."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(y).tolist()
+    top = sorted(set(labels))[1]
+    ypm = np.array([1.0 if lab == top else -1.0 for lab in labels])
+    sd = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(sd > 1e-12, sd, 1.0)
+    d = X.shape[1]
+    rank = np.zeros(d, dtype=np.intp)
+    remaining = list(range(d))
+    while len(remaining) > 1:
+        sub = Xs[:, remaining]
+        alpha, _, _ = reference_smo(sub @ sub.T, ypm, C)
+        w = sub.T @ (alpha * ypm)
+        drop = int(np.argmin(w ** 2))
+        rank[remaining[drop]] = len(remaining)
+        del remaining[drop]
+    rank[remaining[0]] = 1
+    return rank

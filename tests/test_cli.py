@@ -18,7 +18,9 @@ from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
 from cyclerisk.config import PipelineConfig
 from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError, RecordParseError
-from test_fileio import record_bytes, sensor_csv_text
+from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
+                         ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
+                         sensor_csv_text)
 
 
 def run(capsys, *argv):
@@ -654,3 +656,142 @@ class TestRecordFuzzExitCodes:
         ok = readable(fileio.read_training_set, root / "t.cyts")
         assert rc in ((0, 2, 3, 4) if ok else (2,))
         assert "Traceback" not in err
+
+
+def ride_with(root, src, name, raw):
+    """A copy of ride `src` under `root`, linked file by file, whose file
+    `name` (relative to the ride) holds `raw` instead."""
+    ride = root / "ride"
+    for path in sorted(src.rglob("*")):
+        if path.is_file():
+            dest = ride / path.relative_to(src)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.symlink_to(path.resolve())
+    target = ride / name
+    target.unlink(missing_ok=True)
+    target.write_bytes(raw)
+    return ride
+
+
+class TestReaderFuzzExitCodes:
+    """A garbage frame, detection log, label log, model or ride.json makes
+    its command exit 2, 3 or 4, never with a traceback; a file the reader
+    takes may also exit 0. (No command reads report.geojson.)"""
+
+    def analyze(self, e2e_workspace, ride, out):
+        return quiet_main(["--criterion", "proximity", "analyze", str(ride),
+                           "--out", str(out), "--model", str(e2e_workspace["model"]),
+                           "--trainset", str(e2e_workspace["trainset"])])
+
+    def check(self, read, path, rc, err):
+        ok = readable(read, path)
+        assert rc in ((0, 2, 3, 4) if ok else (2,))
+        assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=pgm_bytes())
+    def test_analyze_frame(self, e2e_workspace, short_bike_ride, tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("pgm")
+        name = "frames/" + fileio.frame_filename(5)
+        ride = ride_with(root, short_bike_ride, name, raw)
+        rc, err = self.analyze(e2e_workspace, ride, root / "o")
+        self.check(fileio.read_pgm, ride / name, rc, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=ndjson_bytes(detection_record()))
+    def test_analyze_detections(self, e2e_workspace, short_bike_ride,
+                                tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("det")
+        ride = ride_with(root, short_bike_ride, "detections.ndjson", raw)
+        rc, err = self.analyze(e2e_workspace, ride, root / "o")
+        self.check(fileio.read_detections, ride / "detections.ndjson", rc, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=json_file_bytes(ride_meta()))
+    def test_analyze_ride_meta(self, e2e_workspace, short_bike_ride,
+                               tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("meta")
+        ride = ride_with(root, short_bike_ride, "ride.json", raw)
+        rc, err = self.analyze(e2e_workspace, ride, root / "o")
+        self.check(fileio.read_ride_meta, ride / "ride.json", rc, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=ndjson_bytes(label_record()))
+    def test_train_behavior_labels(self, e2e_workspace, tmp_path_factory, raw):
+        root = tmp_path_factory.mktemp("labels")
+        ride = root / "ride"
+        ride.mkdir()
+        (ride / "sensors.csv").symlink_to(e2e_workspace["train_ride"] / "sensors.csv")
+        (ride / "labels.ndjson").write_bytes(raw)
+        rc, err = quiet_main(["train-behavior", "--rides", str(ride),
+                              "--out", str(root / "m.cymd")])
+        self.check(fileio.read_window_labels, ride / "labels.ndjson", rc, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=model_bytes(n_features=54))
+    def test_classify_behavior_model(self, e2e_workspace, tmp_path_factory, raw):
+        model = tmp_path_factory.mktemp("model") / "m.cymd"
+        model.write_bytes(raw)
+        rc, err = quiet_main(["classify-behavior", "--model", str(model),
+                              "--ride", str(e2e_workspace["ride_bike"])])
+        self.check(fileio.read_model, model, rc, err)
+
+
+_UNPARSABLE = {"long-int": "1" * 5000, "deep": "[" * 3000}
+
+
+class TestUnparsableJsonExitCodes:
+    """An integer too long to convert or a body nested too deep, in any JSON
+    input, ends with the input (2) or config (3) exit code."""
+
+    @pytest.mark.parametrize("body", _UNPARSABLE.values(), ids=_UNPARSABLE.keys())
+    @pytest.mark.parametrize("name", ["ride.json", "detections.ndjson"])
+    def test_analyze_ride_file(self, e2e_workspace, short_bike_ride, tmp_path,
+                               name, body):
+        ride = ride_with(tmp_path, short_bike_ride, name, body.encode())
+        rc, err = quiet_main(["--criterion", "proximity", "analyze", str(ride),
+                              "--out", str(tmp_path / "o"),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(e2e_workspace["trainset"])])
+        assert rc == 2 and f"{name}:1:" in err
+
+    @pytest.mark.parametrize("body", _UNPARSABLE.values(), ids=_UNPARSABLE.keys())
+    def test_gamma_profile(self, e2e_workspace, short_bike_ride, tmp_path, body):
+        (tmp_path / "gamma.json").write_text(body)
+        rc, err = quiet_main(["--criterion", "proximity", "analyze",
+                              str(short_bike_ride), "--out", str(tmp_path / "o"),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(e2e_workspace["trainset"]),
+                              "--gamma-profile", str(tmp_path / "gamma.json")])
+        assert rc == 2 and "bad coefficient profile" in err
+
+    @pytest.mark.parametrize("body", _UNPARSABLE.values(), ids=_UNPARSABLE.keys())
+    def test_train_behavior_labels(self, e2e_workspace, tmp_path, body):
+        ride = ride_with(tmp_path, e2e_workspace["train_ride"], "labels.ndjson",
+                         body.encode())
+        rc, err = quiet_main(["train-behavior", "--rides", str(ride),
+                              "--out", str(tmp_path / "m.cymd")])
+        assert rc == 2 and "labels.ndjson:1:" in err
+
+    @pytest.mark.parametrize("body", _UNPARSABLE.values(), ids=_UNPARSABLE.keys())
+    def test_config_file(self, tmp_path, body):
+        (tmp_path / "cfg.json").write_text(body)
+        rc, err = quiet_main(["--config", str(tmp_path / "cfg.json"), "gen-scene",
+                              "--out", str(tmp_path / "s")])
+        assert rc == 3 and "config error" in err
+
+    @pytest.mark.parametrize("body", _UNPARSABLE.values(), ids=_UNPARSABLE.keys())
+    def test_set_override(self, tmp_path, body):
+        rc, err = quiet_main(["--set", f"vision.lk_window={body}", "gen-scene",
+                              "--out", str(tmp_path / "s")])
+        assert rc == 3 and "vision.lk_window" in err
+
+    def test_ride_meta_number_past_float_range(self, e2e_workspace,
+                                               short_bike_ride, tmp_path):
+        ride = ride_with(tmp_path, short_bike_ride, "ride.json",
+                         b'{"fps": 1' + b"0" * 400 + b"}")
+        rc, err = quiet_main(["--criterion", "proximity", "analyze", str(ride),
+                              "--out", str(tmp_path / "o"),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(e2e_workspace["trainset"])])
+        assert rc == 2 and "fps and frame_start must be numbers" in err

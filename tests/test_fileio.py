@@ -391,9 +391,9 @@ class TestTrainingSetRecords:
             fio.read_training_set(p)
 
 
-# bin values a reader meets beside ordinary masses: the edges of float64,
+# numbers a reader meets beside ordinary ones: the edges of float64,
 # non-finite and negative numbers, and JSON values that are not numbers
-_ODD_BINS = (0.0, -0.0, 1e308, 5e-324, -1.0, float("inf"), float("-inf"),
+_ODD_NUMBERS = (0.0, -0.0, 1e308, 5e-324, -1.0, float("inf"), float("-inf"),
              float("nan"), "0.5", None, True, [1.0], 10 ** 400)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
@@ -416,7 +416,7 @@ def bins_json(draw):
     values = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.25])) for _ in range(n)]
     if kind == "odd":
         for _ in range(draw(st.integers(1, 3))):
-            values[draw(st.integers(0, 24))] = draw(st.sampled_from(_ODD_BINS))
+            values[draw(st.integers(0, 24))] = draw(st.sampled_from(_ODD_NUMBERS))
     return values
 
 
@@ -660,3 +660,231 @@ class TestCanonicalJson:
         vals = [0.1, 1 / 3, 1e-17, 123456.789]
         back = json.loads(fio.canonical_json(vals))
         assert back == vals
+
+
+# --------------------------------------------------------------- reader fuzz
+#
+# Each reader either returns a value of its documented shape or raises
+# RecordParseError; no other exception may escape. The files are mostly
+# near-valid, with odd field values, plus bodies JSON cannot parse and
+# arbitrary bytes.
+
+
+def _number(draw, ordinary=(0.0, 0.5, 1.0, 7.25)):
+    """One time in four an odd number, else an ordinary one."""
+    odd = draw(st.integers(0, 3)) == 0
+    return draw(st.sampled_from(_ODD_NUMBERS if odd else ordinary))
+
+
+@st.composite
+def ndjson_bytes(draw, record):
+    """Lines of `record` draws, some replaced by any JSON or unparsable text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["json", "bad", "blank"]))
+        if kind == "bad":
+            lines.append(draw(st.sampled_from(_BAD_BODIES)))
+        elif kind == "blank":
+            lines.append(b"  ")
+        else:
+            value = draw(record) if kind == "record" else draw(_JSON)
+            lines.append(json.dumps(value).encode("utf-8"))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b"", b"\r\n"]))
+
+
+@st.composite
+def detection_record(draw):
+    rec = {"frame": _or_json(draw, st.integers(-2, 10 ** 30)),
+           "class": _or_json(draw, st.sampled_from(["car", "person", ""])),
+           "score": _number(draw, (0.0, 0.5, 1.0, 1.5)),
+           "bbox": [_number(draw, (0.0, 3.0, 40.0, -1.0))
+                    for _ in range(draw(st.sampled_from([4, 4, 4, 0, 3, 5])))]}
+    for key in draw(st.lists(st.sampled_from(sorted(rec)), max_size=1)):
+        del rec[key]
+    return rec
+
+
+@st.composite
+def label_record(draw):
+    rec = {"start": _number(draw, (0, 100, 2 ** 62, -5)),
+           "label": _or_json(draw, st.sampled_from(["walk", "bike", "motor"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(rec)), max_size=1)):
+        del rec[key]
+    return rec
+
+
+@st.composite
+def pgm_bytes(draw):
+    """A P5 header of odd tokens over a payload of any length, or any bytes."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.binary(max_size=60))
+    token = st.sampled_from([b"0", b"1", b"2", b"3", b"255", b"256", b"-1", b"x",
+                             b"1" * 5000, b"0" * 5000 + b"2", b"2.0", b""])
+    seps = st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b"  "])
+    head = draw(st.sampled_from([b"P5", b"P5", b"P5", b"P2", b"P"]))
+    for _ in range(draw(st.integers(0, 4))):
+        head += draw(seps) + draw(token)
+    return head + draw(seps) + draw(st.binary(max_size=12))
+
+
+@st.composite
+def model_bytes(draw, n_features=3):
+    """A `.cymd` file: mostly a good header over a model body whose sizes may
+    disagree and which may carry one odd value or lack one key, sometimes a
+    body JSON cannot parse, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["body"] * 8 + ["unparsable", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    head = draw(st.sampled_from([b"CYMD 1.0.0"] * 12 + [b"CYMD 2.0.0", b"CYDR 1.0.0"]))
+    if kind == "unparsable":
+        return head + b"\n" + draw(st.sampled_from(_BAD_BODIES))
+    d = draw(st.integers(1, n_features))
+
+    def size(k):                    # mostly k, now and then one off
+        return max(0, k + draw(st.sampled_from([0] * 12 + [-1, 1])))
+
+    def vec(k):
+        return [draw(st.sampled_from([0.5, -1.0, 2.0])) for _ in range(size(k))]
+
+    classes = draw(st.sampled_from([["bike", "walk"], ["bike", "motor", "walk"],
+                                    ["walk"], ["bike", "bike"]]))
+    binaries = [{"sv_x": vec(n_sv * d), "sv_coef": vec(n_sv), "bias": 0.5,
+                 "weights": vec(d) if draw(st.booleans()) else None}
+                for n_sv in [draw(st.integers(0, 3)) for _ in range(size(len(classes)))]]
+    body = {
+        "classes": classes,
+        "kernel": draw(st.sampled_from([{"name": "linear", "bandwidth": None},
+                                        {"name": "gaussian", "bandwidth": 1.5},
+                                        {"name": "gaussian", "bandwidth": None},
+                                        {"name": "poly2", "bandwidth": None}])),
+        "C": 1.0,
+        "mu": vec(d),
+        "scale": [abs(v) for v in vec(d)],
+        "feature_mask": [i < d for i in range(size(n_features))],
+        "priors": {c: 1.0 / len(classes) for c in classes},
+        "smoother_bandwidth": draw(st.sampled_from([None, 1.0])),
+        "binaries": binaries,
+    }
+    spoil = draw(st.sampled_from(["none"] * 3 + ["value", "number", "drop", "all"]))
+    key = draw(st.sampled_from(sorted(body)))
+    if spoil == "value":
+        body[key] = draw(_JSON)
+    elif spoil == "number":
+        for node in (body["binaries"][0] if binaries else {}, body["kernel"], body):
+            for k, v in node.items():
+                if isinstance(v, float) and draw(st.booleans()):
+                    node[k] = draw(st.sampled_from(_ODD_NUMBERS))
+    elif spoil == "drop":
+        del body[key]
+    elif spoil == "all":
+        body = draw(_JSON)
+    return head + b"\n" + json.dumps(body).encode("utf-8") + b"\n"
+
+
+@st.composite
+def json_file_bytes(draw, value):
+    """A JSON file holding a `value` draw; now and then any JSON value, a
+    body JSON cannot parse, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["value"] * 6 + ["json", "bad", "bytes"]))
+    if kind == "bad":
+        return draw(st.sampled_from(_BAD_BODIES))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    return json.dumps(draw(value if kind == "value" else _JSON)).encode("utf-8")
+
+
+@st.composite
+def ride_meta(draw):
+    meta = {"fps": _number(draw, (5.0, 10.0, 0.2)),
+            "frame_start": _number(draw, (0.0, 3.5, -1.0))}
+    for key in draw(st.lists(st.sampled_from(sorted(meta)), max_size=2, unique=True)):
+        del meta[key]
+    return meta
+
+
+@st.composite
+def geojson_doc(draw):
+    return {"type": draw(st.sampled_from(["FeatureCollection"] * 4 + ["Feature", 3])),
+            "features": _or_json(draw, st.just([]))}
+
+
+def _read_or_record_error(read, tmp_path_factory, raw, name):
+    p = tmp_path_factory.mktemp("fuzz") / name
+    p.write_bytes(raw)
+    try:
+        return read(p)
+    except RecordParseError:
+        return None
+
+
+class TestReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=pgm_bytes())
+    def test_pgm(self, tmp_path_factory, raw):
+        img = _read_or_record_error(fio.read_pgm, tmp_path_factory, raw, "f.pgm")
+        if img is not None:
+            assert img.ndim == 2 and img.dtype == np.uint8
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=ndjson_bytes(detection_record()))
+    def test_detections(self, tmp_path_factory, raw):
+        dets = _read_or_record_error(fio.read_detections, tmp_path_factory, raw,
+                                     "detections.ndjson")
+        if dets is not None:
+            assert all(isinstance(d, Detection) for d in dets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=ndjson_bytes(label_record()))
+    def test_window_labels(self, tmp_path_factory, raw):
+        labels = _read_or_record_error(fio.read_window_labels, tmp_path_factory,
+                                       raw, "labels.ndjson")
+        if labels is not None:
+            assert all(type(s) is int and type(lb) is str for s, lb in labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=model_bytes())
+    def test_model(self, tmp_path_factory, raw):
+        model = _read_or_record_error(fio.read_model, tmp_path_factory, raw,
+                                      "model.cymd")
+        if model is None:
+            return
+        d = int(model.feature_mask.sum())
+        assert len(model.classes) >= 2 and len(model.binaries) == len(model.classes)
+        assert model.mu.shape == model.scale.shape == (d,)
+        assert set(model.priors) == set(model.classes)
+        for b in model.binaries:
+            assert b.sv_x.shape == (b.sv_coef.size, d)
+            assert b.weights is None or b.weights.shape == (d,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=json_file_bytes(ride_meta()))
+    def test_ride_meta(self, tmp_path_factory, raw):
+        _read_or_record_error(fio.read_ride_meta, tmp_path_factory, raw, "ride.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=json_file_bytes(geojson_doc()))
+    def test_report_geojson(self, tmp_path_factory, raw):
+        doc = _read_or_record_error(fio.read_report_geojson, tmp_path_factory,
+                                    raw, "report.geojson")
+        if doc is not None:
+            assert doc["type"] == "FeatureCollection"
+
+
+class TestUnparsableJson:
+    """A body nested too deep or an integer too long to convert is a
+    RecordParseError naming its line, as a bad JSON token is."""
+
+    @pytest.mark.parametrize("body", [b"[" * 3000, b"1" * 5000],
+                             ids=["deep", "long-int"])
+    @pytest.mark.parametrize("read,name,line", [
+        (fio.read_ride_meta, "ride.json", 1),
+        (fio.read_report_geojson, "report.geojson", 1),
+        (fio.read_detections, "detections.ndjson", 2),
+        (fio.read_window_labels, "labels.ndjson", 2),
+    ], ids=["ride-meta", "geojson", "detections", "labels"])
+    def test_record_error(self, tmp_path, read, name, line, body):
+        p = tmp_path / name
+        p.write_bytes(b"\n" * (line - 1) + body + b"\n")
+        with pytest.raises(RecordParseError) as info:
+            read(p)
+        assert info.value.line == line

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from cyclerisk.behavior import consensus_select, ova_rankings, rfe_rank
+from cyclerisk import fileio
+from cyclerisk.behavior import (
+    consensus_select,
+    features_matrix,
+    make_windows,
+    ova_rankings,
+    preprocess,
+    rfe_rank,
+)
 from cyclerisk.errors import DegenerateTrainingError, InvalidInputError
+from cyclerisk.synth import gen_ride
+
+from behavior_reference import reference_rfe_rank
+
+LONG_SCHEDULE = [("walk", 360), ("bike", 300), ("motor", 240), ("bike", 240),
+                 ("walk", 180), ("motor", 240), ("bike", 240)]
 
 
 def labeled_by_first_feature(rng, n=60, d=10):
@@ -50,6 +64,43 @@ class TestRanking:
         X = np.zeros((6, 3))
         with pytest.raises(DegenerateTrainingError):
             rfe_rank(X, ["a", "b", "c", "a", "b", "c"])
+
+
+class TestMatchesColdReference:
+    """Warm-started rounds drop the same feature as cold-started ones."""
+
+    @staticmethod
+    def assert_rankings_match(X, y):
+        labels = np.array([str(v) for v in y])
+        want = [reference_rfe_rank(X, np.where(labels == c, 1.0, -1.0))
+                for c in sorted(set(labels.tolist()))]
+        got = ova_rankings(X, y)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+
+    @pytest.mark.parametrize("seed", [1, 2024, 7])
+    def test_long_rides(self, seed):
+        ride = gen_ride(LONG_SCHEDULE, seed=seed)
+        X = features_matrix(make_windows(preprocess(ride.stream)))
+        self.assert_rankings_match(X, ride.window_labels)
+
+    @pytest.mark.parametrize("ride", ["train_ride", "ride_mixed"])
+    def test_fixture_rides(self, e2e_workspace, ride):
+        d = e2e_workspace[ride]
+        wins = make_windows(preprocess(fileio.read_sensor_csv(d / "sensors.csv")))
+        labels = dict(fileio.read_window_labels(d / "labels.ndjson"))
+        self.assert_rankings_match(features_matrix(wins),
+                                   [labels[w.start] for w in wins])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_binary_tasks(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n, d = int(rng.integers(20, 90)), int(rng.integers(2, 15))
+        X = rng.normal(size=(n, d))
+        y = np.where(X[:, 0] + X[:, 1] + rng.normal(0, 1.0, n) > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        assert rfe_rank(X, y).tolist() == reference_rfe_rank(X, y).tolist()
 
 
 class TestOvaRankings:

@@ -125,6 +125,80 @@ class TestSmoMatchesReferenceLoop:
         assert (got[1], got[2]) == (want[1], want[2]) and got[2] == 7
 
 
+class TestSmoWarmStart:
+    """A feasible warm start reaches the optimum the cold reference finds."""
+
+    @staticmethod
+    def feasible_alpha(rng, y, C):
+        a = rng.uniform(0.0, C, y.size) * (rng.random(y.size) < 0.6)
+        pos_sum, neg_sum = a[y > 0].sum(), a[y < 0].sum()
+        if pos_sum > neg_sum:
+            a[y > 0] *= neg_sum / pos_sum
+        elif neg_sum > 0.0:
+            a[y < 0] *= pos_sum / neg_sum
+        return a
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_starts_reach_reference_optimum(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(5, 121))
+        X = rng.normal(size=(n, int(rng.integers(1, 6))))
+        if seed % 5 == 0:
+            X[n // 2:] = X[:n - n // 2]          # duplicate points: zero quad
+        y = np.where(X[:, 0] + rng.normal(0, 0.7, n) > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        C = float(rng.choice([0.1, 1.0]))
+        name = str(rng.choice(["linear", "poly2", "gaussian"]))
+        K = kernel_matrix(KernelSpec(name, 1.5 if name == "gaussian" else None),
+                          X, X)
+        start = self.feasible_alpha(rng, y, C)
+        tol, cap = 1e-6, max(20000, 200 * n)
+
+        alpha, _, iters = _smo(K, y, C, tol=tol, alpha=start)
+        ref_alpha, _, ref_iters = reference_smo(K, y, C, tol=tol)
+        assert iters < cap and ref_iters < cap    # both converged
+        assert (alpha >= 0.0).all() and (alpha <= C).all()
+        assert abs(alpha @ y) < 1e-9
+        # KKT gap from a fresh gradient, not the solver's running one
+        vals = y - K @ (alpha * y)
+        pos = y > 0
+        up = (pos & (alpha < C - 1e-10)) | (~pos & (alpha > 1e-10))
+        low = (~pos & (alpha < C - 1e-10)) | (pos & (alpha > 1e-10))
+        assert vals[up].max() - vals[low].min() < tol
+        want = dual_value(K, y, ref_alpha)
+        assert dual_value(K, y, alpha) == pytest.approx(want, rel=1e-9)
+
+    def test_start_is_not_modified(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(30, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        K = kernel_matrix(KernelSpec("linear"), X, X)
+        start = self.feasible_alpha(rng, y, 1.0)
+        kept = start.copy()
+        _smo(K, y, 1.0, alpha=start)
+        assert start.tobytes() == kept.tobytes()
+
+    def test_zero_start_is_the_cold_solve(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(40, 2))
+        y = np.where(X[:, 1] > 0, 1.0, -1.0)
+        K = kernel_matrix(KernelSpec("poly2"), X, X)
+        cold = _smo(K, y, 1.0)
+        warm = _smo(K, y, 1.0, alpha=np.zeros(40))
+        assert cold[0].tobytes() == warm[0].tobytes()
+        assert (cold[1], cold[2]) == (warm[1], warm[2])
+
+    def test_optimal_start_stops_at_once(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(50, 3))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=50) > 0, 1.0, -1.0)
+        K = kernel_matrix(KernelSpec("linear"), X, X)
+        alpha, _, _ = _smo(K, y, 1.0, tol=1e-9)
+        again, _, iters = _smo(K, y, 1.0, alpha=alpha)
+        assert iters == 1
+        assert again.tobytes() == alpha.tobytes()
+
+
 class TestKernels:
     def test_linear_matches_dot(self):
         rng = np.random.default_rng(2)
