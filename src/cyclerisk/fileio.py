@@ -55,6 +55,36 @@ def parse_json(text: str, what: str, path, line: int = 1):
                                line=line + getattr(exc, "lineno", 1) - 1) from exc
 
 
+_JSON_KINDS = {"integer": int, "number": (int, float), "string": str}
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of `kind`: "integer", "number", "string"
+    or "number list" (an array of numbers). A boolean is neither an integer
+    nor a number."""
+    if kind == "number list":
+        return isinstance(value, list) and all(_is_json(v, "number") for v in value)
+    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind])
+
+
+def _json_fields(rec, kinds: dict, what: str, path, line: int) -> list:
+    """rec[key] for each key of `kinds`, which maps a key to its JSON kind.
+
+    A record that is not an object, a missing key or a value of another kind
+    raises RecordParseError; nothing is coerced.
+    """
+    if not isinstance(rec, dict):
+        raise RecordParseError(f"{what}: not a JSON object", path=str(path), line=line)
+    for key, kind in kinds.items():
+        if key not in rec:
+            raise RecordParseError(f"{what}: missing {key!r}", path=str(path),
+                                   line=line)
+        if not _is_json(rec[key], kind):
+            raise RecordParseError(f"{what}: {key!r} must be a JSON {kind}",
+                                   path=str(path), line=line)
+    return [rec[key] for key in kinds]
+
+
 def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
@@ -185,17 +215,17 @@ def read_detections(path) -> list[Detection]:
     out = []
     for lineno, line in _numbered_lines(path):
         rec = parse_json(line, "bad JSON", path, lineno)
-        try:
-            frame = int(rec["frame"])
-            label = str(rec["class"])
-            score = float(rec["score"])
-            bbox = tuple(float(v) for v in rec["bbox"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise RecordParseError(f"bad detection record: {exc}", path=str(path),
-                                  line=lineno) from exc
+        frame, label, score, bbox = _json_fields(
+            rec, {"frame": "integer", "class": "string", "score": "number",
+                  "bbox": "number list"}, "bad detection record", path, lineno)
         if len(bbox) != 4:
             raise RecordParseError("bbox must have 4 entries", path=str(path),
                                   line=lineno)
+        try:
+            score, bbox = float(score), tuple(float(v) for v in bbox)
+        except OverflowError as exc:
+            raise RecordParseError(f"bad detection record: {exc}", path=str(path),
+                                  line=lineno) from exc
         if any(not math.isfinite(v) for v in (score, *bbox)):
             raise RecordParseError("non-finite value in detection", path=str(path),
                                   line=lineno)
@@ -500,9 +530,6 @@ def read_window_labels(path) -> list[tuple[int, str]]:
     out = []
     for lineno, line in _numbered_lines(path):
         rec = parse_json(line, "bad label record", path, lineno)
-        try:
-            out.append((int(rec["start"]), str(rec["label"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise RecordParseError(f"bad label record: {exc}", path=str(path),
-                                  line=lineno) from exc
+        out.append(tuple(_json_fields(rec, {"start": "integer", "label": "string"},
+                                      "bad label record", path, lineno)))
     return out

@@ -226,15 +226,14 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
         # mean-reverting speed: stationary std matches the mode's spread
         theta = 0.3
         sigma_w = spec["speed_std"] * np.sqrt(2.0 * theta)
-        s = np.empty(c)
         cur = (spec["speed_mean"] + spec["speed_std"] * rng.standard_normal()
                if prev_speed is None else prev_speed)
-        for i in range(c):
-            cur += theta * (spec["speed_mean"] - cur) * dt \
-                + sigma_w * np.sqrt(dt) * rng.standard_normal()
-            s[i] = max(cur, 0.0)
+        s = []
+        for kick in (sigma_w * np.sqrt(dt) * rng.standard_normal(c)).tolist():
+            cur += theta * (spec["speed_mean"] - cur) * dt + kick
+            s.append(max(cur, 0.0))
         speed[sl] = s
-        prev_speed = float(s[-1])
+        prev_speed = s[-1]
 
         phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
         osc = spec["step_amp"] * np.sin(2.0 * np.pi * spec["step_hz"] * tt + phase[0])
@@ -289,6 +288,9 @@ def render_ride_frames(dims, n_frames: int, seed: int = 0,
     exact radial expansion, the way a forward-moving camera sees the world.
     Sampling the analytic field (instead of resampling a base image) keeps
     brightness constancy exact at every zoom level. Yields (index, uint8).
+    Wave m's phase at (x, y) is A_m(x) + B_m(y), so by cos(A + B) = cos A cos B
+    - sin A sin B a frame is two rank-48 products; np.einsum, not `@`, keeps
+    their speed and bytes free of the BLAS thread count.
     """
     w, h = dims
     if w < 32 or h < 32:
@@ -301,8 +303,7 @@ def render_ride_frames(dims, n_frames: int, seed: int = 0,
     n_waves = 48
     lam = np.exp(rng.uniform(np.log(6.0), np.log(40.0), n_waves))
     theta = rng.uniform(0.0, 2.0 * np.pi, n_waves)
-    kvec = (2.0 * np.pi / lam)[:, None] * np.stack(
-        [np.cos(theta), np.sin(theta)], axis=1)
+    kx, ky = (2.0 * np.pi / lam) * np.stack([np.cos(theta), np.sin(theta)])
     phase = rng.uniform(0.0, 2.0 * np.pi, n_waves)
     amp = rng.uniform(0.5, 1.0, n_waves)
     if focus is None:
@@ -310,17 +311,15 @@ def render_ride_frames(dims, n_frames: int, seed: int = 0,
                  h / 2.0 + rng.uniform(-0.08, 0.08) * h)
     fx, fy = float(focus[0]), float(focus[1])
 
-    X, Y = np.meshgrid(np.arange(w, dtype=np.float64),
-                       np.arange(h, dtype=np.float64))
+    x, y = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
     # 3.5 sigma of the near-Gaussian wave sum maps to full 8-bit range
     denom = 3.5 * np.sqrt(0.5 * (amp ** 2).sum())
     for k in range(n_frames):
         s = zoom ** k
-        U = fx + (X - fx) / s
-        V = fy + (Y - fy) / s
-        field = np.zeros((h, w))
-        for m in range(n_waves):
-            field += amp[m] * np.cos(kvec[m, 0] * U + kvec[m, 1] * V + phase[m])
+        a = kx[:, None] * (fx + (x - fx) / s) + phase[:, None]    # (48, w)
+        b = ky[:, None] * (fy + (y - fy) / s)                     # (48, h)
+        field = (np.einsum("mh,mw->hw", np.cos(b), amp[:, None] * np.cos(a))
+                 - np.einsum("mh,mw->hw", np.sin(b), amp[:, None] * np.sin(a)))
         img = np.clip(127.5 + 127.5 * field / denom, 0.0, 255.0)
         yield k, img.astype(np.uint8)
 

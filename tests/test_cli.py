@@ -795,3 +795,33 @@ class TestUnparsableJsonExitCodes:
                               "--model", str(e2e_workspace["model"]),
                               "--trainset", str(e2e_workspace["trainset"])])
         assert rc == 2 and "fps and frame_start must be numbers" in err
+
+
+class TestJsonFieldTypeExitCodes:
+    """A label or detection field of the wrong JSON type exits 2 and names
+    its line; nothing is coerced."""
+
+    @pytest.mark.parametrize("record", ['{"label":"bike","start":3.7}',
+                                        '{"label":5,"start":3}'])
+    def test_train_behavior_label_type(self, e2e_workspace, tmp_path, record):
+        first = (e2e_workspace["train_ride"] / "labels.ndjson").read_text().splitlines()[0]
+        ride = ride_with(tmp_path, e2e_workspace["train_ride"], "labels.ndjson",
+                         f"{first}\n{record}\n".encode())
+        rc, err = quiet_main(["train-behavior", "--rides", str(ride),
+                              "--out", str(tmp_path / "m.cymd")])
+        assert rc == 2 and "labels.ndjson:2:" in err
+
+    @pytest.mark.parametrize("change", [{"frame": 2.9}, {"score": True},
+                                        {"class": 5}, {"bbox": [0, 0, 1, False]}],
+                             ids=repr)
+    def test_analyze_detection_type(self, e2e_workspace, short_bike_ride, tmp_path,
+                                    change):
+        first = (short_bike_ride / "detections.ndjson").read_text().splitlines()[0]
+        bad = json.dumps({**json.loads(first), **change})
+        ride = ride_with(tmp_path, short_bike_ride, "detections.ndjson",
+                         f"{first}\n{bad}\n".encode())
+        rc, err = quiet_main(["--criterion", "proximity", "analyze", str(ride),
+                              "--out", str(tmp_path / "o"),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(e2e_workspace["trainset"])])
+        assert rc == 2 and "detections.ndjson:2:" in err

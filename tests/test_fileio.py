@@ -108,6 +108,50 @@ class TestDetections:
             fio.read_detections(p)
 
 
+_GOOD_DETECTION = {"bbox": [0, 0, 1, 1], "class": "car", "frame": 0, "score": 0.5}
+
+
+class TestJsonFieldTypes:
+    """Detection and label fields are taken only in their JSON types; a wrong
+    type is a RecordParseError naming its line, never a coerced value."""
+
+    @pytest.mark.parametrize("change", [
+        {"frame": 2.9}, {"frame": True}, {"frame": "3"}, {"frame": None},
+        {"class": 5}, {"class": None}, {"class": ["car"]},
+        {"score": True}, {"score": "0.5"}, {"score": None},
+        {"bbox": [0, 0, 1, True]}, {"bbox": [0, "0", 1, 1]}, {"bbox": "0011"},
+        {"bbox": {"0": 0, "1": 0, "2": 1, "3": 1}},
+    ], ids=repr)
+    def test_detection_wrong_type(self, tmp_path, change):
+        p = tmp_path / "d.ndjson"
+        p.write_text(json.dumps(_GOOD_DETECTION) + "\n"
+                     + json.dumps({**_GOOD_DETECTION, **change}) + "\n")
+        with pytest.raises(RecordParseError, match="bad detection record") as err:
+            fio.read_detections(p)
+        assert err.value.line == 2
+
+    def test_detection_integers_are_numbers(self, tmp_path):
+        p = tmp_path / "d.ndjson"
+        p.write_text(json.dumps({**_GOOD_DETECTION, "score": 1}) + "\n")
+        (det,) = fio.read_detections(p)
+        assert det.score == 1.0 and det.bbox == (0.0, 0.0, 1.0, 1.0)
+        assert type(det.frame) is int and type(det.score) is float
+        assert all(type(v) is float for v in det.bbox)
+
+    @pytest.mark.parametrize("rec", [
+        {"start": 3.7, "label": "bike"}, {"start": 3.0, "label": "bike"},
+        {"start": True, "label": "bike"}, {"start": "3", "label": "bike"},
+        {"start": 3, "label": 5}, {"start": 3, "label": None},
+        {"start": 3}, ["bike", 3], "bike",
+    ], ids=repr)
+    def test_label_wrong_type(self, tmp_path, rec):
+        p = tmp_path / "labels.ndjson"
+        p.write_text('{"label":"walk","start":0}\n' + json.dumps(rec) + "\n")
+        with pytest.raises(RecordParseError, match="bad label record") as err:
+            fio.read_window_labels(p)
+        assert err.value.line == 2
+
+
 class TestSensorCsv:
     def test_round_trip(self, tmp_path):
         s = small_stream()

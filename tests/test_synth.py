@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclerisk.behavior import make_windows, preprocess
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.risk import lane_region_map, object_footprint, proximity_region_map
-from cyclerisk.synth import gen_expansion_scene, gen_ride, gen_risk_detections
+from cyclerisk.synth import (FRAME_ZOOM, gen_expansion_scene, gen_ride,
+                             gen_risk_detections, render_ride_frames)
+from synth_reference import reference_render_ride_frames
 
 DIMS = (480, 360)
 
@@ -134,3 +138,48 @@ class TestRide:
             n_walk = int((times < 35.0).sum())
             # an exact 50/50 split falls to the earlier segment
             assert label == ("walk" if n_walk >= 50 else "bike")
+
+
+def assert_frames_match_reference(dims, n_frames, **kw):
+    got = list(render_ride_frames(dims, n_frames, **kw))
+    want = reference_render_ride_frames(dims, n_frames, **kw)
+    assert [k for k, _ in got] == [k for k, _ in want] == list(range(n_frames))
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == np.uint8 and a.shape == (dims[1], dims[0])
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def render_case(draw):
+    w, h = draw(st.integers(32, 96)), draw(st.integers(32, 96))
+    focus = draw(st.one_of(
+        st.none(),
+        st.tuples(st.floats(0.0, w - 1.0), st.floats(0.0, h - 1.0)),
+        # a focus outside the frame: every pixel flows the same way
+        st.tuples(st.floats(-3.0 * w, 4.0 * w), st.floats(-3.0 * h, 4.0 * h))))
+    return dict(dims=(w, h), n_frames=draw(st.integers(1, 6)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)),
+                zoom=draw(st.floats(1.0, 1.05, exclude_min=True)), focus=focus)
+
+
+class TestRenderMatchesReference:
+    """The separable renderer yields the per-wave reference's frames byte
+    for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=render_case())
+    def test_random_cases(self, case):
+        dims, n_frames = case.pop("dims"), case.pop("n_frames")
+        assert_frames_match_reference(dims, n_frames, **case)
+
+    def test_bench_frames(self):
+        # the frames a ride analyze reads: every 5th frame of a 40 s, 5 fps ride
+        assert_frames_match_reference((240, 180), 41, seed=11, zoom=FRAME_ZOOM ** 5)
+
+    @pytest.mark.parametrize("dims,n_frames,zoom", [
+        ((31, 64), 1, FRAME_ZOOM), ((64, 31), 1, FRAME_ZOOM),
+        ((64, 64), 0, FRAME_ZOOM), ((64, 64), 1, 1.0), ((64, 64), 1, 0.99),
+    ])
+    def test_bad_params(self, dims, n_frames, zoom):
+        with pytest.raises(InvalidInputError):
+            next(render_ride_frames(dims, n_frames, zoom=zoom))
