@@ -48,9 +48,9 @@ def texture_frame():
 def e2e_workspace(tmp_path_factory):
     """Shared generated rides, trained models, and one analyzed output set.
 
-    Built once per session because frame rendering and analysis dominate
-    the suite's runtime. Tests must treat every path as read-only and write
-    any derived output into their own tmp_path.
+    Built once per session because rendering, training and analysis make
+    it the suite's costliest set-up. Tests must treat every path as
+    read-only and write any derived output into their own tmp_path.
     """
     from cyclerisk import fileio
     from cyclerisk.cli import main

@@ -130,6 +130,16 @@ class TestJsonFieldTypes:
             fio.read_detections(p)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("change", [{"score": 10 ** 400},
+                                        {"bbox": [0, 0, 1, 10 ** 400]}],
+                             ids=["score", "bbox"])
+    def test_detection_integer_past_float_range(self, tmp_path, change):
+        p = tmp_path / "d.ndjson"
+        p.write_text(json.dumps({**_GOOD_DETECTION, **change}) + "\n")
+        with pytest.raises(RecordParseError, match="bad detection record") as err:
+            fio.read_detections(p)
+        assert err.value.line == 1
+
     def test_detection_integers_are_numbers(self, tmp_path):
         p = tmp_path / "d.ndjson"
         p.write_text(json.dumps({**_GOOD_DETECTION, "score": 1}) + "\n")
