@@ -27,8 +27,8 @@ from .errors import (ConfigError, DegenerateGeometryError,
 from .pipeline import (analyze_ride, label_windows, load_ride, segment_modes,
                        write_analysis, write_windows)
 from .risk import RiskParams, region_map_for
-from .synth import (gen_expansion_scene, gen_ride, render_ride_frames,
-                    script_detections)
+from .synth import (MIN_RENDER_SIZE, gen_expansion_scene, gen_ride,
+                    render_ride_frames, script_detections)
 
 EVAL_C_GRID = (0.5, 1.0, 10.0, 20.0)
 EVAL_KERNELS = ("linear", "poly2", "poly3", "gaussian")
@@ -43,16 +43,20 @@ _NUMERIC_ERRORS = (DegenerateGeometryError, InsufficientFlowError,
 
 def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInputError(f"expected X,Y, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        x, y = (float(v) for v in parts)
+    except ValueError:
+        raise InvalidInputError(f"expected X,Y numbers, got {text!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInputError(f"point must be finite, got {text!r}")
+    return x, y
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise InvalidInputError(f"expected WxH, got {text!r}")
-    w, h = int(parts[0]), int(parts[1])
+    try:
+        w, h = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise InvalidInputError(f"expected WxH integers, got {text!r}") from None
     if w < 5 or h < 5:
         raise InvalidInputError(f"frame size too small: {text!r}")
     return w, h
@@ -65,7 +69,11 @@ def _parse_schedule(text: str) -> list:
         if not sep:
             raise InvalidInputError(
                 f"schedule entries look like mode:seconds, got {chunk!r}")
-        out.append((mode.strip(), float(dur)))
+        try:
+            out.append((mode.strip(), float(dur)))
+        except ValueError:
+            raise InvalidInputError(
+                f"schedule seconds must be a number, got {chunk!r}") from None
     return out
 
 
@@ -368,7 +376,15 @@ def cmd_gen_scene(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_gen_ride(args, cfg: PipelineConfig) -> int:
+    # every argument is checked before the first write
     schedule = _parse_schedule(args.schedule)
+    if not 0.0 < args.fps < math.inf:
+        raise InvalidInputError(f"--fps must be finite and > 0, got {args.fps}")
+    if args.frames:
+        dims = _parse_size(args.size)
+        if min(dims) < MIN_RENDER_SIZE:
+            raise InvalidInputError(f"frame size too small to render: {args.size!r}, "
+                                    f"need {MIN_RENDER_SIZE}x{MIN_RENDER_SIZE}")
     ride = gen_ride(schedule, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,7 +398,6 @@ def cmd_gen_ride(args, cfg: PipelineConfig) -> int:
     fileio.write_ride_meta(out / "ride.json", meta)
     msg = f"wrote {out}: {len(ride.stream)} samples, {len(ride.window_labels)} windows"
     if args.frames:
-        dims = _parse_size(args.size)
         duration = sum(d for _, d in schedule)
         n_frames = int(np.floor(duration * args.fps)) + 1
         frame_dir = out / "frames"

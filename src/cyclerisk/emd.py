@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ZeroMassError
-from .risk import RegionMap, descriptor_bins
+from .risk import CROSS_GROUPS, RegionMap, descriptor_bins
 
 _EPS = 1e-15
 # slack between a bound and an exact value before an item may be skipped,
@@ -68,7 +68,7 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
     base = np.minimum(direct, folded) / np.hypot(w, h)
     base[base < 1e-12] = 0.0  # mirror-pair rounding residue snaps to exact zero
 
-    g = np.array([region_map.cross_group(k) for k in range(1, 26)])
+    g = np.array(CROSS_GROUPS[region_map.criterion])
     cross = np.where(g[:, None] == g[None, :], 1.0, cross_factor)
     dist = base * cross
     np.fill_diagonal(dist, 0.0)
@@ -76,7 +76,7 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
     return np.minimum(dist, dist.T)
 
 
-def _shortest_paths(rc, flow, live_src, res_b):
+def _shortest_paths(rc, flow, live_src):
     """Bellman sweeps over the bipartite residual graph.
 
     rc holds forward reduced costs (>= 0 up to roundoff); backward arcs exist
@@ -127,7 +127,7 @@ def _min_cost_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             break
         rc = np.maximum(cost + pot_a[:, None] - pot_b[None, :], 0.0)
         live_src = res_a > _EPS
-        dist_a, dist_b, parent_a, parent_b = _shortest_paths(rc, flow, live_src, res_b)
+        dist_a, dist_b, parent_a, parent_b = _shortest_paths(rc, flow, live_src)
 
         open_sinks = res_b > _EPS
         target_dist = np.where(open_sinks, dist_b, np.inf)

@@ -16,6 +16,7 @@ first; docs/formats.md freezes the numbering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +31,17 @@ RED = "red"
 YELLOW = "yellow"
 GREEN = "green"
 
-# Region-major numbering for the lane criterion: each block is rows 1..5
-# bottom to top.
-_LANE_ORDER = ("red", "yellow_left", "yellow_right", "green_left", "green_right")
-_LANE_COLOR = {"red": RED, "yellow_left": YELLOW, "yellow_right": YELLOW,
-               "green_left": GREEN, "green_right": GREEN}
-
-_RING_COLOR = {1: RED, 2: YELLOW, 3: YELLOW, 4: GREEN, 5: GREEN}
+# The frozen 25-sub-region layout (docs/formats.md). Sub-region k sits in
+# block (k - 1) // 5 and slot (k - 1) % 5: a lane block is a region (red,
+# yellow left, yellow right, green left, green right) and its slot the row
+# slab from the bottom; a proximity block is an annulus from the center and
+# its slot the sector from the left. Each table is indexed by k - 1.
+SUBREGION_COLORS = tuple(c for c in (RED, YELLOW, YELLOW, GREEN, GREEN) for _ in range(5))
+# band counted from the highest-risk side: the slot (lane) or the block (proximity)
+SUBREGION_BANDS = {LANE: tuple(range(1, 6)) * 5,
+                   PROXIMITY: tuple(b for b in range(1, 6) for _ in range(5))}
+# ground-distance groups: the color region (lane) or the annulus (proximity)
+CROSS_GROUPS = {LANE: SUBREGION_COLORS, PROXIMITY: SUBREGION_BANDS[PROXIMITY]}
 
 # Risk coefficient building blocks: color base times a falloff by row slab
 # (lane, bottom row first) or by annulus (proximity, innermost first).
@@ -76,18 +81,14 @@ class Detection:
 class RegionMap:
     """Pixel-to-sub-region assignment for one criterion and frame size.
 
-    assignment maps each pixel to a sub-region id 1..25; region_of names the
-    containing risk region, color_of collapses that to red/yellow/green, and
-    band_of gives the row slab (lane) or annulus (proximity), both counted
-    from the highest-risk side. areas[k] is the pixel count of sub-region k.
+    assignment maps each pixel to a sub-region id 1..25, whose color, band
+    and cross-factor group the module's layout tables give. areas[k] is the
+    pixel count of sub-region k.
     """
 
     criterion: str
     dims: tuple[int, int]
     assignment: np.ndarray
-    region_of: dict[int, str]
-    color_of: dict[int, str]
-    band_of: dict[int, int]
     areas: np.ndarray = field(init=False)
     _centroids: np.ndarray | None = field(init=False, default=None, repr=False)
 
@@ -117,12 +118,6 @@ class RegionMap:
                 cents = np.column_stack((sx, sy)) / self.areas[:, None]
             self._centroids = cents
         return self._centroids
-
-    def cross_group(self, sub_region: int):
-        """Grouping used by the ground-distance cross-region factor."""
-        if self.criterion == LANE:
-            return self.color_of[sub_region]
-        return self.band_of[sub_region]
 
 
 def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
@@ -169,35 +164,19 @@ def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
     row_from_bottom = np.where(below, 6 - np.clip(band, 1, 5), 5)
 
     assignment = region_idx * 5 + row_from_bottom
-
-    region_of = {}
-    color_of = {}
-    band_of = {}
-    for r, name in enumerate(_LANE_ORDER):
-        for row in range(1, 6):
-            k = r * 5 + row
-            region_of[k] = name
-            color_of[k] = _LANE_COLOR[name]
-            band_of[k] = row
-    return RegionMap(criterion=LANE, dims=dims, assignment=assignment,
-                     region_of=region_of, color_of=color_of, band_of=band_of)
+    return RegionMap(criterion=LANE, dims=dims, assignment=assignment)
 
 
-def proximity_region_map(
-    dims: tuple[int, int],
-    radii: tuple[float, ...] = DEFAULT_PROXIMITY_RADII,
-) -> RegionMap:
+def proximity_region_map(dims: tuple[int, int]) -> RegionMap:
     """Semicircular annuli around the bottom-center of the frame.
 
-    radii are annulus boundaries as fractions of the frame height; the fifth
-    annulus is unbounded. Sectors split each annulus into five equal angles
-    numbered left to right.
+    DEFAULT_PROXIMITY_RADII are the annulus boundaries as fractions of the
+    frame height; the fifth annulus is unbounded. Sectors split each annulus
+    into five equal angles numbered left to right.
     """
     w, h = dims
     if w < 5 or h < 5:
         raise InvalidInputError(f"frame too small for a 25-way partition: {dims}")
-    if len(radii) != 4 or any(r <= 0 for r in radii) or list(radii) != sorted(radii):
-        raise InvalidInputError(f"need 4 increasing positive radii, got {radii}")
 
     cx = w / 2.0
     xs = np.arange(w, dtype=np.float64) + 0.5
@@ -208,25 +187,14 @@ def proximity_region_map(
     dx = X - cx
     dy = h - Y  # height above the bottom edge, always > 0 at pixel centers
     dist = np.hypot(dx, dy)
-    bounds = np.asarray(radii, dtype=np.float64) * h
+    bounds = np.asarray(DEFAULT_PROXIMITY_RADII, dtype=np.float64) * h
     annulus = np.searchsorted(bounds, dist, side="left") + 1  # 1..5, bound inclusive
 
     theta = np.arctan2(dy, dx)  # (0, pi), 0 at the right edge
     sector = 5 - np.clip(np.floor(theta / (np.pi / 5.0)).astype(np.int64), 0, 4)
 
     assignment = (annulus - 1) * 5 + sector
-
-    region_of = {}
-    color_of = {}
-    band_of = {}
-    for ann in range(1, 6):
-        for sec in range(1, 6):
-            k = (ann - 1) * 5 + sec
-            region_of[k] = _RING_COLOR[ann]
-            color_of[k] = _RING_COLOR[ann]
-            band_of[k] = ann
-    return RegionMap(criterion=PROXIMITY, dims=dims, assignment=assignment,
-                     region_of=region_of, color_of=color_of, band_of=band_of)
+    return RegionMap(criterion=PROXIMITY, dims=dims, assignment=assignment)
 
 
 def region_map_for(criterion: str, foe, dims: tuple[int, int]) -> RegionMap:
@@ -237,19 +205,17 @@ def region_map_for(criterion: str, foe, dims: tuple[int, int]) -> RegionMap:
     raise InvalidInputError(f"unknown criterion {criterion!r}")
 
 
-def default_cell_coeffs(region_map: RegionMap) -> np.ndarray:
+@functools.cache
+def default_cell_coeffs(criterion: str) -> np.ndarray:
     """Per-sub-region risk coefficient: color base times band falloff.
 
-    Falls off strictly from the bottom row to the top row within each lane
-    region, and from the innermost annulus outward for proximity.
+    26 read-only entries, index 0 unused. Falls off strictly from the bottom
+    row to the top row within each lane region, and from the innermost
+    annulus outward for proximity.
     """
-    coeffs = np.zeros(26, dtype=np.float64)
-    for k in range(1, 26):
-        color = region_map.color_of.get(k)
-        band = region_map.band_of.get(k)
-        if color is None or band is None:
-            continue
-        coeffs[k] = COLOR_BASE[color] * ROW_FALLOFF[band - 1]
+    coeffs = np.array([0.0] + [COLOR_BASE[c] * ROW_FALLOFF[b - 1] for c, b in
+                               zip(SUBREGION_COLORS, SUBREGION_BANDS[criterion])])
+    coeffs.flags.writeable = False
     return coeffs
 
 
@@ -356,7 +322,7 @@ def risk_descriptor(
     params = params or RiskParams()
     cell = params.cell_coeffs
     if cell is None:
-        cell = default_cell_coeffs(region_map)
+        cell = default_cell_coeffs(region_map.criterion)
 
     w, h = region_map.dims
     values = np.zeros(25, dtype=np.float64)

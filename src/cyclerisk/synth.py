@@ -6,12 +6,13 @@ freeze expectations against generated data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .risk import proximity_region_map
+from .risk import SUBREGION_COLORS, proximity_region_map
 
 
 @dataclass
@@ -53,6 +54,12 @@ def gen_expansion_scene(
         raise InvalidInputError(f"noise must be >= 0, got {noise}")
     w, h = dims
     foe_pt = np.asarray(foe, dtype=np.float64)
+    if not np.isfinite(foe_pt).all():
+        raise InvalidInputError(f"focus must be finite, got {foe}")
+    # points are drawn away from the focus; some pixel must lie beyond 2 px
+    corners = np.array([(0.0, 0.0), (w, 0.0), (0.0, h), (w, h)])
+    if np.linalg.norm(corners - foe_pt, axis=1).max() <= 2.0:
+        raise InvalidInputError(f"frame {dims} lies within 2 px of the focus {foe}")
     rng = np.random.default_rng(seed)
 
     pts = np.empty((n, 2))
@@ -129,8 +136,7 @@ def _place_in_color(region_map, color: str, rng) -> tuple | None:
     """Random bbox whose footprint lies wholly inside one color's territory."""
     w, h = region_map.dims
     assignment = region_map.assignment
-    colors = np.array([""] + [region_map.color_of[k] for k in range(1, 26)])
-    target = colors[assignment] == color
+    target = np.array(("",) + SUBREGION_COLORS)[assignment] == color
     ys, xs = np.nonzero(target)
     if len(xs) == 0:
         return None
@@ -198,8 +204,9 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
     for mode, dur in schedule:
         if mode not in _MODE_SPEC:
             raise InvalidInputError(f"unknown mode {mode!r}")
-        if dur < 30.0:
-            raise InvalidInputError("each segment must last at least 30 s")
+        if not 30.0 <= dur < math.inf:
+            raise InvalidInputError(
+                f"each segment must last a finite 30 s or more, got {dur}")
 
     rng = np.random.default_rng(seed)
     dt = 0.1
@@ -277,6 +284,7 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
 
 
 FRAME_ZOOM = 1.002  # per-frame radial magnification about the focus
+MIN_RENDER_SIZE = 32  # smallest frame width and height render_ride_frames textures
 
 
 def render_ride_frames(dims, n_frames: int, seed: int = 0,
@@ -293,7 +301,7 @@ def render_ride_frames(dims, n_frames: int, seed: int = 0,
     their speed and bytes free of the BLAS thread count.
     """
     w, h = dims
-    if w < 32 or h < 32:
+    if w < MIN_RENDER_SIZE or h < MIN_RENDER_SIZE:
         raise InvalidInputError(f"frame size too small to texture: {dims}")
     if n_frames < 1:
         raise InvalidInputError("n_frames must be >= 1")

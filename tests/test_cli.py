@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from cyclerisk.errors import InvalidInputError, RecordParseError
 from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
                          ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
                          sensor_csv_text)
+from test_synth import src_env
 
 
 def run(capsys, *argv):
@@ -32,22 +35,23 @@ def run(capsys, *argv):
 class TestParsers:
     def test_point(self):
         assert _parse_point("240,180") == (240.0, 180.0)
-        with pytest.raises(InvalidInputError):
-            _parse_point("240")
+        for bad in ("240", "a,b", "1,2,3", "nan,5", "5,inf"):
+            with pytest.raises(InvalidInputError):
+                _parse_point(bad)
 
     def test_size(self):
         assert _parse_size("480x360") == (480, 360)
         assert _parse_size("240X180") == (240, 180)
-        with pytest.raises(InvalidInputError):
-            _parse_size("480")
-        with pytest.raises(InvalidInputError):
-            _parse_size("3x3")
+        for bad in ("480", "3x3", "abcx40", "40x4.5", "1x2x3"):
+            with pytest.raises(InvalidInputError):
+                _parse_size(bad)
 
     def test_schedule(self):
         assert _parse_schedule("walk:60,bike:120") == [("walk", 60.0),
                                                        ("bike", 120.0)]
-        with pytest.raises(InvalidInputError):
-            _parse_schedule("walk60")
+        for bad in ("walk60", "bike:abc", "bike:"):
+            with pytest.raises(InvalidInputError):
+                _parse_schedule(bad)
 
     def test_level_file(self):
         assert _parse_level_file("2:a.cydr") == (2, "a.cydr")
@@ -569,6 +573,46 @@ class TestDryRunAndExitCodes:
             rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert "non-finite features" in err
+
+    @pytest.mark.parametrize("args", [
+        ["gen-ride", "--schedule", "bike:40", "--frames", "--size", "abcx40"],
+        ["gen-ride", "--schedule", "bike:40", "--frames", "--size", "20x20"],
+        ["gen-ride", "--schedule", "bike:40", "--fps", "-5", "--frames"],
+        ["gen-ride", "--schedule", "bike:40", "--fps", "nan"],
+        ["gen-ride", "--schedule", "bike:40", "--fps", "inf"],
+        ["gen-ride", "--schedule", "bike:40", "--fps", "0"],
+        ["gen-ride", "--schedule", "bike:abc"],
+        ["gen-ride", "--schedule", "bike:nan"],
+        ["gen-ride", "--schedule", "bike:inf"],
+        ["gen-scene", "--foe", "a,b"],
+        ["gen-scene", "--foe", "inf,5"],
+    ], ids=lambda a: " ".join(a[1:]))
+    def test_bad_generator_args_exit_2_before_writing(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, args[0], "--out", str(out), *args[1:])
+        assert rc == 2
+        assert "input error" in err
+        assert not out.exists()
+
+    def test_nan_focus_exit_2_without_hanging(self, tmp_path):
+        # run apart with a timeout: the scene generator draws points until
+        # they clear the focus, so a missing check shows as a hang
+        out = tmp_path / "scene"
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclerisk.cli", "gen-scene", "--out", str(out),
+             "--foe", "nan,5"], env=src_env(), capture_output=True, text=True,
+            timeout=20)
+        assert done.returncode == 2, done.stderr
+        assert not out.exists()
+
+    def test_bad_eval_dims_exit_2(self, e2e_workspace, tmp_path, capsys):
+        rc, _, err = run(capsys, "eval", "--task", "risk",
+                         f"1:{e2e_workspace['level1']}", "--trainset",
+                         str(e2e_workspace["trainset"]), "--dims", "480xabc",
+                         "--json", str(tmp_path / "eval.json"))
+        assert rc == 2
+        assert "input error" in err
+        assert not (tmp_path / "eval.json").exists()
 
     def test_single_class_training_exit_4(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "--seed", "3", "gen-ride", "--out",

@@ -107,30 +107,31 @@ class TestDistanceMatrix:
         assert prox_D[6, 8] == 0.0
 
     def test_cross_penalty_doubles_distance(self):
-        # uniform 5x5 grid of 10x10 cells; row 0 all red except one yellow cell,
-        # so two horizontally adjacent pairs share geometry but differ in group
+        # uniform 5x5 grid of 10x10 cells numbered row by row: under the lane
+        # layout the top row (ids 1-5) is red and the next (6-10) yellow, so a
+        # horizontal and a vertical neighbor share geometry but not the group
         assignment = np.repeat(np.repeat(
             np.arange(1, 26, dtype=np.int16).reshape(5, 5), 10, axis=0), 10, axis=1)
-        color = {k: "red" for k in range(1, 26)}
-        color[2] = "yellow"
-        m = RegionMap(criterion="lane", dims=(50, 50), assignment=assignment,
-                      region_of={k: "red" for k in range(1, 26)},
-                      color_of=color, band_of={k: 1 for k in range(1, 26)})
+        m = RegionMap(criterion="lane", dims=(50, 50), assignment=assignment)
         D = build_distance_matrix(m, cross_factor=2.0)
-        same = D[2, 3]   # cells 3 and 4: red-red, 10 px apart
-        cross = D[0, 1]  # cells 1 and 2: red-yellow, 10 px apart
+        same = D[0, 1]   # cells 1 and 2: red-red, 10 px apart
+        cross = D[0, 5]  # cells 1 and 6: red-yellow, 10 px apart
         assert same == pytest.approx(10.0 / np.hypot(50, 50))
         assert cross == pytest.approx(2.0 * same)
 
     @pytest.mark.parametrize("factor", [1.0, 2.0, 3.7])
     def test_cross_factor_applies_per_group_pair(self, factor):
+        # docs/formats.md: lane groups are ids 1-5, 6-15 and 16-25 (the
+        # colors); proximity groups are the five annuli of five ids each
+        groups = {"lane": (1,) * 5 + (2,) * 10 + (3,) * 10,
+                  "proximity": tuple(k // 5 for k in range(25))}
         maps = [proximity_region_map(DIMS)] + [
             lane_region_map(foe, DIMS) for foe in
             ((240.0, 180.0), (100.5, 60.25), (430.0, 300.0))]
         for m in maps:
-            groups = [m.cross_group(k) for k in range(1, 26)]
-            cross = np.array([[1.0 if gi == gj else factor for gj in groups]
-                              for gi in groups])
+            g = groups[m.criterion]
+            cross = np.array([[1.0 if gi == gj else factor for gj in g]
+                              for gi in g])
             plain = build_distance_matrix(m, cross_factor=1.0)
             D = build_distance_matrix(m, cross_factor=factor)
             assert D.tobytes() == (plain * cross).tobytes()

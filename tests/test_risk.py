@@ -3,6 +3,9 @@ import pytest
 
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.risk import (
+    CROSS_GROUPS,
+    SUBREGION_BANDS,
+    SUBREGION_COLORS,
     Detection,
     RegionMap,
     RiskParams,
@@ -14,6 +17,9 @@ from cyclerisk.risk import (
 )
 
 DIMS = (480, 360)
+
+# docs/formats.md: under both criteria ids 1-5 are red, 6-15 yellow, 16-25 green
+DOC_COLORS = ("red",) * 5 + ("yellow",) * 10 + ("green",) * 10
 
 
 def centered_lane_map():
@@ -55,11 +61,10 @@ class TestLaneMap:
         assert m.areas[1:].sum() == 480 * 360
 
     def test_metadata_tables(self):
-        m = centered_lane_map()
-        assert m.region_of[1] == "red" and m.region_of[6] == "yellow_left"
-        assert m.region_of[11] == "yellow_right" and m.region_of[25] == "green_right"
-        assert m.color_of[8] == "yellow" and m.color_of[23] == "green"
-        assert [m.band_of[k] for k in range(1, 6)] == [1, 2, 3, 4, 5]
+        # the band is the row slab, bottom first; groups are the color regions
+        assert SUBREGION_COLORS == DOC_COLORS
+        assert SUBREGION_BANDS["lane"] == (1, 2, 3, 4, 5) * 5
+        assert CROSS_GROUPS["lane"] == DOC_COLORS
 
 
 class TestProximityMap:
@@ -76,11 +81,11 @@ class TestProximityMap:
         assert m[359, 5] == 16     # far left on the bottom row: annulus 4, sector 1
 
     def test_annulus_colors(self):
-        m = proximity_region_map(DIMS)
-        assert all(m.color_of[k] == "red" for k in range(1, 6))
-        assert all(m.color_of[k] == "yellow" for k in range(6, 16))
-        assert all(m.color_of[k] == "green" for k in range(16, 26))
-        assert m.band_of[13] == 3 and m.band_of[21] == 5
+        # the band and the group are the annulus, innermost first
+        annuli = (1,) * 5 + (2,) * 5 + (3,) * 5 + (4,) * 5 + (5,) * 5
+        assert SUBREGION_COLORS == DOC_COLORS
+        assert SUBREGION_BANDS["proximity"] == annuli
+        assert CROSS_GROUPS["proximity"] == annuli
 
     def test_mirror_symmetry(self):
         m = proximity_region_map(DIMS).assignment
@@ -114,10 +119,7 @@ def one_rect_map(dims=(100, 100), rect=(40, 70, 20, 10)):
     rx, ry, rw, rh = rect
     assignment = np.full((h, w), 2, dtype=np.int16)
     assignment[ry:ry + rh, rx:rx + rw] = 1
-    return RegionMap(criterion="lane", dims=dims, assignment=assignment,
-                     region_of={1: "red", 2: "green_left"},
-                     color_of={1: "red", 2: "green"},
-                     band_of={1: 1, 2: 1})
+    return RegionMap(criterion="lane", dims=dims, assignment=assignment)
 
 
 class TestDescriptor:
@@ -186,7 +188,8 @@ class TestDescriptor:
 
 class TestCellCoeffs:
     def test_lane_values(self):
-        coeffs = default_cell_coeffs(centered_lane_map())
+        coeffs = default_cell_coeffs("lane")
+        assert not coeffs.flags.writeable  # shared by every descriptor
         assert np.allclose(coeffs[1:6], [1.0, 0.85, 0.7, 0.55, 0.4])
         assert np.allclose(coeffs[6:11], [0.6, 0.51, 0.42, 0.33, 0.24])
         assert np.allclose(coeffs[6:11], coeffs[11:16])
@@ -194,7 +197,7 @@ class TestCellCoeffs:
         assert np.allclose(coeffs[16:21], coeffs[21:26])
 
     def test_lane_orderings(self):
-        c = default_cell_coeffs(centered_lane_map())
+        c = default_cell_coeffs("lane")
         for base in (1, 6, 11, 16, 21):
             block = c[base:base + 5]
             assert (np.diff(block) < 0).all()  # strictly falls toward the top
@@ -202,7 +205,7 @@ class TestCellCoeffs:
             assert c[1 + row] > c[6 + row] > c[16 + row]  # red > yellow > green
 
     def test_proximity_values(self):
-        coeffs = default_cell_coeffs(proximity_region_map(DIMS))
+        coeffs = default_cell_coeffs("proximity")
         assert np.allclose(coeffs[1:6], 1.0)
         assert np.allclose(coeffs[6:11], 0.51)
         assert np.allclose(coeffs[11:16], 0.42)
@@ -247,8 +250,7 @@ class TestValidation:
     def test_bad_assignment_rejected(self):
         with pytest.raises(InvalidInputError):
             RegionMap(criterion="lane", dims=(10, 10),
-                      assignment=np.zeros((10, 10), dtype=np.int16),
-                      region_of={}, color_of={}, band_of={})
+                      assignment=np.zeros((10, 10), dtype=np.int16))
 
     def test_tiny_frame_rejected(self):
         with pytest.raises(InvalidInputError):

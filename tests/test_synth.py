@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,16 @@ from cyclerisk.synth import (FRAME_ZOOM, gen_expansion_scene, gen_ride,
 from synth_reference import reference_render_ride_frames
 
 DIMS = (480, 360)
+# docs/formats.md: under both criteria ids 1-5 are red, 6-15 yellow, 16-25 green
+DOC_COLORS = ("red",) * 5 + ("yellow",) * 10 + ("green",) * 10
+
+
+def src_env() -> dict:
+    """Environment in which a child Python imports this checkout's package."""
+    import cyclerisk
+    src = str(Path(cyclerisk.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 class TestExpansionScene:
@@ -40,6 +55,23 @@ class TestExpansionScene:
         with pytest.raises(InvalidInputError):
             gen_expansion_scene((0, 0), outlier_frac=1.5)
 
+    @pytest.mark.parametrize("foe, dims", [
+        ("(float('nan'), 5.0)", "(480, 360)"),
+        ("(1.0, 1.0)", "(2, 2)"),   # no pixel lies more than 2 px from the focus
+    ], ids=["nan-focus", "frame-within-2px"])
+    def test_unreachable_focus_rejected(self, foe, dims):
+        # run apart with a timeout: points are drawn until they clear the
+        # focus, so a missing check shows as a hang
+        code = ("from cyclerisk.errors import InvalidInputError\n"
+                "from cyclerisk.synth import gen_expansion_scene\n"
+                "try:\n"
+                f"    gen_expansion_scene({foe}, dims={dims})\n"
+                "except InvalidInputError:\n"
+                "    raise SystemExit(2)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, timeout=20)
+        assert done.returncode == 2, done.stderr
+
 
 class TestRiskDetections:
     @pytest.mark.parametrize("criterion", ["lane", "proximity"])
@@ -60,7 +92,7 @@ class TestRiskDetections:
                 x0, x1 = int(np.floor(x)), int(np.ceil(x + w))
                 y0, y1 = int(np.floor(y)), int(np.ceil(y + h))
                 ids = np.unique(m.assignment[y0:y1, x0:x1])
-                colors_hit |= {m.color_of[int(k)] for k in ids}
+                colors_hit |= {DOC_COLORS[int(k) - 1] for k in ids}
             assert colors_hit <= allowed
             assert required in colors_hit
             seen |= colors_hit
@@ -127,6 +159,9 @@ class TestRide:
             gen_ride([("walk", 10)])
         with pytest.raises(InvalidInputError):
             gen_ride([("segway", 60)])
+        for dur in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                gen_ride([("bike", dur)])
 
     def test_boundary_window_majority_label(self):
         # a window straddling a mode change takes the side with more samples
