@@ -50,8 +50,8 @@ def gen_expansion_scene(
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not 0.0 <= outlier_frac <= 1.0:
         raise InvalidInputError(f"outlier_frac must be in [0, 1], got {outlier_frac}")
-    if noise < 0:
-        raise InvalidInputError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < math.inf:
+        raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
     w, h = dims
     foe_pt = np.asarray(foe, dtype=np.float64)
     if not np.isfinite(foe_pt).all():
@@ -169,6 +169,7 @@ _MODE_SPEC = {
 }
 _SWAY_HZ = 0.8
 _EARTH_M_PER_DEG = 111320.0
+MAX_SEGMENT_S = 86400.0  # one day: 864,000 samples, well inside memory
 
 
 @dataclass
@@ -204,9 +205,9 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
     for mode, dur in schedule:
         if mode not in _MODE_SPEC:
             raise InvalidInputError(f"unknown mode {mode!r}")
-        if not 30.0 <= dur < math.inf:
+        if not 30.0 <= dur <= MAX_SEGMENT_S:
             raise InvalidInputError(
-                f"each segment must last a finite 30 s or more, got {dur}")
+                f"each segment must last 30 to {MAX_SEGMENT_S:g} s, got {dur}")
 
     rng = np.random.default_rng(seed)
     dt = 0.1

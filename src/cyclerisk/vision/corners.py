@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import InvalidInputError
 from .frames import GrayFrame
@@ -24,8 +23,6 @@ from .frames import GrayFrame
 # Sobel support (1) plus box-sum reach (2): scores this close to the frame
 # edge mix in padding, so they are never reported.
 _BORDER = 4
-_SUM_SIZE = 5
-_NMS_SIZE = 3
 
 
 @dataclass
@@ -39,14 +36,30 @@ class CornerSet:
         return int(self.points.shape[0])
 
 
-def min_eigen_response(img: np.ndarray) -> np.ndarray:
-    """Per-pixel smaller eigenvalue of the 5x5-summed structure tensor."""
-    f = img.astype(np.float64)
-    gx = ndimage.sobel(f, axis=1, mode="nearest") / 8.0
-    gy = ndimage.sobel(f, axis=0, mode="nearest") / 8.0
-    sxx = ndimage.uniform_filter(gx * gx, size=_SUM_SIZE, mode="nearest")
-    sxy = ndimage.uniform_filter(gx * gy, size=_SUM_SIZE, mode="nearest")
-    syy = ndimage.uniform_filter(gy * gy, size=_SUM_SIZE, mode="nearest")
+def _box_mean(a: np.ndarray) -> np.ndarray:
+    """5x5 mean, edges repeated: along axis 0, then axis 1, the first
+    window's sum, then a running sum of (entering - leaving) values, / 5.
+    That is the oracle's order (tests/vision_reference.py), bit for bit."""
+    for axis in (0, 1):
+        p = np.pad(np.moveaxis(a, axis, 0), ((2, 2), (0, 0)), mode="edge")
+        run = np.cumsum(np.concatenate((p[:5], p[5:] - p[:-5])), axis=0)
+        a = np.moveaxis(run[4:] / 5.0, 0, axis)
+    return a
+
+
+def _local_max(a: np.ndarray) -> np.ndarray:
+    """3x3 maximum with the edge values repeated."""
+    p = np.pad(a, 1, mode="edge")
+    m = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return np.maximum(np.maximum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+
+
+def min_eigen_response(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Per-pixel smaller eigenvalue of the 5x5-summed structure tensor of
+    the gradient (gx, gy)."""
+    sxx = _box_mean(gx * gx)
+    sxy = _box_mean(gx * gy)
+    syy = _box_mean(gy * gy)
     trace = sxx + syy
     root = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
     return (trace - root) / 2.0
@@ -91,7 +104,7 @@ def detect_corners(
     if rows < 1 or cols < 1:
         raise InvalidInputError(f"corner grid must be positive, got {grid}")
 
-    score = min_eigen_response(frame.data)
+    score = min_eigen_response(*frame.gradient)
     h, w = score.shape
 
     interior = np.zeros_like(score, dtype=bool)
@@ -102,7 +115,7 @@ def detect_corners(
     if best <= 0.0:
         return CornerSet(np.empty((0, 2)), np.empty(0))
 
-    local_max = score == ndimage.maximum_filter(score, size=_NMS_SIZE, mode="nearest")
+    local_max = score == _local_max(score)
     keep = local_max & interior & (score >= quality * best)
     ys, xs = np.nonzero(keep)
     if ys.size == 0:

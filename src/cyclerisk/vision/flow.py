@@ -4,8 +4,9 @@ Each corner is tracked on its own terms, but the tracker works on a block of
 corners at a time (Bouguet, "Pyramidal Implementation of the Lucas Kanade
 Feature Tracker", 2001). The spatial gradient and its 2x2 normal matrix come
 from the earlier frame and stay fixed while the update iterations re-sample
-the later frame at the moving position; each corner leaves the block's
-working set when it converges or is rejected. A point is reported as
+the later frame at the moving position; at full resolution that gradient is
+GrayFrame.gradient, the one corner detection read. Each corner leaves the
+block's working set when it converges or is rejected. A point is reported as
 untracked when it is too close to the border for its window, when its normal
 matrix is near singular (no texture to lock onto) or when the window leaves
 the frame. One that runs out of iterations inside the frame counts as
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from ..errors import InvalidInputError
 from .corners import CornerSet
-from .frames import GrayFrame
+from .frames import GrayFrame, sobel
 
 # Minimum normalized eigenvalue of the gradient normal matrix for a point to
 # count as trackable (intensities in 0..255).
@@ -36,6 +36,8 @@ _CONVERGENCE = 0.01  # pixels
 # a few hundred kB. Tracking all 128 corners of a 240x180 frame in one block
 # made a ride analysis no faster and took its peak memory from 71 to 77 MB.
 _BLOCK = 32
+_TAPS = np.exp(-0.5 * np.arange(-4, 5) ** 2)
+_TAPS = (_TAPS / _TAPS.sum())[4:]  # pyramid blur: sigma 1, cut at 4, centre first
 
 
 @dataclass
@@ -96,8 +98,17 @@ def _pad(img: np.ndarray) -> np.ndarray:
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
-    blurred = ndimage.gaussian_filter(img, sigma=1.0, mode="nearest")
-    return np.ascontiguousarray(blurred[::2, ::2])
+    """Every second row and column of img blurred by _TAPS, edges repeated:
+    along axis 0, then axis 1, the centre tap, then the symmetric pairs from
+    the outermost in. That is the oracle's order, bit for bit."""
+    for axis in (0, 1):
+        n = img.shape[axis]
+        p = np.pad(np.moveaxis(img, axis, 0), ((4, 4), (0, 0)), mode="edge")
+        img = _TAPS[0] * p[4:4 + n]
+        for j in (4, 3, 2, 1):
+            img += (p[4 + j:4 + j + n] + p[4 - j:4 - j + n]) * _TAPS[j]
+        img = np.moveaxis(img, 0, axis)
+    return np.ascontiguousarray(img[::2, ::2])
 
 
 def _track_level(
@@ -195,20 +206,16 @@ def lk_flow(
 
     half = window // 2
 
-    prevs = [prev.as_float()]
-    nxts = [nxt.as_float()]
+    prevs, nxts, grads = [prev.pixels], [nxt.pixels], [prev.gradient]
     for _ in range(pyramid_levels - 1):
         if min(prevs[-1].shape) < 2 * window:
             break  # stop the pyramid before windows outgrow the image
         prevs.append(_downsample(prevs[-1]))
         nxts.append(_downsample(nxts[-1]))
-
-    grads = []
-    for level_img in prevs:
-        grads.append((_pad(ndimage.sobel(level_img, axis=1, mode="nearest") / 8.0),
-                      _pad(ndimage.sobel(level_img, axis=0, mode="nearest") / 8.0)))
+        grads.append(sobel(prevs[-1]))
     prevs = [_pad(img) for img in prevs]
     nxts = [_pad(img) for img in nxts]
+    grads = [(_pad(gx), _pad(gy)) for gx, gy in grads]
 
     n = len(corners)
     vectors = np.zeros((n, 2), dtype=np.float64)

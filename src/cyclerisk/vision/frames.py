@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import InvalidInputError
+
+
+def sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy): 3x3 Sobel derivatives of a float image / 8, edges repeated.
+
+    The difference along the axis comes first, then the smoothing across it
+    as 2*d[i] + (d[i-1] + d[i+1]): in that order any float image matches the
+    oracle in tests/vision_reference.py bit for bit."""
+    p = np.pad(img, 1, mode="edge")
+    dx = p[:, 2:] - p[:, :-2]
+    dy = p[2:] - p[:-2]
+    return ((2.0 * dx[1:-1] + (dx[:-2] + dx[2:])) / 8.0,
+            (2.0 * dy[:, 1:-1] + (dy[:, :-2] + dy[:, 2:])) / 8.0)
 
 
 @dataclass
@@ -14,7 +28,8 @@ class GrayFrame:
     """A single grayscale video frame.
 
     data holds luminance as a (height, width) uint8 array; index is the
-    position of the frame in its source sequence.
+    position of the frame in its source sequence. Corner detection and the
+    tracker share the float image and gradient, made once on first use.
     """
 
     data: np.ndarray
@@ -30,5 +45,12 @@ class GrayFrame:
             arr = arr.astype(np.uint8)
         self.data = arr
 
-    def as_float(self) -> np.ndarray:
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        """data as float64."""
         return self.data.astype(np.float64)
+
+    @cached_property
+    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """sobel(pixels)."""
+        return sobel(self.pixels)

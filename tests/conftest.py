@@ -37,6 +37,33 @@ def smooth_texture(h, w, seed, lo=20, hi=235, sigma=2.0):
     return (lo + img * (hi - lo)).astype(np.uint8)
 
 
+def filter_images():
+    """Float64 images, as pytest params, for the vision filters: random integer
+    and real values, smooth texture, flat frames, one-row and one-column
+    frames, and the sizes where the flow pyramid stops (2 * window for the
+    windows 21 and 35)."""
+    rng = np.random.default_rng(31)
+    cases = [
+        ("uint8 180x240", rng.integers(0, 256, (180, 240)).astype(np.float64)),
+        ("uint8 47x33", rng.integers(0, 256, (47, 33)).astype(np.float64)),
+        ("real 90x120", rng.uniform(0.0, 255.0, (90, 120))),
+        ("signed 31x29", rng.normal(0.0, 50.0, (31, 29))),
+        ("texture 120x160", smooth_texture(120, 160, seed=3).astype(np.float64)),
+        ("blurred 45x60", ndimage.gaussian_filter(rng.uniform(0, 255, (45, 60)), 1.0)),
+        ("flat 40x50", np.full((40, 50), 137.0)),
+        ("flat real 9x7", np.full((9, 7), 0.1)),
+        ("row 1x64", rng.uniform(0.0, 255.0, (1, 64))),
+        ("column 64x1", rng.uniform(0.0, 255.0, (64, 1))),
+        ("pixel 1x1", np.array([[42.5]])),
+        ("two rows 2x9", rng.integers(0, 256, (2, 9)).astype(np.float64)),
+    ]
+    for window in (21, 35):
+        for h, w in ((2 * window, 2 * window + 30), (2 * window - 1, 100),
+                     (2 * window + 1, 2 * window)):
+            cases.append((f"stop {h}x{w}", rng.uniform(0.0, 255.0, (h, w))))
+    return [pytest.param(img, id=name) for name, img in cases]
+
+
 @pytest.fixture
 def texture_frame():
     from cyclerisk.vision import GrayFrame

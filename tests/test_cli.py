@@ -584,8 +584,11 @@ class TestDryRunAndExitCodes:
         ["gen-ride", "--schedule", "bike:abc"],
         ["gen-ride", "--schedule", "bike:nan"],
         ["gen-ride", "--schedule", "bike:inf"],
+        ["gen-ride", "--schedule", "bike:1e308"],
         ["gen-scene", "--foe", "a,b"],
         ["gen-scene", "--foe", "inf,5"],
+        ["gen-scene", "--noise", "nan"],
+        ["gen-scene", "--noise", "inf"],
     ], ids=lambda a: " ".join(a[1:]))
     def test_bad_generator_args_exit_2_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -869,3 +872,13 @@ class TestJsonFieldTypeExitCodes:
                               "--model", str(e2e_workspace["model"]),
                               "--trainset", str(e2e_workspace["trainset"])])
         assert rc == 2 and "detections.ndjson:2:" in err
+
+
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests' oracles
+    code = ("import sys, cyclerisk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

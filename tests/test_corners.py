@@ -3,10 +3,13 @@ import pytest
 
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.vision import GrayFrame, detect_corners
-from cyclerisk.vision.corners import _subpixel_offsets
+from cyclerisk.vision.corners import (_box_mean, _local_max, _subpixel_offsets,
+                                     min_eigen_response)
+from cyclerisk.vision.frames import sobel
 
-from conftest import smooth_texture
-from vision_reference import _subpixel_offset, reference_corners
+from conftest import filter_images, smooth_texture
+from vision_reference import (_subpixel_offset, reference_box_mean, reference_corners,
+                              reference_local_max, reference_score)
 
 
 def test_bright_square_yields_four_vertex_corners():
@@ -119,3 +122,14 @@ def test_subpixel_offsets_match_reference():
     assert (ref == 0.0).any() and (np.abs(ref) == 0.5).any()
     assert dx.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes()
     assert dy.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("img", filter_images())
+def test_score_map_matches_reference(img):
+    gx, gy = sobel(img)
+    assert min_eigen_response(gx, gy).tobytes() == reference_score(img).tobytes()
+    for a in (gx * gx, gx * gy, gy * gy):
+        # array_equal: a one-pixel-wide gx * gy can sum to -0.0 where the
+        # reference gives 0.0; the score squares that term
+        assert np.array_equal(_box_mean(a), reference_box_mean(a))
+    assert np.array_equal(_local_max(img), reference_local_max(img))

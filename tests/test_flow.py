@@ -3,9 +3,10 @@ import pytest
 
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.vision import CornerSet, GrayFrame, detect_corners, lk_flow
+from cyclerisk.vision.flow import _downsample
 
-from conftest import smooth_texture
-from vision_reference import reference_flow
+from conftest import filter_images, smooth_texture
+from vision_reference import reference_downsample, reference_flow
 
 
 def _shifted_pair(seed, dx, dy, h=240, w=320):
@@ -187,3 +188,8 @@ def test_windows_as_large_as_the_frame_match_reference(shape, window, levels, po
     assert flow.vectors.tobytes() == vectors.tobytes()
     assert flow.tracked.tobytes() == tracked.tobytes()
     assert tracked.any() == (window < min(shape))
+
+
+@pytest.mark.parametrize("img", filter_images())
+def test_downsample_matches_reference(img):
+    assert _downsample(img).tobytes() == reference_downsample(img).tobytes()

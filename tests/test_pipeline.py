@@ -179,3 +179,38 @@ class TestVisionPass:
         stride = PipelineConfig().vision.frame_stride
         pair_frames = {r["frame"] + d for r in bike for d in (0, stride)}
         assert reads == [fileio.frame_filename(i) for i in sorted(pair_frames)]
+
+    def test_gradient_once_per_frame(self, e2e_workspace, tmp_path, monkeypatch):
+        # corners and the tracker both read the earlier frame's gradient, and
+        # that frame is the later frame of the pair before: one Sobel pass
+        # per frame that starts a pair, none for a frame that only ends one
+        from cyclerisk.vision import flow, frames
+
+        calls = []
+        sobel = frames.sobel
+
+        def counting_sobel(img):
+            calls.append(img.shape)
+            return sobel(img)
+
+        reads = []
+        read_pgm = fileio.read_pgm
+
+        def counting_read(path):
+            reads.append(path.name)
+            return read_pgm(path)
+
+        monkeypatch.setattr(frames, "sobel", counting_sobel)
+        monkeypatch.setattr(flow, "sobel", counting_sobel)
+        monkeypatch.setattr(fileio, "read_pgm", counting_read)
+        out = tmp_path / "out"
+        assert main(["--criterion", "proximity", "analyze",
+                     str(e2e_workspace["ride_mixed"]), "--out", str(out),
+                     "--model", str(e2e_workspace["model"]),
+                     "--trainset", str(e2e_workspace["trainset"])]) == 0
+        rows = [json.loads(line)
+                for line in (out / "frames.ndjson").read_bytes().splitlines()]
+        pairs = sum(r["mode"] == "bike" for r in rows)
+        assert pairs > 4
+        assert calls == [(180, 240)] * pairs
+        assert len(reads) == pairs + 1   # the bike frames are one run of pairs

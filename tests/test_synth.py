@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclerisk.behavior import make_windows, preprocess
 from cyclerisk.errors import InvalidInputError
 from cyclerisk.risk import lane_region_map, object_footprint, proximity_region_map
-from cyclerisk.synth import (FRAME_ZOOM, gen_expansion_scene, gen_ride,
+from cyclerisk.synth import (FRAME_ZOOM, MAX_SEGMENT_S, gen_expansion_scene, gen_ride,
                              gen_risk_detections, render_ride_frames)
 from synth_reference import reference_render_ride_frames
 
@@ -159,7 +159,7 @@ class TestRide:
             gen_ride([("walk", 10)])
         with pytest.raises(InvalidInputError):
             gen_ride([("segway", 60)])
-        for dur in (float("nan"), float("inf")):
+        for dur in (float("nan"), float("inf"), 1e308, MAX_SEGMENT_S * 1.001):
             with pytest.raises(InvalidInputError):
                 gen_ride([("bike", dur)])
 

@@ -1,20 +1,53 @@
-"""Per-corner reference implementations of corner refinement and LK flow.
+"""Reference implementations of the vision filters, corner refinement and
+LK flow.
 
-These are the straightforward loops the vectorized code in
-`cyclerisk.vision` replaced. The property tests require the package to
-reproduce them byte for byte, so keep them independent of the package's
-helpers: only the unchanged score map and pyramid downsampler are shared.
+The filters are scipy.ndimage's: the Sobel gradient, the 5x5 box mean and
+3x3 maximum of the corner score, and the Gaussian of the flow pyramid. The
+corners and the flow are the straightforward per-peak and per-corner loops
+the vectorized code in `cyclerisk.vision` replaced. The property tests
+require the package to reproduce all of them byte for byte, so nothing here
+uses the package's own helpers.
 """
 
 import numpy as np
 from scipy import ndimage
 
-from cyclerisk.vision.corners import _BORDER, _NMS_SIZE, min_eigen_response
-from cyclerisk.vision.flow import _downsample
-
+_BORDER = 4
 _MIN_EIG = 1e-3
 _MAX_ITERS = 20
 _CONVERGENCE = 0.01
+
+
+def reference_gradient(img):
+    """(gx, gy): Sobel derivatives of img as float64, divided by 8."""
+    f = np.asarray(img, dtype=np.float64)
+    return (ndimage.sobel(f, axis=1, mode="nearest") / 8.0,
+            ndimage.sobel(f, axis=0, mode="nearest") / 8.0)
+
+
+def reference_box_mean(a):
+    return ndimage.uniform_filter(a, size=5, mode="nearest")
+
+
+def reference_local_max(a):
+    return ndimage.maximum_filter(a, size=3, mode="nearest")
+
+
+def reference_score(img):
+    """Smaller eigenvalue of the 5x5-averaged structure tensor of img."""
+    gx, gy = reference_gradient(img)
+    sxx = reference_box_mean(gx * gx)
+    sxy = reference_box_mean(gx * gy)
+    syy = reference_box_mean(gy * gy)
+    trace = sxx + syy
+    root = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
+    return (trace - root) / 2.0
+
+
+def reference_downsample(img):
+    """Every second row and column of img after a sigma-1 Gaussian blur."""
+    blurred = ndimage.gaussian_filter(img, sigma=1.0, mode="nearest")
+    return np.ascontiguousarray(blurred[::2, ::2])
 
 
 def _subpixel_offset(patch):
@@ -32,7 +65,7 @@ def _subpixel_offset(patch):
 
 def reference_corners(data, max_per_cell=8, grid=(4, 4), quality=0.01):
     """(points, response) as detect_corners computed them one peak at a time."""
-    score = min_eigen_response(data)
+    score = reference_score(data)
     h, w = score.shape
     rows, cols = grid
     interior = np.zeros_like(score, dtype=bool)
@@ -41,7 +74,7 @@ def reference_corners(data, max_per_cell=8, grid=(4, 4), quality=0.01):
     best = float(score[interior].max()) if interior.any() else 0.0
     if best <= 0.0:
         return np.empty((0, 2)), np.empty(0)
-    local_max = score == ndimage.maximum_filter(score, size=_NMS_SIZE, mode="nearest")
+    local_max = score == reference_local_max(score)
     keep = local_max & interior & (score >= quality * best)
     ys, xs = np.nonzero(keep)
     if ys.size == 0:
@@ -132,15 +165,14 @@ def _track_one(prev, gx, gy, nxt, point, guess, half):
 def reference_flow(prev, nxt, points, window=35, pyramid_levels=1):
     """(vectors, tracked) as lk_flow computed them one corner at a time."""
     half = window // 2
-    prevs = [prev.as_float()]
-    nxts = [nxt.as_float()]
+    prevs = [prev.data.astype(np.float64)]
+    nxts = [nxt.data.astype(np.float64)]
     for _ in range(pyramid_levels - 1):
         if min(prevs[-1].shape) < 2 * window:
             break
-        prevs.append(_downsample(prevs[-1]))
-        nxts.append(_downsample(nxts[-1]))
-    grads = [(ndimage.sobel(img, axis=1, mode="nearest") / 8.0,
-              ndimage.sobel(img, axis=0, mode="nearest") / 8.0) for img in prevs]
+        prevs.append(reference_downsample(prevs[-1]))
+        nxts.append(reference_downsample(nxts[-1]))
+    grads = [reference_gradient(img) for img in prevs]
 
     n = points.shape[0]
     vectors = np.zeros((n, 2), dtype=np.float64)
