@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateTrainingError, InvalidInputError
-from .svm import _smo
+from ..errors import DegenerateTrainingError, InvalidInputError, SolverNotConvergedError
+from .svm import SMO_TOL, _smo
 
 
 def _as_binary(y) -> np.ndarray:
@@ -24,7 +24,11 @@ def _as_binary(y) -> np.ndarray:
 
 
 def rfe_rank(X: np.ndarray, y, C: float = 1.0) -> np.ndarray:
-    """Rank features 1 (kept longest) .. d (dropped first) for a binary task."""
+    """Rank features 1 (kept longest) .. d (dropped first) for a binary task.
+
+    A round whose solve stops at the iteration cap unconverged raises
+    SolverNotConvergedError naming the round, C and the final KKT gap.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidInputError("X must be a nonempty 2-D matrix")
@@ -46,7 +50,12 @@ def rfe_rank(X: np.ndarray, y, C: float = 1.0) -> np.ndarray:
         sub = Xs[:, remaining]
         K = sub @ sub.T
         # the box and y'a = 0 outlive a dropped feature: start from last round
-        alpha, _, _ = _smo(K, ypm, C, alpha=alpha)
+        alpha, _, iters, gap = _smo(K, ypm, C, alpha=alpha)
+        if gap >= SMO_TOL:
+            raise SolverNotConvergedError(
+                f"RFE round {d - len(remaining) + 1} ({len(remaining)} features, "
+                f"C={C:g}) stopped at its cap of {iters} iterations with KKT "
+                f"gap {gap:.3g}")
         w = sub.T @ (alpha * ypm)
         drop = int(np.argmin(w ** 2))  # first index wins ties
         rank[remaining[drop]] = len(remaining)

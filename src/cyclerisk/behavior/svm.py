@@ -4,6 +4,8 @@ The dual problem is solved by a sequential two-variable method with
 maximal-violating-pair working-set selection. All tie-breaks fall to the
 lowest index, so training is a pure function of (data order, parameters).
 `rfe.rfe_rank` warm-starts the solver between rounds; `train_svm` starts cold.
+Both raise SolverNotConvergedError when a solve reaches its iteration cap
+with a KKT gap still at or above SMO_TOL, rather than use that alpha.
 Features are standardized internally with train-set statistics, which are
 stored on the model and re-applied at prediction time.
 """
@@ -14,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateTrainingError, InvalidInputError
+from ..errors import DegenerateTrainingError, InvalidInputError, SolverNotConvergedError
 
 _SUPPORT_EPS = 1e-10
+SMO_TOL = 1e-6  # KKT gap at which a solve has converged
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,18 @@ def median_pairwise_distance(X: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-6,
+def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
          max_iter: int | None = None,
-         alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
+         alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, int, float]:
     """Minimize 0.5 a'Qa - sum(a) s.t. 0 <= a <= C, y'a = 0, Q = yy' * K.
 
-    Returns (alpha, bias, iterations). Pair selection is the most-violating
-    pair under the KKT conditions; ties resolve to the first index. A given
-    `alpha` is a feasible warm start (rfe_rank passes each round's solution
-    on); without one the solve starts cold from zero.
+    Returns (alpha, bias, iterations, gap). Pair selection is the
+    most-violating pair under the KKT conditions; ties resolve to the first
+    index. gap is the maximal violation where the solve stopped: below tol
+    when it converged, at or above tol when it stopped at max_iter (-inf
+    when a working set is empty). A given `alpha` is a feasible warm start
+    (rfe_rank passes each round's solution on); without one the solve
+    starts cold from zero.
     """
     n = y.size
     if max_iter is None:
@@ -110,7 +116,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-6,
 
     hi, lo = float(vu.max()), float(vl.min())
     bias = 0.5 * ((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0))
-    return np.array(a), bias, it
+    return np.array(a), bias, it, hi - lo
 
 
 @dataclass
@@ -145,18 +151,8 @@ class SvmModel:
             self.feature_mask = np.ones(self.mu.size, dtype=bool)
         self.feature_mask = np.asarray(self.feature_mask, dtype=bool)
 
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.mu.size:
-            raise InvalidInputError(
-                f"expected {self.mu.size} features after masking, got {X.shape[1]}")
-        return (X - self.mu) / self.scale
-
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        """(m, n_classes) raw decision values, class order = self.classes."""
-        Xs = self._standardize(self._apply_mask(X))
-        return np.column_stack([b.decision(Xs, self.kernel) for b in self.binaries])
-
-    def _apply_mask(self, X: np.ndarray) -> np.ndarray:
+    def standardize(self, X: np.ndarray) -> np.ndarray:
+        """Raw-schema features, masked and scaled with the train-set statistics."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise InvalidInputError("feature matrix must be 2-D")
@@ -164,7 +160,12 @@ class SvmModel:
             raise InvalidInputError(
                 f"feature matrix has {X.shape[1]} columns; schema expects "
                 f"{self.feature_mask.size}")
-        return X[:, self.feature_mask]
+        return (X[:, self.feature_mask] - self.mu) / self.scale
+
+    def decision_values(self, X: np.ndarray) -> np.ndarray:
+        """(m, n_classes) raw decision values, class order = self.classes."""
+        Xs = self.standardize(X)
+        return np.column_stack([b.decision(Xs, self.kernel) for b in self.binaries])
 
     def predict(self, X: np.ndarray) -> list[str]:
         dv = self.decision_values(X)
@@ -214,7 +215,11 @@ def train_svm(X: np.ndarray, y: list, C: float = 1.0,
     yarr = np.array(labels)
     for c in classes:
         ypm = np.where(yarr == c, 1.0, -1.0)
-        alpha, bias, _ = _smo(K, ypm, C)
+        alpha, bias, iters, gap = _smo(K, ypm, C)
+        if gap >= SMO_TOL:
+            raise SolverNotConvergedError(
+                f"SVM for class {c!r} (C={C:g}, kernel {kernel.name}) stopped at "
+                f"its cap of {iters} iterations with KKT gap {gap:.3g}")
         sv = alpha > _SUPPORT_EPS
         coef = (alpha * ypm)[sv]
         w = Xs[sv].T @ coef if kernel.name == "linear" else None

@@ -2,13 +2,16 @@
 
 Subcommands: analyze, train-risk, train-behavior, classify-behavior,
 gen-scene, gen-ride, eval. Exit codes: 0 success, 2 input error,
-3 config error, 4 numeric/degenerate failure.
+3 config error, 4 numeric/degenerate failure (an SVM solve that stops at its
+iteration cap unconverged included), 141 standard output closed early (as
+by `| head -1`; 128 + SIGPIPE, as a shell reports it), without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -23,20 +26,22 @@ from .emd import (RiskTrainingSet, TrainingItem, build_distance_matrix,
 from .errors import (ConfigError, DegenerateGeometryError,
                      DegenerateTrainingError, InsufficientDataError,
                      InsufficientFlowError, InvalidInputError,
-                     RecordParseError, ZeroMassError)
+                     RecordParseError, SolverNotConvergedError, ZeroMassError)
 from .pipeline import (analyze_ride, label_windows, load_ride, segment_modes,
                        write_analysis, write_windows)
 from .risk import RiskParams, region_map_for
 from .synth import (MIN_RENDER_SIZE, gen_expansion_scene, gen_ride,
                     render_ride_frames, script_detections)
 
+EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE
 EVAL_C_GRID = (0.5, 1.0, 10.0, 20.0)
 EVAL_KERNELS = ("linear", "poly2", "poly3", "gaussian")
 
 _INPUT_ERRORS = (InvalidInputError, RecordParseError, FileNotFoundError)
 _NUMERIC_ERRORS = (DegenerateGeometryError, InsufficientFlowError,
                    ZeroMassError, DegenerateTrainingError,
-                   InsufficientDataError, np.linalg.LinAlgError)
+                   InsufficientDataError, SolverNotConvergedError,
+                   np.linalg.LinAlgError)
 
 
 # ------------------------------------------------------------- arg parsing
@@ -171,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig().validate()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
@@ -221,11 +226,9 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _load_gamma_profile(path, cfg: PipelineConfig) -> RiskParams:
-    base = dict(footprint_height_frac=cfg.risk.footprint_frac,
-                footprint_min_height=cfg.risk.footprint_min_px)
+def _load_gamma_profile(path) -> RiskParams:
     if path is None:
-        return RiskParams(**base)
+        return RiskParams()
     data = fileio.parse_json(fileio.read_text(path), "bad coefficient profile", path)
     if not isinstance(data, dict):
         raise InvalidInputError("coefficient profile must be a JSON object")
@@ -233,25 +236,26 @@ def _load_gamma_profile(path, cfg: PipelineConfig) -> RiskParams:
     if unknown:
         raise InvalidInputError(
             f"unknown coefficient profile key(s) {sorted(unknown)}")
+    params = {}
     if "class_coeffs" in data:
         coeffs = data["class_coeffs"]
         if not isinstance(coeffs, dict) or not all(map(_is_finite, coeffs.values())):
             raise InvalidInputError("class_coeffs must map class names to finite numbers")
-        base["class_coeffs"] = {str(k): float(v) for k, v in coeffs.items()}
+        params["class_coeffs"] = {str(k): float(v) for k, v in coeffs.items()}
     if "cell_coeffs" in data:
         cells = data["cell_coeffs"]
         if (not isinstance(cells, list) or len(cells) != 25
                 or not all(map(_is_finite, cells))):
             raise InvalidInputError("cell_coeffs must list 25 finite numbers")
-        base["cell_coeffs"] = np.array([0.0] + [float(v) for v in cells])
-    return RiskParams(**base)
+        params["cell_coeffs"] = np.array([0.0] + [float(v) for v in cells])
+    return RiskParams(**params)
 
 
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
     ride = load_ride(args.ride)
     model = fileio.read_model(args.model)
     train = fileio.read_training_set(args.trainset)
-    params = _load_gamma_profile(args.gamma_profile, cfg)
+    params = _load_gamma_profile(args.gamma_profile)
     result = analyze_ride(ride, model, train, cfg, params)
     write_analysis(args.out, result)
     analyzed = sum(1 for f in result.frames if f.level is not None)
@@ -341,17 +345,18 @@ def cmd_classify_behavior(args, cfg: PipelineConfig) -> int:
     stream = fileio.read_sensor_csv(sensors)
     windows = label_windows(stream, model, cfg)
     segments = segment_modes(windows, [], stream)
+    # files first, so a reader that closes stdout early cannot cut them short
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_windows(out / "windows.ndjson", windows)
+        fileio.write_report_geojson(out / "report.geojson", segments)
     for w in windows:
         print(w.to_json())
     for seg in segments:
         print(fileio.canonical_json(
             {"mode": seg["mode"], "start_t": seg["start_t"],
              "end_t": seg["end_t"]}))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_windows(out / "windows.ndjson", windows)
-        fileio.write_report_geojson(out / "report.geojson", segments)
     return 0
 
 
@@ -489,11 +494,15 @@ def _eval_behavior(args, cfg: PipelineConfig) -> int:
     ytr = [y[i] for i in train_idx]
     yte = [y[i] for i in test_idx]
 
-    grid = []
+    grid = []   # None marks a cell whose training did not converge
     for C in EVAL_C_GRID:
         row = []
         for kname in EVAL_KERNELS:
-            model = train_svm(X[train_idx], ytr, C=C, kernel=KernelSpec(kname))
+            try:
+                model = train_svm(X[train_idx], ytr, C=C, kernel=KernelSpec(kname))
+            except SolverNotConvergedError:
+                row.append(None)
+                continue
             row.append(loss(model, X[test_idx], yte))
         grid.append(row)
 
@@ -507,11 +516,12 @@ def _eval_behavior(args, cfg: PipelineConfig) -> int:
     for t, g in zip(yte, pred):
         counts[pos[t]][pos[g]] += 1
 
-    width = 10
+    width = 12
     print("behavior loss grid (rows C, columns kernel):")
     print("C".ljust(width) + "".join(k.rjust(width) for k in EVAL_KERNELS))
     for C, row in zip(EVAL_C_GRID, grid):
-        print(f"{C:<{width}g}" + "".join(f"{v:>{width}.4f}" for v in row))
+        print(f"{C:<{width}g}" + "".join("unconverged".rjust(width) if v is None
+                                         else f"{v:>{width}.4f}" for v in row))
     print(f"confusion at C={cfg.behavior.C:g} {cfg.behavior.kernel} "
           "(row-normalized %):")
     print(_confusion_text(classes, counts))
@@ -537,8 +547,18 @@ def main(argv=None) -> int:
             print(fileio.canonical_json(cfg.to_dict()))
             for line in _inventory(args):
                 print(line)
-            return 0
-        return args.func(args, cfg)
+            code = 0
+        else:
+            code = args.func(args, cfg)
+        sys.stdout.flush()   # a closed pipe fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at
+        # interpreter exit cannot fail again, and stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,9 @@
 """Run configuration: nested dataclasses with strict dict/JSON round-tripping.
 
+Each section is the parameter object of its stage: `refine_foe` takes a
+`FoeConfig`, `risk_descriptor` a `RiskConfig`. Sections are frozen and check
+their bounds on construction (ConfigError), so a section object is valid
+wherever it exists, whether a config file, `--set` or library code built it.
 Unknown keys are rejected rather than ignored so a typo in a config file
 fails loudly instead of silently running on defaults.
 """
@@ -62,7 +66,7 @@ def _check_grid(name: str, grid) -> None:
         raise ConfigError(f"{name} must be two integers >= 1, got {grid}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisionConfig:
     clahe_grid: tuple[int, int] = (4, 4)
     clahe_clip: float = 0.03
@@ -73,7 +77,7 @@ class VisionConfig:
     lk_levels: int = 1
     frame_stride: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_ints(self)
         _check_grid("clahe_grid", self.clahe_grid)
         if not 0.0 < self.clahe_clip <= 1.0:
@@ -91,7 +95,7 @@ class VisionConfig:
             raise ConfigError("frame_stride must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoeConfig:
     delta: float = 1.0
     tol: float = 1.0
@@ -102,7 +106,7 @@ class FoeConfig:
     smooth_window: int = 5
     smooth_decay: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_ints(self)
         _check_finite("delta", self.delta, strict=True)
         _check_finite("tol", self.tol, strict=True)
@@ -120,13 +124,13 @@ class FoeConfig:
         _check_finite("smooth_decay", self.smooth_decay, strict=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RiskConfig:
     criterion: str = "lane"
     footprint_frac: float = 0.2
     footprint_min_px: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.criterion not in ("lane", "proximity"):
             raise ConfigError(f"criterion must be lane or proximity, "
                               f"got {self.criterion!r}")
@@ -135,12 +139,12 @@ class RiskConfig:
         _check_finite("footprint_min_px", self.footprint_min_px, strict=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmdConfig:
     cross_factor: float = 2.0
     k: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_ints(self)
         if not 1.0 <= self.cross_factor < math.inf:
             raise ConfigError(
@@ -149,7 +153,7 @@ class EmdConfig:
             raise ConfigError("k must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorConfig:
     C: float = 1.0
     kernel: str = "linear"
@@ -157,7 +161,7 @@ class BehaviorConfig:
     smooth_window: int = 10
     smooth_decay: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_ints(self)
         _check_finite("C", self.C, strict=True)
         if self.kernel not in ("linear", "poly2", "poly3", "gaussian"):
@@ -173,7 +177,7 @@ _SECTIONS = {"vision": VisionConfig, "foe": FoeConfig, "risk": RiskConfig,
              "emd": EmdConfig, "behavior": BehaviorConfig}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     vision: VisionConfig = field(default_factory=VisionConfig)
     foe: FoeConfig = field(default_factory=FoeConfig)
@@ -181,11 +185,6 @@ class PipelineConfig:
     emd: EmdConfig = field(default_factory=EmdConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     seed: int = 0
-
-    def validate(self) -> "PipelineConfig":
-        for name in _SECTIONS:
-            getattr(self, name).validate()
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -204,7 +203,7 @@ class PipelineConfig:
         try:
             if "seed" in data:
                 kwargs["seed"] = int(data["seed"])
-            return cls(**kwargs).validate()
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:   # a value of the wrong type
             raise ConfigError(str(exc)) from exc
 

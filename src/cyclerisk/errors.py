@@ -33,6 +33,10 @@ class DegenerateTrainingError(CycleRiskError):
     """A training set lacks the variety needed to fit a model (e.g. one class)."""
 
 
+class SolverNotConvergedError(CycleRiskError):
+    """An iterative solver reached its iteration cap short of its tolerance."""
+
+
 class RecordParseError(CycleRiskError):
     """A record file is malformed. Carries the offending line when known."""
 

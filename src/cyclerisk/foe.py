@@ -11,6 +11,11 @@ their annulus's mean speed are discounted) and an object term
 rows with a zero weight or a zero vector take no part. An orientation
 refinement pass then drops flows whose direction disagrees with the radial
 expansion pattern around the estimate and re-solves.
+
+The settings (Huber corner, refinement tolerance, pruning angle, round cap,
+quorum and ring radii) are the fields of `config.FoeConfig`, which checks
+their bounds; library callers pass one, e.g.
+`refine_foe(points, vectors, weights, cfg=FoeConfig(angle_thresh=20.0))`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FoeConfig
 from .errors import DegenerateGeometryError, InsufficientFlowError, InvalidInputError
 
 # Flat zone weights for magnitude consistency: strong disagreement, mild
@@ -31,13 +37,11 @@ _MAG_INLIER = 1.00
 _COND_LIMIT = 1e12
 
 # Reweighted solves per estimate, and the step (px) that ends them. The
-# tolerance is deliberately much tighter than HuberConfig.tol: the inner
+# tolerance is deliberately much tighter than FoeConfig.tol: the inner
 # solver must localize the optimum well below a pixel for the refinement
 # geometry to be meaningful.
 _IRLS_MAX_ITERS = 50
 _IRLS_TOL = 1e-8
-
-DEFAULT_RING_RADII = (0.15, 0.30, 0.50)
 
 
 @dataclass
@@ -57,35 +61,6 @@ class FoeEstimate:
     objective_history: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class HuberConfig:
-    """Estimation knobs.
-
-    delta is the Huber corner in weighted-residual units; tol the convergence
-    threshold in pixels for the refinement loop; angle_thresh the maximum
-    radial deviation in degrees a flow may have and survive pruning.
-    """
-
-    delta: float = 1.0
-    tol: float = 1.0
-    angle_thresh: float = 30.0
-    max_refine_iters: int = 10
-    min_flows: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < np.inf:
-            raise InvalidInputError(f"delta must be finite and > 0, got {self.delta}")
-        if not 0.0 < self.tol < np.inf:
-            raise InvalidInputError(f"tol must be finite and > 0, got {self.tol}")
-        if not 0.0 < self.angle_thresh <= 90.0:
-            raise InvalidInputError(
-                f"angle_thresh must be in (0, 90] degrees, got {self.angle_thresh}")
-        if self.max_refine_iters < 1:
-            raise InvalidInputError("max_refine_iters must be >= 1")
-        if self.min_flows < 2:
-            raise InvalidInputError("min_flows must be >= 2")
-
-
 def _magnitudes(vectors: np.ndarray) -> np.ndarray:
     return np.hypot(vectors[:, 0], vectors[:, 1])
 
@@ -95,7 +70,7 @@ def magnitude_weights(
     vectors: np.ndarray,
     prev_foe: np.ndarray,
     frame_size: tuple[int, int],
-    radii: tuple[float, ...] = DEFAULT_RING_RADII,
+    radii: tuple[float, ...] = FoeConfig.ring_radii,
 ) -> np.ndarray:
     """Weight each flow by how well its speed matches its annulus.
 
@@ -167,7 +142,7 @@ def _usable(points, vectors, weights) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
-                 cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
+                 cfg: FoeConfig = FoeConfig()) -> FoeEstimate:
     """Robustly intersect the flow lines.
 
     Solves argmin_x sum_i huber_delta(f(x, L_i) / w_i) where f is the
@@ -224,7 +199,7 @@ def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
 
 
 def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
-               cfg: HuberConfig = HuberConfig()) -> FoeEstimate:
+               cfg: FoeConfig = FoeConfig()) -> FoeEstimate:
     """Alternate estimation with radial-orientation pruning.
 
     After each solve, flows whose direction deviates from the outward radial

@@ -25,8 +25,7 @@ from .behavior.svm import SvmModel
 from .config import PipelineConfig
 from .emd import RiskTrainingSet, build_distance_matrix, classify_risk
 from .errors import (CycleRiskError, InvalidInputError)
-from .foe import (FoeSmoother, HuberConfig, magnitude_weights, object_weights,
-                  refine_foe)
+from .foe import FoeSmoother, magnitude_weights, object_weights, refine_foe
 from .risk import RiskParams, lane_region_map, proximity_region_map, risk_descriptor
 from .vision import GrayFrame, clahe, detect_corners, lk_flow
 
@@ -136,7 +135,7 @@ def label_windows(stream: SensorStream, model: SvmModel,
     windows = make_windows(grid)
     X = features_matrix(windows)
     probs = softmax(model.decision_values(X))
-    Xs = (X[:, model.feature_mask] - model.mu) / model.scale
+    Xs = model.standardize(X)
     bandwidth = b.bandwidth
     if bandwidth is None:
         bandwidth = model.smoother_bandwidth or 1.0
@@ -211,10 +210,6 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                            pos=_gps_at(ride.stream, t))
     bike = [i for i in processed if rows[i].mode == "bike"]
 
-    hcfg = HuberConfig(delta=cfg.foe.delta, tol=cfg.foe.tol,
-                       angle_thresh=cfg.foe.angle_thresh,
-                       max_refine_iters=cfg.foe.max_refine_iters,
-                       min_flows=cfg.foe.min_flows)
     smoother = FoeSmoother(window=cfg.foe.smooth_window,
                            decay=cfg.foe.smooth_decay)
     nxt = None
@@ -241,7 +236,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             weights = (magnitude_weights(points, vectors, prev_foe, dims,
                                          cfg.foe.ring_radii)
                        * object_weights(points, dets))
-            refined = refine_foe(points, vectors, weights, hcfg)
+            refined = refine_foe(points, vectors, weights, cfg.foe)
             smoothed = smoother.push(i, refined.point)
             prev_foe = smoothed
             row.foe = (float(smoothed[0]), float(smoothed[1]))
@@ -250,7 +245,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                 dist = build_distance_matrix(rmap, train.cross_factor)
             else:
                 rmap, dist = prox_map, prox_dist
-            desc = risk_descriptor(dets, rmap, risk_params, frame=i)
+            desc = risk_descriptor(dets, rmap, risk_params, frame=i, cfg=cfg.risk)
             verdict = classify_risk(desc, train, dist, k=cfg.emd.k)
             row.level = verdict.level
             result.descriptors.append(desc)

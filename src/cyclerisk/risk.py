@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RiskConfig
 from .errors import InvalidInputError
 
 LANE = "lane"
@@ -221,7 +222,7 @@ def default_cell_coeffs(criterion: str) -> np.ndarray:
 
 @dataclass
 class RiskParams:
-    """Descriptor coefficients.
+    """Descriptor coefficients, the two a `--gamma-profile` file may set.
 
     class_coeffs scales by object class; cell_coeffs (26 entries, index 0
     unused) scales by sub-region and defaults to color-base times band
@@ -231,8 +232,6 @@ class RiskParams:
     class_coeffs: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_COEFFS))
     cell_coeffs: np.ndarray | None = None
-    footprint_height_frac: float = 0.2
-    footprint_min_height: float = 10.0
 
     def __post_init__(self) -> None:
         for label, c in self.class_coeffs.items():
@@ -246,26 +245,18 @@ class RiskParams:
             if not ((cc[1:] >= 0) & (cc[1:] < np.inf)).all():
                 raise InvalidInputError("cell coefficients must be finite and nonnegative")
             self.cell_coeffs = cc
-        if not 0.0 < self.footprint_height_frac <= 1.0:
-            raise InvalidInputError("footprint_height_frac must be in (0, 1]")
-        if not 0.0 <= self.footprint_min_height < np.inf:
-            raise InvalidInputError("footprint_min_height must be finite and >= 0")
 
 
-def object_footprint(
-    det: Detection,
-    dims: tuple[int, int],
-    height_frac: float = 0.2,
-    min_height: float = 10.0,
-) -> tuple[float, float, float, float]:
+def object_footprint(det: Detection, dims: tuple[int, int],
+                     cfg: RiskConfig = RiskConfig()) -> tuple[float, float, float, float]:
     """Ground-contact strip of a detection, clamped to the frame.
 
     The strip keeps the box width and hugs the box bottom with height
-    max(height_frac * box_height, min_height).
+    max(cfg.footprint_frac * box_height, cfg.footprint_min_px).
     """
     w, h = dims
     x, y, bw, bh = det.bbox
-    fh = max(height_frac * bh, min_height)
+    fh = max(cfg.footprint_frac * bh, cfg.footprint_min_px)
     fy = y + bh - fh
     x0 = float(np.clip(x, 0.0, w))
     x1 = float(np.clip(x + bw, 0.0, w))
@@ -311,13 +302,15 @@ def risk_descriptor(
     region_map: RegionMap,
     params: RiskParams | None = None,
     frame: int = 0,
+    cfg: RiskConfig = RiskConfig(),
 ) -> RiskDescriptor:
     """Accumulate footprint occupancy into the 25 sub-region bins.
 
     Each known-class detection adds class_coeff * score * cell_coeff *
     (footprint pixels inside the sub-region / sub-region pixels) to every
-    sub-region its footprint touches. Unknown classes are skipped and
-    counted. No detections means a legitimately all-zero descriptor.
+    sub-region its footprint touches; cfg sets the footprint strip. Unknown
+    classes are skipped and counted. No detections means a legitimately
+    all-zero descriptor.
     """
     params = params or RiskParams()
     cell = params.cell_coeffs
@@ -335,9 +328,7 @@ def risk_descriptor(
         if coeff is None:
             skipped += 1
             continue
-        fx, fy, fw, fh = object_footprint(det, region_map.dims,
-                                          params.footprint_height_frac,
-                                          params.footprint_min_height)
+        fx, fy, fw, fh = object_footprint(det, region_map.dims, cfg)
         x0 = int(np.floor(fx))
         x1 = int(np.ceil(fx + fw))
         y0 = int(np.floor(fy))

@@ -4,7 +4,8 @@ This is the object path the array code in `cyclerisk.foe` replaced: one
 `FlowObservation` per flow, weighted one flow (and one box) at a time, and
 re-stacked into arrays on every solve. The property tests require the
 package to reproduce it byte for byte, so keep it independent of the
-package's helpers: only the config and result records are shared.
+package's helpers: only the settings (`FoeConfig`) and the result record
+are shared.
 """
 
 import math
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclerisk.errors import DegenerateGeometryError, InsufficientFlowError, InvalidInputError
-from cyclerisk.foe import DEFAULT_RING_RADII, FoeEstimate, HuberConfig
+from cyclerisk.config import FoeConfig
+from cyclerisk.foe import FoeEstimate
 
 _MAG_OUTLIER = 0.10
 _MAG_MID = 0.75
@@ -67,7 +69,7 @@ def observations_from_flow(flow) -> list:
 
 
 def assign_magnitude_weights(observations, prev_foe, frame_size,
-                             radii=DEFAULT_RING_RADII) -> None:
+                             radii=FoeConfig.ring_radii) -> None:
     if not observations:
         return
     w, h = frame_size
@@ -129,7 +131,7 @@ def _huber_value(t, delta):
     return np.where(a <= delta, 0.5 * t * t, delta * (a - 0.5 * delta))
 
 
-def estimate_foe(observations, cfg=HuberConfig()) -> FoeEstimate:
+def estimate_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
     usable = _usable(observations)
     n = len(usable)
     if n < cfg.min_flows:
@@ -180,7 +182,7 @@ def estimate_foe(observations, cfg=HuberConfig()) -> FoeEstimate:
                        objective_history=history)
 
 
-def refine_foe(observations, cfg=HuberConfig()) -> FoeEstimate:
+def refine_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
     active = _usable(observations)
     est = estimate_foe(active, cfg)
     solves = 1

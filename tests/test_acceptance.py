@@ -295,7 +295,7 @@ def test_g07_svm_dual_matches_qp_oracle():
             y[0] = -y[0]
         C = float(rng.choice([0.5, 1.0, 10.0]))
         K = kernel_matrix(KernelSpec("linear"), X, X)
-        alpha, _, _ = _smo(K, y, C)
+        alpha, *_ = _smo(K, y, C)
         Q = K * np.outer(y, y)
         ours = float(0.5 * alpha @ Q @ alpha - alpha.sum())
         worst = max(worst, abs(ours - qp_oracle(K, y, C)))

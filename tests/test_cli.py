@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -17,9 +18,9 @@ from cyclerisk import fileio
 from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
                            _parse_size, _load_gamma_profile, main,
                            resolve_config)
-from cyclerisk.config import PipelineConfig
 from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError, RecordParseError
+from cyclerisk.risk import DEFAULT_CLASS_COEFFS
 from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
                          ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
                          sensor_csv_text)
@@ -63,16 +64,17 @@ class TestParsers:
 
 class TestGammaProfile:
     def test_none_uses_config(self):
-        cfg = PipelineConfig()
-        params = _load_gamma_profile(None, cfg)
-        assert params.footprint_height_frac == cfg.risk.footprint_frac
+        # without a profile the coefficients are the defaults; the footprint
+        # is no coefficient and comes from cfg.risk alone
+        params = _load_gamma_profile(None)
+        assert params.class_coeffs == DEFAULT_CLASS_COEFFS
         assert params.cell_coeffs is None
 
     def test_file_overrides(self, tmp_path):
         p = tmp_path / "gamma.json"
         p.write_text(json.dumps({"class_coeffs": {"car": 0.5},
                                  "cell_coeffs": [0.1] * 25}))
-        params = _load_gamma_profile(p, PipelineConfig())
+        params = _load_gamma_profile(p)
         assert params.class_coeffs == {"car": 0.5}
         assert params.cell_coeffs.shape == (26,)
         assert params.cell_coeffs[0] == 0.0
@@ -82,19 +84,19 @@ class TestGammaProfile:
         p = tmp_path / "gamma.json"
         p.write_text(json.dumps({"cell_coeffs": [0.1] * 24}))
         with pytest.raises(InvalidInputError, match="25"):
-            _load_gamma_profile(p, PipelineConfig())
+            _load_gamma_profile(p)
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "gamma.json"
         p.write_text(json.dumps({"gammas": []}))
         with pytest.raises(InvalidInputError, match="unknown"):
-            _load_gamma_profile(p, PipelineConfig())
+            _load_gamma_profile(p)
 
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "gamma.json"
         p.write_bytes(b'{"class_coeffs": {"\xff": 0.5}}')
         with pytest.raises(RecordParseError, match="UTF-8"):
-            _load_gamma_profile(p, PipelineConfig())
+            _load_gamma_profile(p)
 
     @pytest.mark.parametrize("body", [
         "5", '{"class_coeffs": {"car": "abc"}}', '{"cell_coeffs": 3}',
@@ -218,6 +220,91 @@ class TestClassifyBehavior:
             (e2e_workspace["out_mixed"] / "windows.ndjson").read_bytes()
         assert written.decode().splitlines() == \
             stdout.splitlines()[:len(windows)]
+
+
+    def test_closed_stdout_ends_quietly(self, e2e_workspace, tmp_path):
+        # `classify-behavior ... | head -1` on a 45-minute ride: the reader
+        # takes one line and closes the pipe while rows are still coming.
+        # The pipe is shrunk to one page so the writer is surely blocked
+        # on it at the close, whatever the machine's default capacity.
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe capacity cannot be set on this platform")
+        ride = tmp_path / "long"
+        assert quiet_main(["--seed", "5", "gen-ride", "--out", str(ride), "--schedule",
+                           "walk:900,bike:900,motor:900"])[0] == 0
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cyclerisk.cli", "classify-behavior",
+             "--model", str(e2e_workspace["model"]), "--ride", str(ride)],
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env())
+        os.close(write_end)
+        line = b""
+        while not line.endswith(b"\n"):
+            chunk = os.read(read_end, 1)
+            assert chunk, "no line before the end of output"
+            line += chunk
+        os.close(read_end)
+        _, err = child.communicate(timeout=60)
+        assert json.loads(line)["start"] == 0
+        assert b"Traceback" not in err, err.decode()
+        assert err == b""
+        assert child.returncode == 141
+
+
+def random_label_ride(root, seed=0):
+    """A 10-minute ride whose windows carry coin-flip labels "a" and "b".
+
+    No hyperplane separates them, so at C = 10 the linear machine's solve
+    reaches its iteration cap unconverged; poly2, poly3 and gaussian
+    converge.
+    """
+    ride = root / f"coin{seed}"
+    assert quiet_main(["--seed", "3", "gen-ride", "--out", str(ride),
+                       "--schedule", "walk:300,bike:300"])[0] == 0
+    starts = [s for s, _ in fileio.read_window_labels(ride / "labels.ndjson")]
+    rng = np.random.default_rng(seed)
+    fileio.write_window_labels(ride / "labels.ndjson",
+                               [(s, "ab"[int(rng.integers(0, 2))]) for s in starts])
+    return ride
+
+
+class TestUnconvergedSvm:
+    def test_train_behavior_exit_4(self, tmp_path, capsys):
+        ride = random_label_ride(tmp_path)
+        out = tmp_path / "m.cymd"
+        rc, _, err = run(capsys, "--set", "behavior.C=10", "train-behavior",
+                         "--rides", str(ride), "--out", str(out))
+        assert rc == 4
+        assert "numeric failure" in err
+        assert "class 'a' (C=10, kernel linear)" in err and "KKT gap" in err
+        assert not out.exists()
+
+    def test_rfe_exit_4(self, tmp_path, capsys):
+        ride = random_label_ride(tmp_path)
+        rc, _, err = run(capsys, "--set", "behavior.C=10", "train-behavior",
+                         "--rides", str(ride), "--out", str(tmp_path / "m.cymd"),
+                         "--rfe-top", "8")
+        assert rc == 4
+        assert "RFE round" in err and "C=10" in err
+
+    def test_eval_prints_the_cell_and_goes_on(self, tmp_path, capsys):
+        ride = random_label_ride(tmp_path)
+        out = tmp_path / "beh.json"
+        rc, stdout, _ = run(capsys, "--set", "behavior.kernel=gaussian", "eval",
+                            "--task", "behavior", "--rides", str(ride),
+                            "--json", str(out))
+        assert rc == 0
+        grid = json.loads(out.read_text())["loss_grid"]["loss"]
+        # rows C = 0.5, 1, 10, 20; the linear column is first
+        assert [row[0] is None for row in grid] == [False, True, True, True]
+        assert all(v is not None for row in grid for v in row[1:])
+        lines = stdout.splitlines()
+        head = lines.index("behavior loss grid (rows C, columns kernel):")
+        assert lines[head + 2].split()[:2] == ["0.5", f"{grid[0][0]:.4f}"]
+        assert lines[head + 3].split()[:2] == ["1", "unconverged"]
+        assert "confusion at C=1 gaussian" in stdout
 
 
 class TestTrainRisk:

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
-from cyclerisk.config import (PipelineConfig, apply_overrides, load_config)
+import dataclasses
+
+from cyclerisk.config import (BehaviorConfig, EmdConfig, FoeConfig, PipelineConfig,
+                             RiskConfig, VisionConfig, apply_overrides, load_config)
 from cyclerisk.errors import ConfigError
 
 
 class TestDefaults:
     def test_default_values(self):
-        cfg = PipelineConfig().validate()
+        cfg = PipelineConfig()
         assert cfg.vision.clahe_grid == (4, 4)
         assert cfg.vision.clahe_clip == 0.03
         assert cfg.vision.lk_window == 35
@@ -99,6 +102,24 @@ class TestFromDict:
             for grid in ([1.5, 2], [2, 2.5], [True, 2], [2, 2, 2], [0, 2]):
                 with pytest.raises(ConfigError, match=key):
                     PipelineConfig.from_dict({"vision": {key: grid}})
+
+    @pytest.mark.parametrize("section, key, bad", [
+        (VisionConfig, "lk_window", 4), (FoeConfig, "min_flows", 2),
+        (RiskConfig, "footprint_frac", 0.0), (EmdConfig, "k", 0),
+        (BehaviorConfig, "kernel", "cubic"),
+    ])
+    def test_section_checked_on_construction_and_frozen(self, section, key, bad):
+        # a section object is valid wherever it exists: library code that
+        # builds one gets the bounds of a config file, and nothing can
+        # change a value afterwards
+        with pytest.raises(ConfigError, match=key):
+            section(**{key: bad})
+        sec = section()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sec, key, bad)
+        cfg = PipelineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
 
     def test_lists_become_tuples(self):
         cfg = PipelineConfig.from_dict({"foe": {"ring_radii": [0.1, 0.2, 0.4]}})

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclerisk import pipeline
-from cyclerisk.config import PipelineConfig
+from cyclerisk.config import FoeConfig, PipelineConfig
 from cyclerisk.errors import (
+    ConfigError,
     CycleRiskError,
     DegenerateGeometryError,
     InsufficientFlowError,
@@ -18,7 +19,6 @@ from cyclerisk.errors import (
 )
 from cyclerisk.foe import (
     FoeSmoother,
-    HuberConfig,
     estimate_foe,
     magnitude_weights,
     object_weights,
@@ -154,7 +154,7 @@ class TestEstimate:
     def test_huge_delta_matches_least_squares(self):
         scene = gen_expansion_scene((310.0, 120.0), n=40, noise=1.0, seed=2)
         est = estimate_foe(scene.points, scene.vectors, unit_weights(scene),
-                           HuberConfig(delta=1e9))
+                           FoeConfig(delta=1e9))
         normals, offsets = normals_offsets(scene.points, scene.vectors)
         lsq, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
         assert np.linalg.norm(est.point - lsq) <= 1e-6
@@ -169,7 +169,7 @@ class TestEstimate:
     def test_objective_beats_local_lattice(self, seed):
         scene = gen_expansion_scene((250.0, 190.0), n=80, noise=1.0,
                                     outlier_frac=0.3, seed=seed)
-        cfg = HuberConfig()
+        cfg = FoeConfig()
         wts = unit_weights(scene)
         est = estimate_foe(scene.points, scene.vectors, wts, cfg)
         normals, offsets = normals_offsets(scene.points, scene.vectors)
@@ -257,7 +257,7 @@ class TestRefine:
         assert np.linalg.norm(est.point - QUORUM_FOE) <= 1e-6
 
 
-def array_path(points, vectors, detections, prev_foe, frame, cfg=HuberConfig(), weights=None):
+def array_path(points, vectors, detections, prev_foe, frame, cfg=FoeConfig(), weights=None):
     """refine_foe on arrays, weighted as analyze weights them; or the error type."""
     try:
         if weights is None:
@@ -268,7 +268,7 @@ def array_path(points, vectors, detections, prev_foe, frame, cfg=HuberConfig(), 
         return type(exc)
 
 
-def reference_path(observations, detections, prev_foe, frame, cfg=HuberConfig(), weights=None):
+def reference_path(observations, detections, prev_foe, frame, cfg=FoeConfig(), weights=None):
     """The same through the per-flow reference; or the error type."""
     try:
         if weights is None:
@@ -283,7 +283,7 @@ def reference_path(observations, detections, prev_foe, frame, cfg=HuberConfig(),
 
 
 def assert_same_as_reference(points, vectors, detections=(), prev_foe=(240.0, 180.0),
-                             frame=FRAME, cfg=HuberConfig(), weights=None):
+                             frame=FRAME, cfg=FoeConfig(), weights=None):
     observations = [ref.FlowObservation(p, v) for p, v in zip(points, vectors)]
     want = reference_path(observations, detections, prev_foe, frame, cfg, weights)
     got = array_path(points, vectors, detections, prev_foe, frame, cfg, weights)
@@ -472,13 +472,25 @@ class TestSmoother:
 
 
 class TestConfig:
+    # the stage's settings are the config section, so the config's bounds
+    # hold for library callers too: angle_thresh 90 and min_flows 2 included
     @pytest.mark.parametrize("kwargs", [
         {"delta": 0.0}, {"delta": -1.0}, {"tol": 0.0},
         {"angle_thresh": 0.0}, {"angle_thresh": 120.0},
         {"max_refine_iters": 0}, {"min_flows": 1},
         {"delta": float("nan")}, {"tol": float("nan")}, {"delta": float("inf")},
         {"angle_thresh": float("nan")},
+        {"angle_thresh": 90.0}, {"min_flows": 2},
     ])
     def test_bad_config_rejected(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            HuberConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            FoeConfig(**kwargs)
+
+    def test_angle_thresh_reaches_pruning(self):
+        scene = gen_expansion_scene((240.0, 180.0), n=100, noise=0.5,
+                                    outlier_frac=0.2, seed=3)
+        wts = unit_weights(scene)
+        loose = refine_foe(scene.points, scene.vectors, wts)
+        tight = refine_foe(scene.points, scene.vectors, wts,
+                           cfg=FoeConfig(angle_thresh=5.0))
+        assert tight.active_count < loose.active_count

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclerisk.errors import InvalidInputError
+from cyclerisk.config import RiskConfig
+from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.risk import (
     CROSS_GROUPS,
     SUBREGION_BANDS,
@@ -105,6 +106,14 @@ class TestFootprint:
         det = Detection(0, "car", 0.9, (100, 100, 40, 30))
         # 0.2 * 30 = 6 < 10, so the 10 px floor wins
         assert object_footprint(det, DIMS) == (100.0, 120.0, 40.0, 10.0)
+
+    def test_config_sets_the_strip(self):
+        det = Detection(0, "car", 0.9, (100, 100, 40, 100))
+        cfg = RiskConfig(footprint_frac=0.5, footprint_min_px=60.0)
+        assert object_footprint(det, DIMS, cfg) == (100.0, 140.0, 40.0, 60.0)
+        rmap = centered_lane_map()
+        assert not np.array_equal(risk_descriptor([det], rmap).values,
+                                  risk_descriptor([det], rmap, cfg=cfg).values)
 
     def test_clamped_to_frame(self):
         det = Detection(0, "car", 0.9, (-20, 340, 60, 100))
@@ -234,13 +243,15 @@ class TestValidation:
             with pytest.raises(InvalidInputError):
                 RiskParams(cell_coeffs=cells)
 
+    # the footprint is a RiskConfig setting, bounded where the section is built
     @pytest.mark.parametrize("kwargs", [
-        {"footprint_min_height": -1.0}, {"footprint_min_height": float("nan")},
-        {"footprint_height_frac": float("nan")},
+        {"footprint_min_px": -1.0}, {"footprint_min_px": float("nan")},
+        {"footprint_frac": float("nan")}, {"footprint_frac": 0.0},
+        {"footprint_frac": 1.5}, {"footprint_min_px": float("inf")},
     ])
     def test_bad_footprint_rejected(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            RiskParams(**kwargs)
+        with pytest.raises(ConfigError):
+            RiskConfig(**kwargs)
 
     def test_bad_class_coeff_rejected(self):
         for bad in (1.7, float("nan")):

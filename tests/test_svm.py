@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from cyclerisk.behavior import KernelSpec, loss, train_svm
+from cyclerisk.behavior.rfe import rfe_rank
 from cyclerisk.behavior.svm import (
+    SMO_TOL,
     _smo,
     kernel_matrix,
     median_pairwise_distance,
 )
-from cyclerisk.errors import DegenerateTrainingError, InvalidInputError
+from cyclerisk.errors import (DegenerateTrainingError, InvalidInputError,
+                              SolverNotConvergedError)
 
 from behavior_reference import reference_smo
 
@@ -49,6 +52,15 @@ def qp_oracle(K, y, C):
     return best
 
 
+def kkt_gap(K, y, alpha, C):
+    """Maximal KKT violation from a fresh gradient, not a solver's running one."""
+    vals = y - K @ (alpha * y)
+    pos = y > 0
+    up = (pos & (alpha < C - 1e-10)) | (~pos & (alpha > 1e-10))
+    low = (~pos & (alpha < C - 1e-10)) | (pos & (alpha > 1e-10))
+    return vals[up].max() - vals[low].min()
+
+
 def dual_value(K, y, alpha):
     Q = K * np.outer(y, y)
     return float(0.5 * alpha @ Q @ alpha - alpha.sum())
@@ -69,7 +81,7 @@ class TestSmoAgainstOracle:
         if spec.name != "gaussian":
             spec = KernelSpec(spec.name)
         K = kernel_matrix(spec, X, X)
-        alpha, _, _ = _smo(K, y, C)
+        alpha, *_ = _smo(K, y, C)
         assert dual_value(K, y, alpha) == pytest.approx(qp_oracle(K, y, C), abs=1e-4)
 
     def test_six_point_problem(self):
@@ -77,7 +89,7 @@ class TestSmoAgainstOracle:
                       [3.0, 3.1], [4.0, 2.9], [3.1, 4.0]])
         y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         K = kernel_matrix(KernelSpec("linear"), X, X)
-        alpha, _, _ = _smo(K, y, 1.0)
+        alpha, *_ = _smo(K, y, 1.0)
         assert dual_value(K, y, alpha) == pytest.approx(qp_oracle(K, y, 1.0), abs=1e-4)
 
     def test_box_and_equality_respected(self):
@@ -87,7 +99,7 @@ class TestSmoAgainstOracle:
         if len(set(y.tolist())) < 2:
             y[0] = -y[0]
         K = kernel_matrix(KernelSpec("linear"), X, X)
-        alpha, _, _ = _smo(K, y, 2.0)
+        alpha, *_ = _smo(K, y, 2.0)
         assert (alpha >= -1e-12).all() and (alpha <= 2.0 + 1e-12).all()
         assert abs(alpha @ y) < 1e-9
 
@@ -108,21 +120,71 @@ class TestSmoMatchesReferenceLoop:
         name = str(rng.choice(["linear", "poly2", "gaussian"]))
         K = kernel_matrix(KernelSpec(name, 1.5 if name == "gaussian" else None),
                           X, X)
-        alpha, bias, iters = _smo(K, y, C)
+        alpha, bias, iters, gap = _smo(K, y, C)
         ref_alpha, ref_bias, ref_iters = reference_smo(K, y, C)
         assert alpha.tobytes() == ref_alpha.tobytes()
         assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
         assert iters == ref_iters
+        # only a solve that ran to the cap reports a gap at or above tol
+        assert (gap >= SMO_TOL) == (iters == max(20000, 200 * n))
 
     def test_iteration_cap_matches(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(60, 2))
         y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         K = kernel_matrix(KernelSpec("gaussian", 0.5), X, X)
-        got = _smo(K, y, 10.0, max_iter=7)
+        alpha, bias, iters, gap = _smo(K, y, 10.0, max_iter=7)
         want = reference_smo(K, y, 10.0, max_iter=7)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert (got[1], got[2]) == (want[1], want[2]) and got[2] == 7
+        assert alpha.tobytes() == want[0].tobytes()
+        assert (bias, iters) == (want[1], want[2]) and iters == 7
+        # stopped by the cap, not the gap, and it says so
+        assert gap >= SMO_TOL
+        assert gap == pytest.approx(kkt_gap(K, y, want[0], 10.0), rel=1e-9)
+
+
+class TestUnconverged:
+    """A solve that stops at its cap unconverged is an error, not a model."""
+
+    @staticmethod
+    def capped_case():
+        # seed 14 of a seeded sweep over random labels (n in 20..120, d in
+        # 2..11, C in {1, 10, 20}, four kernels); 23 of 120 hit the cap
+        rng = np.random.default_rng(14)
+        n, d = int(rng.integers(20, 121)), int(rng.integers(2, 12))
+        X = rng.normal(size=(n, d))
+        y = [str(v) for v in rng.integers(0, 2, n)]
+        C = float(rng.choice([1.0, 10.0, 20.0]))
+        kernel = str(rng.choice(["linear", "poly2", "poly3", "gaussian"]))
+        assert (n, d, C, kernel) == (35, 10, 20.0, "linear")
+        return X, y, C
+
+    def test_reference_loop_hits_the_cap_too(self):
+        X, y, C = self.capped_case()
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        ypm = np.where(np.array(y) == "0", 1.0, -1.0)
+        K = Xs @ Xs.T
+        alpha, _, iters, gap = _smo(K, ypm, C)
+        ref_alpha, _, ref_iters = reference_smo(K, ypm, C)
+        assert iters == ref_iters == 20000
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert gap == pytest.approx(kkt_gap(K, ypm, ref_alpha, C), rel=1e-9)
+        assert gap > 1e-3
+
+    def test_train_svm_raises_naming_the_solve(self):
+        X, y, C = self.capped_case()
+        with pytest.raises(SolverNotConvergedError,
+                           match=r"class '0' \(C=20, kernel linear\).*20000 "
+                                 r"iterations with KKT gap 0\.0018"):
+            train_svm(X, y, C=C)
+        train_svm(X, y, C=1.0)   # the same data converges at C = 1
+
+    def test_rfe_rank_raises_naming_the_round(self):
+        X, y, C = self.capped_case()
+        with pytest.raises(SolverNotConvergedError,
+                           match=r"RFE round 1 \(10 features, C=20\).*KKT gap 0\.0018"):
+            rfe_rank(X, y, C=C)
+        with pytest.raises(SolverNotConvergedError, match=r"RFE round 3 .*C=10\)"):
+            rfe_rank(X, y, C=10.0)
 
 
 class TestSmoWarmStart:
@@ -154,7 +216,7 @@ class TestSmoWarmStart:
         start = self.feasible_alpha(rng, y, C)
         tol, cap = 1e-6, max(20000, 200 * n)
 
-        alpha, _, iters = _smo(K, y, C, tol=tol, alpha=start)
+        alpha, _, iters, _ = _smo(K, y, C, tol=tol, alpha=start)
         ref_alpha, _, ref_iters = reference_smo(K, y, C, tol=tol)
         assert iters < cap and ref_iters < cap    # both converged
         assert (alpha >= 0.0).all() and (alpha <= C).all()
@@ -193,8 +255,8 @@ class TestSmoWarmStart:
         X = rng.normal(size=(50, 3))
         y = np.where(X[:, 0] + 0.5 * rng.normal(size=50) > 0, 1.0, -1.0)
         K = kernel_matrix(KernelSpec("linear"), X, X)
-        alpha, _, _ = _smo(K, y, 1.0, tol=1e-9)
-        again, _, iters = _smo(K, y, 1.0, alpha=alpha)
+        alpha, *_ = _smo(K, y, 1.0, tol=1e-9)
+        again, _, iters, _ = _smo(K, y, 1.0, alpha=alpha)
         assert iters == 1
         assert again.tobytes() == alpha.tobytes()
 
