@@ -1,10 +1,9 @@
 """Config round-tripping, strict unknown-key rejection, overrides."""
 
+import dataclasses
 import json
 
 import pytest
-
-import dataclasses
 
 from cyclerisk.config import (BehaviorConfig, EmdConfig, FoeConfig, PipelineConfig,
                              RiskConfig, VisionConfig, apply_overrides, load_config)

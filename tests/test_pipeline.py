@@ -214,3 +214,35 @@ class TestVisionPass:
         assert pairs > 4
         assert calls == [(180, 240)] * pairs
         assert len(reads) == pairs + 1   # the bike frames are one run of pairs
+
+
+def test_stages_take_the_config_sections(e2e_workspace, tmp_path, monkeypatch):
+    # the focus stage and the descriptor get the run's own section objects,
+    # so a `--set foe.*` or `--set risk.footprint_*` reaches them unchanged
+    from cyclerisk import pipeline
+
+    seen = {"foe": [], "risk": []}
+    refine_foe, risk_descriptor = pipeline.refine_foe, pipeline.risk_descriptor
+
+    def spy_refine(points, vectors, weights, cfg):
+        seen["foe"].append(cfg)
+        return refine_foe(points, vectors, weights, cfg)
+
+    def spy_descriptor(dets, rmap, params, frame, cfg):
+        seen["risk"].append(cfg)
+        return risk_descriptor(dets, rmap, params, frame=frame, cfg=cfg)
+
+    monkeypatch.setattr(pipeline, "refine_foe", spy_refine)
+    monkeypatch.setattr(pipeline, "risk_descriptor", spy_descriptor)
+    cfg = PipelineConfig.from_dict({"foe": {"angle_thresh": 20.0},
+                                    "risk": {"criterion": "proximity",
+                                             "footprint_frac": 0.4,
+                                             "footprint_min_px": 4.0}})
+    ride = load_ride(e2e_workspace["ride_bike"])
+    result = pipeline.analyze_ride(ride, fileio.read_model(e2e_workspace["model"]),
+                                   fileio.read_training_set(e2e_workspace["trainset"]),
+                                   cfg, pipeline.RiskParams())
+    assert result.descriptors
+    assert seen["foe"] and all(c is cfg.foe for c in seen["foe"])
+    assert len(seen["risk"]) == len(result.descriptors)
+    assert all(c is cfg.risk for c in seen["risk"])
