@@ -5,7 +5,7 @@ from .preprocess import RawWindow, make_windows, preprocess
 from .rfe import consensus_select, ova_rankings, rfe_rank
 from .stream import SensorStream
 from .svm import KernelSpec, SvmModel, loss, train_svm
-from .temporal import TemporalSmoother, smooth_sequence, softmax
+from .temporal import smooth_sequence, softmax
 
 __all__ = [
     "FEATURE_NAMES",
@@ -13,7 +13,6 @@ __all__ = [
     "RawWindow",
     "SensorStream",
     "SvmModel",
-    "TemporalSmoother",
     "consensus_select",
     "extract_features",
     "features_matrix",

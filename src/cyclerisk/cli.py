@@ -466,7 +466,7 @@ def _eval_risk(args, cfg: PipelineConfig) -> int:
         level, path = _parse_level_file(spec)
         _, descs = fileio.read_descriptors(path)
         for d in descs:
-            got = classify_risk(d, train, dist, k=cfg.emd.k).level
+            got = classify_risk(d, train, dist, cfg.emd).level
             counts[level - 1][got - 1] += 1
     print("risk confusion (row-normalized %):")
     print(_confusion_text([1, 2, 3], counts))

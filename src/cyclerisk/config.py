@@ -1,9 +1,12 @@
 """Run configuration: nested dataclasses with strict dict/JSON round-tripping.
 
-Each section is the parameter object of its stage: `refine_foe` takes a
-`FoeConfig`, `risk_descriptor` a `RiskConfig`. Sections are frozen and check
-their bounds on construction (ConfigError), so a section object is valid
-wherever it exists, whether a config file, `--set` or library code built it.
+Each section is the parameter object of its stages: `clahe`,
+`detect_corners` and `lk_flow` take a `VisionConfig`; `magnitude_weights`,
+`refine_foe` and `FoeSmoother` a `FoeConfig`; `risk_descriptor` a
+`RiskConfig`; `classify_risk` an `EmdConfig`; `smooth_sequence` a
+`BehaviorConfig`. Sections are frozen and check their bounds on
+construction (ConfigError), so a section object is valid wherever it
+exists, whether a config file, `--set` or library code built it.
 Unknown keys are rejected rather than ignored so a typo in a config file
 fails loudly instead of silently running on defaults.
 """
@@ -186,6 +189,11 @@ class PipelineConfig:
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _check_ints(self)
+        if self.seed < 0:   # numpy's generators take none
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -200,12 +208,9 @@ class PipelineConfig:
         for name, sub in _SECTIONS.items():
             if name in data:
                 kwargs[name] = _build(sub, data[name], name)
-        try:
-            if "seed" in data:
-                kwargs["seed"] = int(data["seed"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:   # a value of the wrong type
-            raise ConfigError(str(exc)) from exc
+        if "seed" in data:
+            kwargs["seed"] = data["seed"]
+        return cls(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EmdConfig
 from .errors import InvalidInputError, ZeroMassError
 from .risk import CROSS_GROUPS, RegionMap, descriptor_bins
 
@@ -285,13 +286,9 @@ def transfer_lower_bounds(query, items, dist: np.ndarray) -> np.ndarray:
     return np.maximum(forward, backward)
 
 
-def classify_risk(
-    descriptor,
-    train: RiskTrainingSet,
-    dist: np.ndarray,
-    k: int = 5,
-) -> RiskLevel:
-    """Nearest-neighbor level retrieval under EMD.
+def classify_risk(descriptor, train: RiskTrainingSet, dist: np.ndarray,
+                  cfg: EmdConfig = EmdConfig()) -> RiskLevel:
+    """Nearest-neighbor level retrieval under EMD, with cfg.k neighbors.
 
     An all-zero descriptor is an empty scene and maps to level 1 outright.
     Ties in the vote fall to the level with the smaller summed neighbor
@@ -304,8 +301,6 @@ def classify_risk(
     distance by more than a roundoff margin, since no later item can then
     displace a neighbor.
     """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
     values = descriptor.values if hasattr(descriptor, "values") else descriptor
     values = descriptor_bins(values)
     if values.sum() <= 0.0:
@@ -315,7 +310,7 @@ def classify_risk(
     if not usable:
         raise ZeroMassError("every training descriptor has zero mass")
 
-    k = min(k, len(usable))
+    k = min(cfg.k, len(usable))
     bounds = transfer_lower_bounds(values, [it.values for it in usable], dist)
     margin = _PRUNE_MARGIN * max(1.0, float(np.max(dist)))
     solved: list[tuple[float, int]] = []   # (exact distance, index), sorted

@@ -454,6 +454,8 @@ def read_model(path) -> SvmModel:
         )
         if not (model.scale > 0).all():
             raise InvalidInputError("every scale must be > 0")
+        if model.smoother_bandwidth is not None and not model.smoother_bandwidth > 0:
+            raise InvalidInputError("smoother_bandwidth must be > 0")
         d = int(model.feature_mask.sum())
         if (not 2 <= len(set(model.classes)) == len(model.classes) == len(binaries)
                 or set(model.priors) != set(model.classes)

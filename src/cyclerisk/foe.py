@@ -13,8 +13,9 @@ refinement pass then drops flows whose direction disagrees with the radial
 expansion pattern around the estimate and re-solves.
 
 The settings (Huber corner, refinement tolerance, pruning angle, round cap,
-quorum and ring radii) are the fields of `config.FoeConfig`, which checks
-their bounds; library callers pass one, e.g.
+quorum, ring radii and the smoother's window and decay) are the fields of
+`config.FoeConfig`, which checks their bounds; `magnitude_weights`,
+`estimate_foe`, `refine_foe` and `FoeSmoother` take one, e.g.
 `refine_foe(points, vectors, weights, cfg=FoeConfig(angle_thresh=20.0))`.
 """
 
@@ -70,17 +71,17 @@ def magnitude_weights(
     vectors: np.ndarray,
     prev_foe: np.ndarray,
     frame_size: tuple[int, int],
-    radii: tuple[float, ...] = FoeConfig.ring_radii,
+    cfg: FoeConfig = FoeConfig(),
 ) -> np.ndarray:
     """Weight each flow by how well its speed matches its annulus.
 
-    Concentric annuli around the previous focus estimate (radii are fractions
-    of the frame diagonal; a point on a bound belongs to the inner annulus,
-    and the last annulus is unbounded) group flows whose apparent speed
-    should be comparable. Within annulus mean magnitude vbar, a flow at
-    absolute deviation dev gets 0.10 when dev >= vbar^(2/3), 1.00 when
-    dev <= vbar^(1/2), and 0.75 strictly between; the first rule wins when
-    the bounds cross (vbar < 1).
+    Concentric annuli around the previous focus estimate (cfg.ring_radii
+    are fractions of the frame diagonal; a point on a bound belongs to the
+    inner annulus, and the last annulus is unbounded) group flows whose
+    apparent speed should be comparable. Within annulus mean magnitude
+    vbar, a flow at absolute deviation dev gets 0.10 when dev >= vbar^(2/3),
+    1.00 when dev <= vbar^(1/2), and 0.75 strictly between; the first rule
+    wins when the bounds cross (vbar < 1).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, 2)
@@ -90,11 +91,9 @@ def magnitude_weights(
     w, h = frame_size
     if w <= 0 or h <= 0:
         raise InvalidInputError(f"bad frame size {frame_size}")
-    if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
-        raise InvalidInputError(f"ring radii must be positive and increasing: {radii}")
 
     prev_foe = np.asarray(prev_foe, dtype=np.float64).reshape(2)
-    bounds = np.asarray(radii, dtype=np.float64) * math.hypot(w, h)
+    bounds = np.asarray(cfg.ring_radii, dtype=np.float64) * math.hypot(w, h)
 
     mags = _magnitudes(vectors)
     if (mags == 0.0).any():
@@ -249,18 +248,14 @@ def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
 class FoeSmoother:
     """Exponentially decayed average of recent estimates.
 
-    Keeps estimates from the last `window` frames; the smoothed point at
-    frame t is sum_j x_j exp(-decay (t - j)) normalized over the retained
-    frames. Frames without an estimate are simply absent and carry no weight.
+    Keeps estimates from the last cfg.smooth_window frames; the smoothed
+    point at frame t is sum_j x_j exp(-cfg.smooth_decay (t - j)) normalized
+    over the retained frames. Frames without an estimate are simply absent
+    and carry no weight.
     """
 
-    def __init__(self, window: int = 5, decay: float = 0.5):
-        if window < 0:
-            raise InvalidInputError(f"window must be >= 0, got {window}")
-        if decay < 0:
-            raise InvalidInputError(f"decay must be >= 0, got {decay}")
-        self.window = int(window)
-        self.decay = float(decay)
+    def __init__(self, cfg: FoeConfig = FoeConfig()):
+        self.cfg = cfg
         self._history: list[tuple[int, np.ndarray]] = []
 
     def push(self, frame_index: int, point: np.ndarray) -> np.ndarray:
@@ -271,8 +266,8 @@ class FoeSmoother:
                 f"frame indices must increase: got {frame_index} after {self._history[-1][0]}")
         self._history.append((frame_index, point.copy()))
         self._history = [(t, p) for t, p in self._history
-                         if t >= frame_index - self.window]
+                         if t >= frame_index - self.cfg.smooth_window]
         ts = np.array([t for t, _ in self._history], dtype=np.float64)
         pts = np.array([p for _, p in self._history])
-        weights = np.exp(-self.decay * (frame_index - ts))
+        weights = np.exp(-float(self.cfg.smooth_decay) * (frame_index - ts))
         return (pts * weights[:, None]).sum(axis=0) / weights.sum()

@@ -22,7 +22,7 @@ from .behavior import (make_windows, preprocess, smooth_sequence, softmax)
 from .behavior.features import features_matrix
 from .behavior.stream import SensorStream
 from .behavior.svm import SvmModel
-from .config import PipelineConfig
+from .config import PipelineConfig, VisionConfig
 from .emd import RiskTrainingSet, build_distance_matrix, classify_risk
 from .errors import (CycleRiskError, InvalidInputError)
 from .foe import FoeSmoother, magnitude_weights, object_weights, refine_foe
@@ -130,17 +130,16 @@ class RideAnalysis:
 
 def label_windows(stream: SensorStream, model: SvmModel,
                   cfg: PipelineConfig) -> list[WindowRow]:
-    b = cfg.behavior
     grid = preprocess(stream)
     windows = make_windows(grid)
     X = features_matrix(windows)
     probs = softmax(model.decision_values(X))
     Xs = model.standardize(X)
-    bandwidth = b.bandwidth
+    bandwidth = cfg.behavior.bandwidth
     if bandwidth is None:
-        bandwidth = model.smoother_bandwidth or 1.0
-    idx = smooth_sequence(Xs, probs, window=b.smooth_window,
-                          decay=b.smooth_decay, bandwidth=bandwidth)
+        bandwidth = (1.0 if model.smoother_bandwidth is None
+                     else model.smoother_bandwidth)
+    idx = smooth_sequence(Xs, probs, bandwidth, cfg.behavior)
     rows = []
     for w, i in zip(windows, idx):
         t0 = float(grid.t[w.start])
@@ -160,20 +159,14 @@ def mode_at(windows: list[WindowRow], t: float) -> str:
 
 # ------------------------------------------------------------- full analyze
 
-def _load_clahe(path, index, cfg: PipelineConfig) -> GrayFrame:
-    img = fileio.read_pgm(path)
-    return clahe(GrayFrame(data=img, index=index),
-                 grid=cfg.vision.clahe_grid, clip_limit=cfg.vision.clahe_clip)
+def _load_clahe(path, index, cfg: VisionConfig) -> GrayFrame:
+    return clahe(GrayFrame(data=fileio.read_pgm(path), index=index), cfg)
 
 
 def _pair_flows(prev: GrayFrame, nxt: GrayFrame,
-                cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+                cfg: VisionConfig) -> tuple[np.ndarray, np.ndarray]:
     """(points, vectors) of prev's corners tracked into nxt, zero flows dropped."""
-    cs = detect_corners(prev, max_per_cell=cfg.vision.corner_max_per_cell,
-                        grid=cfg.vision.corner_grid,
-                        quality=cfg.vision.corner_quality)
-    fl = lk_flow(prev, nxt, cs, window=cfg.vision.lk_window,
-                 pyramid_levels=cfg.vision.lk_levels)
+    fl = lk_flow(prev, nxt, detect_corners(prev, cfg), cfg)
     keep = fl.tracked & (fl.vectors != 0.0).any(axis=1)
     return fl.points[keep], fl.vectors[keep]
 
@@ -210,15 +203,14 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                            pos=_gps_at(ride.stream, t))
     bike = [i for i in processed if rows[i].mode == "bike"]
 
-    smoother = FoeSmoother(window=cfg.foe.smooth_window,
-                           decay=cfg.foe.smooth_decay)
+    smoother = FoeSmoother(cfg.foe)
     nxt = None
     for i in bike:
         row = rows[i]
         # reads stay outside the try: an unreadable frame ends the run
         prev = (nxt if nxt is not None and nxt.index == i
-                else _load_clahe(by_index[i], i, cfg))
-        nxt = _load_clahe(by_index[i + stride], i + stride, cfg)
+                else _load_clahe(by_index[i], i, cfg.vision))
+        nxt = _load_clahe(by_index[i + stride], i + stride, cfg.vision)
         if i == bike[0]:
             h, w = prev.data.shape
             dims = (w, h)
@@ -227,14 +219,13 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                 prox_map = proximity_region_map(dims)
                 prox_dist = build_distance_matrix(prox_map, train.cross_factor)
         try:
-            points, vectors = _pair_flows(prev, nxt, cfg)
+            points, vectors = _pair_flows(prev, nxt, cfg.vision)
         except CycleRiskError as exc:
             row.note = f"vision failed: {exc}"
             continue
         dets = ride.detections.get(i, [])
         try:
-            weights = (magnitude_weights(points, vectors, prev_foe, dims,
-                                         cfg.foe.ring_radii)
+            weights = (magnitude_weights(points, vectors, prev_foe, dims, cfg.foe)
                        * object_weights(points, dets))
             refined = refine_foe(points, vectors, weights, cfg.foe)
             smoothed = smoother.push(i, refined.point)
@@ -246,7 +237,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             else:
                 rmap, dist = prox_map, prox_dist
             desc = risk_descriptor(dets, rmap, risk_params, frame=i, cfg=cfg.risk)
-            verdict = classify_risk(desc, train, dist, k=cfg.emd.k)
+            verdict = classify_risk(desc, train, dist, cfg.emd)
             row.level = verdict.level
             result.descriptors.append(desc)
         except CycleRiskError as exc:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RiskConfig
 from .errors import InvalidInputError
 from .risk import SUBREGION_COLORS, proximity_region_map
 
@@ -133,7 +134,11 @@ def gen_risk_detections(region_map, level: int, seed: int = 0, frame: int = 0) -
 
 
 def _place_in_color(region_map, color: str, rng) -> tuple | None:
-    """Random bbox whose footprint lies wholly inside one color's territory."""
+    """Random bbox whose footprint lies wholly inside one color's territory.
+
+    The footprint is the default strip of `RiskConfig` (see
+    `risk.object_footprint`), the one reference descriptors are built with.
+    """
     w, h = region_map.dims
     assignment = region_map.assignment
     target = np.array(("",) + SUBREGION_COLORS)[assignment] == color
@@ -148,7 +153,7 @@ def _place_in_color(region_map, color: str, rng) -> tuple | None:
         cx, cy = float(xs[pick]), float(ys[pick])
         x = min(max(cx - bw / 2.0, 0.0), w - bw)
         y_bottom = min(max(cy, bh), float(h))
-        fh = max(0.2 * bh, 10.0)
+        fh = max(RiskConfig.footprint_frac * bh, RiskConfig.footprint_min_px)
         x0, x1 = int(np.floor(x)), int(np.ceil(x + bw))
         y0, y1 = int(np.floor(y_bottom - fh)), int(np.ceil(y_bottom))
         if x0 < 0 or y0 < 0 or x1 > w or y1 > h or x1 <= x0 or y1 <= y0:

@@ -1,17 +1,19 @@
 """Contrast-limited adaptive histogram equalization on a tile grid.
 
-The frame is divided into a grid of tiles (last tiles absorb any remainder so
-the grid always covers the frame). Each tile gets a 256-bin histogram, clipped
-at clip_limit * tile_pixel_count with the excess spread uniformly over all
-bins, and the clipped cumulative distribution becomes the tile's tone mapping.
-Pixels are remapped by bilinear interpolation between the mappings of the four
-nearest tile centers, which removes visible tile seams.
+The frame is divided into a grid of tiles (`VisionConfig.clahe_grid`; the
+leading tiles absorb any remainder so the grid always covers the frame). Each
+tile gets a 256-bin histogram, clipped at `VisionConfig.clahe_clip` times the
+tile's pixel count with the excess spread uniformly over all bins, and the
+clipped cumulative distribution becomes the tile's tone mapping. Pixels are
+remapped by bilinear interpolation between the mappings of the four nearest
+tile centers, which removes visible tile seams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..config import VisionConfig
 from ..errors import InvalidInputError
 from .frames import GrayFrame
 
@@ -43,23 +45,17 @@ def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:
     return cdf * (255.0 / npix)
 
 
-def clahe(frame: GrayFrame, grid: tuple[int, int] = (4, 4), clip_limit: float = 0.03) -> GrayFrame:
+def clahe(frame: GrayFrame, cfg: VisionConfig = VisionConfig()) -> GrayFrame:
     """Equalize a frame tile-by-tile with a histogram clip.
 
-    grid is (rows, cols); clip_limit is the histogram ceiling as a fraction of
-    the tile pixel count and must lie in (0, 1]. The remapped frame keeps the
-    source index.
+    The tile grid is cfg.clahe_grid, (rows, cols), and must fit the frame.
+    The remapped frame keeps the source index.
     """
-    rows, cols = grid
-    if rows < 1 or cols < 1:
-        raise InvalidInputError(f"tile grid must be positive, got {grid}")
-    if not 0.0 < clip_limit <= 1.0:
-        raise InvalidInputError(f"clip_limit must be in (0, 1], got {clip_limit}")
-
+    rows, cols = cfg.clahe_grid
     img = frame.data
     h, w = img.shape
     if rows > h or cols > w:
-        raise InvalidInputError(f"grid {grid} exceeds frame size {h}x{w}")
+        raise InvalidInputError(f"grid {cfg.clahe_grid} exceeds frame size {h}x{w}")
 
     y_edges = _tile_edges(h, rows)
     x_edges = _tile_edges(w, cols)
@@ -68,7 +64,7 @@ def clahe(frame: GrayFrame, grid: tuple[int, int] = (4, 4), clip_limit: float = 
     for r in range(rows):
         for c in range(cols):
             tile = img[y_edges[r]:y_edges[r + 1], x_edges[c]:x_edges[c + 1]]
-            luts[r, c] = _tile_mapping(tile, clip_limit)
+            luts[r, c] = _tile_mapping(tile, cfg.clahe_clip)
 
     # Blend between the four surrounding tile centers. Pixels outside the
     # outermost centers clamp to the edge tile's mapping.

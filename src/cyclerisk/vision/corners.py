@@ -2,12 +2,13 @@
 
 Scores follow the small-eigenvalue criterion on the 2x2 structure tensor,
 built from 3x3 Sobel gradients summed over a 5x5 box. Keeping at most
-max_per_cell corners per grid cell spreads detections across the frame instead
-of letting one textured area take every slot.
+`VisionConfig.corner_max_per_cell` corners per cell of the
+`VisionConfig.corner_grid` spreads detections across the frame instead of
+letting one textured area take every slot.
 
 All local maxima are refined at once by a parabola through their 3x3
 neighbourhood. The cap ranks each corner within its cell in the global
-(score descending, y, x) order and keeps ranks below max_per_cell, which
+(score descending, y, x) order and keeps ranks below the cap, which
 selects exactly what taking corners one by one in that order would.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..config import VisionConfig
 from .frames import GrayFrame
 
 # Sobel support (1) plus box-sum reach (2): scores this close to the frame
@@ -84,26 +85,13 @@ def _subpixel_offsets(score: np.ndarray, ys: np.ndarray,
     return dx, dy
 
 
-def detect_corners(
-    frame: GrayFrame,
-    max_per_cell: int = 8,
-    grid: tuple[int, int] = (4, 4),
-    quality: float = 0.01,
-) -> CornerSet:
+def detect_corners(frame: GrayFrame, cfg: VisionConfig = VisionConfig()) -> CornerSet:
     """Find corners, strongest first, capped per grid cell.
 
-    quality is the fraction of the global best score a local maximum must
-    reach to survive. Returned coordinates are subpixel and always strictly
-    inside the frame. An untextured frame yields an empty set.
+    cfg.corner_quality is the fraction of the global best score a local
+    maximum must reach to survive. Returned coordinates are subpixel and
+    always strictly inside the frame. An untextured frame yields an empty set.
     """
-    if max_per_cell < 1:
-        raise InvalidInputError(f"max_per_cell must be >= 1, got {max_per_cell}")
-    if not 0.0 < quality <= 1.0:
-        raise InvalidInputError(f"quality must be in (0, 1], got {quality}")
-    rows, cols = grid
-    if rows < 1 or cols < 1:
-        raise InvalidInputError(f"corner grid must be positive, got {grid}")
-
     score = min_eigen_response(*frame.gradient)
     h, w = score.shape
 
@@ -116,7 +104,7 @@ def detect_corners(
         return CornerSet(np.empty((0, 2)), np.empty(0))
 
     local_max = score == _local_max(score)
-    keep = local_max & interior & (score >= quality * best)
+    keep = local_max & interior & (score >= cfg.corner_quality * best)
     ys, xs = np.nonzero(keep)
     if ys.size == 0:
         return CornerSet(np.empty((0, 2)), np.empty(0))
@@ -127,18 +115,19 @@ def detect_corners(
 
     # Cell membership comes from the refined position so the per-cell cap
     # holds for the coordinates callers actually see.
+    rows, cols = cfg.corner_grid
     cell_h = -(-h // rows)  # ceil division so edge cells absorb the remainder
     cell_w = -(-w // cols)
     cells = ((refined[:, 1].astype(np.intp) // cell_h) * cols
              + refined[:, 0].astype(np.intp) // cell_w)
 
     # Deterministic order: score descending, then y, then x. A corner is
-    # kept when fewer than max_per_cell corners of its cell precede it.
+    # kept when fewer than corner_max_per_cell corners of its cell precede it.
     order = np.lexsort((xs, ys, -vals))
     by_cell = np.lexsort((xs, ys, -vals, cells))
     sorted_cells = cells[by_cell]
     rank = np.empty(ys.size, dtype=np.intp)
     rank[by_cell] = np.arange(ys.size) - np.searchsorted(sorted_cells, sorted_cells)
-    chosen = order[rank[order] < max_per_cell]
+    chosen = order[rank[order] < cfg.corner_max_per_cell]
 
     return CornerSet(refined[chosen], vals[chosen])

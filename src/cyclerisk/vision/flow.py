@@ -14,6 +14,9 @@ tracked. A coarse level that loses a point restarts the finer level from zero.
 
 Blocks bound memory (see _BLOCK). Every product and sum is evaluated in the
 same order as a one-corner-at-a-time loop, so the flow is bit-identical to it.
+
+The matching window's side and the pyramid depth are `VisionConfig.lk_window`
+and `VisionConfig.lk_levels`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..config import VisionConfig
 from ..errors import InvalidInputError
 from .corners import CornerSet
 from .frames import GrayFrame, sobel
@@ -184,30 +188,21 @@ def _track_level(
     return v, ok
 
 
-def lk_flow(
-    prev: GrayFrame,
-    nxt: GrayFrame,
-    corners: CornerSet,
-    window: int = 35,
-    pyramid_levels: int = 1,
-) -> FlowField:
+def lk_flow(prev: GrayFrame, nxt: GrayFrame, corners: CornerSet,
+            cfg: VisionConfig = VisionConfig()) -> FlowField:
     """Track corners from prev to nxt.
 
-    window is the odd side length of the matching window; pyramid_levels >= 1,
-    where 1 means tracking at full resolution only. Untracked entries keep the
-    last displacement estimate but are flagged false.
+    cfg.lk_levels 1 means tracking at full resolution only. Untracked
+    entries keep the last displacement estimate but are flagged false.
     """
-    if window < 3 or window % 2 == 0:
-        raise InvalidInputError(f"window must be odd and >= 3, got {window}")
-    if pyramid_levels < 1:
-        raise InvalidInputError(f"pyramid_levels must be >= 1, got {pyramid_levels}")
     if prev.data.shape != nxt.data.shape:
         raise InvalidInputError("frame sizes differ")
 
+    window = cfg.lk_window
     half = window // 2
 
     prevs, nxts, grads = [prev.pixels], [nxt.pixels], [prev.gradient]
-    for _ in range(pyramid_levels - 1):
+    for _ in range(cfg.lk_levels - 1):
         if min(prevs[-1].shape) < 2 * window:
             break  # stop the pyramid before windows outgrow the image
         prevs.append(_downsample(prevs[-1]))

@@ -224,7 +224,7 @@ def test_g05_risk_retrieval_separates_levels():
         extreme_mix = 0
         for lv in (1, 2, 3):
             for v in by_level[lv][75:]:
-                got = classify_risk(v, train, D, k=5).level
+                got = classify_risk(v, train, D).level
                 hits[lv] += got == lv
                 extreme_mix += (lv == 1 and got == 3) or (lv == 3 and got == 1)
         accs = {lv: hits[lv] / 25.0 for lv in (1, 2, 3)}
@@ -415,7 +415,7 @@ def test_g11_vision_stack():
                   & (corners.points[:, 1] < 240 - 1 - margin))
         sub = CornerSet(corners.points[inside], corners.response[inside])
         assert len(sub) >= 20
-        flow = lk_flow(prev, nxt, sub, window=35)
+        flow = lk_flow(prev, nxt, sub)
         err = np.linalg.norm(flow.vectors - t, axis=1)
         ratios.append(float((flow.tracked & (err <= 0.25)).sum() / len(sub)))
     track_ok = min(ratios) >= 0.9

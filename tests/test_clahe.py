@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cyclerisk.errors import InvalidInputError
+from cyclerisk.config import VisionConfig
+from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.vision import GrayFrame, clahe
 
 
 def test_constant_frame_stays_constant():
     frame = GrayFrame(np.full((120, 160), 128, dtype=np.uint8))
-    out = clahe(frame, grid=(4, 4), clip_limit=0.03)
+    out = clahe(frame, VisionConfig(clahe_grid=(4, 4), clahe_clip=0.03))
     assert np.unique(out.data).size == 1
 
 
@@ -24,7 +25,7 @@ def test_two_level_frame_partition_preserved():
     # alternating columns so every tile sees both levels equally
     img = np.zeros((120, 160), dtype=np.uint8)
     img[:, 1::2] = 255
-    out = clahe(GrayFrame(img), grid=(4, 4), clip_limit=1.0).data
+    out = clahe(GrayFrame(img), VisionConfig(clahe_grid=(4, 4), clahe_clip=1.0)).data
     lo = out[img == 0]
     hi = out[img == 255]
     # rounding at blend seams may straddle two adjacent levels, no more
@@ -39,7 +40,7 @@ def test_low_contrast_ramp_range_widens():
     col = np.linspace(100, 130, w)
     img = np.tile(col, (h, 1)).astype(np.uint8)
     in_range = int(img.max()) - int(img.min())
-    out = clahe(GrayFrame(img), grid=(4, 4), clip_limit=0.03).data
+    out = clahe(GrayFrame(img), VisionConfig(clahe_grid=(4, 4), clahe_clip=0.03)).data
     counts = np.bincount(out.ravel(), minlength=256)
     occupied = np.nonzero(counts)[0]
     out_range = int(occupied.max()) - int(occupied.min())
@@ -56,23 +57,28 @@ def test_output_shape_and_dtype(texture_frame):
 def test_uneven_grid_division_covers_frame():
     # 130 rows over 4 tiles leaves a remainder; output must still be complete
     img = np.random.default_rng(3).integers(0, 256, size=(130, 173), dtype=np.uint8)
-    out = clahe(GrayFrame(img), grid=(4, 4))
+    out = clahe(GrayFrame(img), VisionConfig(clahe_grid=(4, 4)))
     assert out.data.shape == (130, 173)
 
 
 @pytest.mark.parametrize("clip", [0.0, -0.5, 1.5])
 def test_bad_clip_limit_rejected(clip):
+    # the clip is the section's, which refuses it before the stage runs
     frame = GrayFrame(np.zeros((32, 32), dtype=np.uint8))
-    with pytest.raises(InvalidInputError):
-        clahe(frame, clip_limit=clip)
+    with pytest.raises(ConfigError, match="clahe_clip"):
+        clahe(frame, VisionConfig(clahe_clip=clip))
 
 
 def test_bad_grid_rejected():
+    # the section bounds the grid; only the frame can make a valid grid
+    # too fine
     frame = GrayFrame(np.zeros((32, 32), dtype=np.uint8))
+    with pytest.raises(ConfigError, match="clahe_grid"):
+        clahe(frame, VisionConfig(clahe_grid=(0, 4)))
     with pytest.raises(InvalidInputError):
-        clahe(frame, grid=(0, 4))
+        clahe(frame, VisionConfig(clahe_grid=(64, 64)))  # more tiles than pixels
     with pytest.raises(InvalidInputError):
-        clahe(frame, grid=(64, 64))  # more tiles than pixels per side
+        clahe(frame, VisionConfig(clahe_grid=(4, 33)))
 
 
 def test_deterministic(texture_frame):

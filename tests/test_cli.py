@@ -496,7 +496,8 @@ class TestDryRunAndExitCodes:
                     "behavior.bandwidth=NaN", "risk.footprint_min_px=NaN",
                     "foe.delta=Infinity", "vision.clahe_grid=[1.5,2]",
                     "vision.corner_grid=[2,2.5]",
-                    "vision.corner_grid=[true,2]"):
+                    "vision.corner_grid=[true,2]", "seed=5.5", "seed=true",
+                    'seed="7"', "seed=-1"):
             rc, _, err = run(capsys, "--set", bad, "gen-scene",
                              "--out", str(tmp_path / "s"))
             assert rc == 3, bad
@@ -581,6 +582,21 @@ class TestDryRunAndExitCodes:
                          "--ride", str(e2e_workspace["train_ride"]))
         assert rc == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.5])
+    def test_non_positive_smoother_bandwidth_exit_2(self, e2e_workspace, tmp_path,
+                                                    capsys, bandwidth):
+        # 0.0 used to smooth at the 1.0 fallback, -1.5 to stop in the smoother
+        head, body = e2e_workspace["model"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["smoother_bandwidth"] = bandwidth
+        model = tmp_path / "bad.cymd"
+        model.write_text(head + "\n" + json.dumps(body) + "\n")
+        rc, out, err = run(capsys, "classify-behavior", "--model", str(model),
+                           "--ride", str(e2e_workspace["train_ride"]))
+        assert rc == 2
+        assert "smoother_bandwidth must be > 0" in err
+        assert out == ""
 
     @pytest.mark.parametrize("where", ["bike_pair", "walk_frame_0"])
     def test_truncated_frame(self, e2e_workspace, tmp_path, capsys, where):

@@ -106,6 +106,35 @@ class TestFromDict:
         (VisionConfig, "lk_window", 4), (FoeConfig, "min_flows", 2),
         (RiskConfig, "footprint_frac", 0.0), (EmdConfig, "k", 0),
         (BehaviorConfig, "kernel", "cubic"),
+        # The stages keep no settings of their own: clahe, detect_corners
+        # and lk_flow read VisionConfig, magnitude_weights and FoeSmoother
+        # FoeConfig, classify_risk EmdConfig, smooth_sequence BehaviorConfig.
+        # Each value below is one a stage used to refuse itself; those marked
+        # "drift" are ones its own weaker check let through.
+        (VisionConfig, "clahe_grid", (0, 4)), (VisionConfig, "clahe_clip", 0.0),
+        (VisionConfig, "clahe_clip", -0.5), (VisionConfig, "clahe_clip", 1.5),
+        (VisionConfig, "corner_max_per_cell", 0),
+        (VisionConfig, "corner_max_per_cell", 2.5),           # drift
+        (VisionConfig, "corner_quality", 0.0), (VisionConfig, "corner_quality", 1.5),
+        (VisionConfig, "corner_grid", (0, 4)),
+        (VisionConfig, "corner_grid", (2.5, 2)),              # drift
+        (VisionConfig, "lk_window", 1), (VisionConfig, "lk_levels", 0),
+        (FoeConfig, "ring_radii", (0.3, 0.15, 0.5)),
+        (FoeConfig, "ring_radii", (0.0, 0.15, 0.5)),
+        (FoeConfig, "ring_radii", (0.15, 0.15, 0.5)),         # drift
+        (FoeConfig, "smooth_window", -1),
+        (FoeConfig, "smooth_window", 0),                      # drift
+        (FoeConfig, "smooth_decay", -0.1),
+        (FoeConfig, "smooth_decay", float("nan")),            # drift
+        (BehaviorConfig, "smooth_window", 0),
+        (BehaviorConfig, "smooth_decay", -0.1),
+        (BehaviorConfig, "smooth_decay", float("nan")),       # drift
+        (BehaviorConfig, "smooth_decay", float("inf")),       # drift
+        (BehaviorConfig, "bandwidth", 0.0),
+        (BehaviorConfig, "bandwidth", float("nan")),          # drift
+        # from_dict took int(seed), and numpy refused a negative one
+        (PipelineConfig, "seed", 5.5), (PipelineConfig, "seed", "7"),
+        (PipelineConfig, "seed", -1),
     ])
     def test_section_checked_on_construction_and_frozen(self, section, key, bad):
         # a section object is valid wherever it exists: library code that
@@ -187,8 +216,8 @@ class TestOverrides:
     @pytest.mark.parametrize("key", [
         "vision.corner_max_per_cell", "vision.lk_window", "vision.lk_levels",
         "vision.frame_stride", "foe.max_refine_iters", "foe.min_flows",
-        "foe.smooth_window", "emd.k", "behavior.smooth_window"])
-    @pytest.mark.parametrize("value", ["5.0", "true"])
+        "foe.smooth_window", "emd.k", "behavior.smooth_window", "seed"])
+    @pytest.mark.parametrize("value", ["5.0", "true", '"7"'])
     def test_integer_keys_need_integers(self, key, value):
         with pytest.raises(ConfigError, match="integer"):
             apply_overrides(PipelineConfig(), [f"{key}={value}"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclerisk.errors import InvalidInputError
+from cyclerisk.config import VisionConfig
+from cyclerisk.errors import ConfigError
 from cyclerisk.vision import GrayFrame, detect_corners
 from cyclerisk.vision.corners import (_box_mean, _local_max, _subpixel_offsets,
                                      min_eigen_response)
@@ -17,7 +18,8 @@ def test_bright_square_yields_four_vertex_corners():
     # outer corner pixels (100, 80), (199, 80), (100, 159), (199, 159)
     img = np.zeros((240, 320), dtype=np.uint8)
     img[80:160, 100:200] = 230
-    found = detect_corners(GrayFrame(img), max_per_cell=8, grid=(4, 4), quality=0.01)
+    found = detect_corners(GrayFrame(img), VisionConfig(
+        corner_max_per_cell=8, corner_grid=(4, 4), corner_quality=0.01))
     truth = np.array([[100, 80], [199, 80], [100, 159], [199, 159]], dtype=float)
     strongest = found.points[np.argsort(-found.response)][:4]
     for vertex in truth:
@@ -44,7 +46,8 @@ def test_rotation_180_preserves_count():
 def test_per_cell_cap_enforced():
     img = np.random.default_rng(9).integers(0, 256, size=(240, 320), dtype=np.uint8)
     cap = 3
-    found = detect_corners(GrayFrame(img), max_per_cell=cap, grid=(4, 4))
+    found = detect_corners(GrayFrame(img), VisionConfig(corner_max_per_cell=cap,
+                                                       corner_grid=(4, 4)))
     assert len(found) > 0
     cell_h = -(-240 // 4)
     cell_w = -(-320 // 4)
@@ -69,22 +72,23 @@ def test_points_inside_frame(texture_frame):
 
 def test_quality_threshold_filters_weak_corners():
     img = smooth_texture(240, 320, seed=13)
-    loose = detect_corners(GrayFrame(img), quality=0.001)
-    strict = detect_corners(GrayFrame(img), quality=0.5)
+    loose = detect_corners(GrayFrame(img), VisionConfig(corner_quality=0.001))
+    strict = detect_corners(GrayFrame(img), VisionConfig(corner_quality=0.5))
     assert len(strict) <= len(loose)
     if len(strict):
         assert strict.response.min() >= 0.5 * loose.response.max() - 1e-9
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_per_cell": 0},
-    {"quality": 0.0},
-    {"quality": 1.5},
-    {"grid": (0, 4)},
+    {"corner_max_per_cell": 0},
+    {"corner_quality": 0.0},
+    {"corner_quality": 1.5},
+    {"corner_grid": (0, 4)},
 ])
 def test_bad_parameters_rejected(texture_frame, kwargs):
-    with pytest.raises(InvalidInputError):
-        detect_corners(texture_frame, **kwargs)
+    # the settings are the section's, which refuses them before the stage runs
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        detect_corners(texture_frame, VisionConfig(**kwargs))
 
 
 def _oracle_images():
@@ -104,8 +108,9 @@ def _oracle_images():
 @pytest.mark.parametrize("max_per_cell", [1, 3, 8])
 def test_matches_per_peak_reference(max_per_cell, grid, quality):
     for img in _oracle_images():
-        found = detect_corners(GrayFrame(img), max_per_cell=max_per_cell,
-                               grid=grid, quality=quality)
+        found = detect_corners(GrayFrame(img), VisionConfig(
+            corner_max_per_cell=max_per_cell, corner_grid=grid,
+            corner_quality=quality))
         points, response = reference_corners(img, max_per_cell, grid, quality)
         assert len(found) > 0
         assert found.points.tobytes() == points.tobytes()

@@ -17,6 +17,7 @@ from cyclerisk.emd import (
     emd_with_flow,
     transfer_lower_bounds,
 )
+from cyclerisk.config import EmdConfig
 from cyclerisk.errors import InvalidInputError, ZeroMassError
 from cyclerisk.risk import (
     RegionMap,
@@ -253,7 +254,7 @@ class TestClassify:
             TrainingItem(singleton(20), 3),
             TrainingItem(singleton(21), 3),
         ])
-        out = classify_risk(singleton(0), train, D, k=3)
+        out = classify_risk(singleton(0), train, D, EmdConfig(k=3))
         assert out.level == 2
         assert out.votes == {1: 1, 2: 2}
         assert len(out.neighbor_distances) == 3
@@ -264,7 +265,7 @@ class TestClassify:
             TrainingItem(singleton(1), 1),   # distance 1/25
             TrainingItem(singleton(2), 3),   # distance 2/25
         ])
-        out = classify_risk(singleton(0), train, D, k=2)
+        out = classify_risk(singleton(0), train, D, EmdConfig(k=2))
         assert out.level == 1
 
     def test_tie_broken_by_lower_level(self):
@@ -274,7 +275,7 @@ class TestClassify:
             TrainingItem(singleton(4), 3),
             TrainingItem(singleton(8), 2),
         ])
-        out = classify_risk(singleton(6), train, D, k=2)
+        out = classify_risk(singleton(6), train, D, EmdConfig(k=2))
         assert out.level == 2
 
     def test_zero_mass_query_defaults_low(self):
@@ -282,7 +283,7 @@ class TestClassify:
         train = RiskTrainingSet(criterion="lane", items=[
             TrainingItem(singleton(4), 3),
         ])
-        out = classify_risk(np.zeros(25), train, D, k=5)
+        out = classify_risk(np.zeros(25), train, D, EmdConfig(k=5))
         assert out.level == 1
         assert out.neighbor_distances == ()
 
@@ -292,7 +293,7 @@ class TestClassify:
             TrainingItem(np.zeros(25), 3),
             TrainingItem(singleton(1), 2),
         ])
-        out = classify_risk(singleton(0), train, D, k=5)
+        out = classify_risk(singleton(0), train, D, EmdConfig(k=5))
         assert out.level == 2
 
     def test_all_training_mass_zero_rejected(self):
@@ -301,7 +302,7 @@ class TestClassify:
             TrainingItem(np.zeros(25), 1),
         ])
         with pytest.raises(ZeroMassError):
-            classify_risk(singleton(0), train, D, k=5)
+            classify_risk(singleton(0), train, D, EmdConfig(k=5))
 
     def test_accepts_descriptor_object(self):
         D = chain_matrix()
@@ -309,7 +310,7 @@ class TestClassify:
             TrainingItem(singleton(2), 3),
         ])
         desc = RiskDescriptor(values=singleton(1), criterion="lane")
-        out = classify_risk(desc, train, D, k=1)
+        out = classify_risk(desc, train, D, EmdConfig(k=1))
         assert out.level == 3
 
     def test_k_clipped_to_training_size(self):
@@ -318,7 +319,7 @@ class TestClassify:
             TrainingItem(singleton(1), 2),
             TrainingItem(singleton(2), 2),
         ])
-        out = classify_risk(singleton(0), train, D, k=50)
+        out = classify_risk(singleton(0), train, D, EmdConfig(k=50))
         assert out.level == 2
         assert len(out.neighbor_distances) == 2
 
@@ -336,7 +337,7 @@ class TestClassify:
             RiskDescriptor(values=v, criterion="lane")
         train = RiskTrainingSet(criterion="lane", items=[TrainingItem(singleton(2), 3)])
         with pytest.raises(InvalidInputError):
-            classify_risk(v, train, chain_matrix(), k=1)
+            classify_risk(v, train, chain_matrix(), EmdConfig(k=1))
 
     def test_overflowing_total_rejected(self):
         # every bin is finite, but their sum is not: the bound and the
@@ -348,7 +349,7 @@ class TestClassify:
             RiskDescriptor(values=v, criterion="lane")
         train = RiskTrainingSet(criterion="lane", items=[TrainingItem(singleton(2), 3)])
         with pytest.raises(InvalidInputError, match="finite total"):
-            classify_risk(v, train, chain_matrix(), k=1)
+            classify_risk(v, train, chain_matrix(), EmdConfig(k=1))
 
 
 class TestPrunedRetrieval:
@@ -367,7 +368,7 @@ class TestPrunedRetrieval:
                            sparse_signature(rng, 0.1)]
                 for q in queries:
                     for k in (1, 3, 5, 50):
-                        got = classify_risk(q, train, D, k=k)
+                        got = classify_risk(q, train, D, EmdConfig(k=k))
                         want = brute_force_classify(q, train, D, k)
                         assert got.level == want.level
                         assert got.votes == want.votes
@@ -384,7 +385,7 @@ class TestPrunedRetrieval:
         query = singleton(0, 0.5) + singleton(4, 0.5)
         bounds = transfer_lower_bounds(query, [late, early], D)
         assert bounds[1] < bounds[0] == emd(query, late, D) == emd(query, early, D)
-        got = classify_risk(query, train, D, k=1)
+        got = classify_risk(query, train, D, EmdConfig(k=1))
         assert got == brute_force_classify(query, train, D, 1)
         assert got.level == 3
 
@@ -423,7 +424,7 @@ class TestPrunedRetrieval:
         got = []
         for q in queries:
             before = len(calls)
-            got.append(classify_risk(q, train, D, k=k))
+            got.append(classify_risk(q, train, D, EmdConfig(k=k)))
             assert len(calls) - before >= k
         assert len(calls) < len(queries) * len(train.items)
 
@@ -433,7 +434,7 @@ class TestPrunedRetrieval:
         monkeypatch.setattr(cyclerisk.emd, "transfer_lower_bounds",
                             relaxed_lower_bounds)
         calls.clear()
-        assert [classify_risk(q, train, D, k=k) for q in queries] == got
+        assert [classify_risk(q, train, D, EmdConfig(k=k)) for q in queries] == got
         assert ict_solves <= len(calls)
 
 
@@ -539,7 +540,7 @@ def test_drawn_retrieval_matches_brute_force(case, key):
     D = ground(*key)
     train = RiskTrainingSet(criterion="lane", items=[
         TrainingItem(v, lv) for v, lv in zip(values, levels)])
-    got = classify_risk(query, train, D, k=k)
+    got = classify_risk(query, train, D, EmdConfig(k=k))
     want = brute_force_classify(query, train, D, k)
     assert got.level == want.level
     assert got.votes == want.votes

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclerisk.errors import InvalidInputError
+from cyclerisk.config import VisionConfig
+from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.vision import CornerSet, GrayFrame, detect_corners, lk_flow
 from cyclerisk.vision.flow import _downsample
 
@@ -17,7 +18,7 @@ def _shifted_pair(seed, dx, dy, h=240, w=320):
 
 def test_identity_pair_zero_flow(texture_frame):
     corners = detect_corners(texture_frame)
-    flow = lk_flow(texture_frame, texture_frame, corners, window=35)
+    flow = lk_flow(texture_frame, texture_frame, corners, VisionConfig(lk_window=35))
     assert flow.tracked.any()
     mags = np.linalg.norm(flow.vectors[flow.tracked], axis=1)
     assert mags.max() <= 0.05
@@ -34,7 +35,7 @@ def test_integer_translation_recovered(dx, dy):
               & (corners.points[:, 1] < 240 - 1 - margin))
     assert inside.sum() >= 10
     subset = CornerSet(corners.points[inside], corners.response[inside])
-    flow = lk_flow(prev, nxt, subset, window=35)
+    flow = lk_flow(prev, nxt, subset, VisionConfig(lk_window=35))
     err = np.linalg.norm(flow.vectors - np.array([dx, dy]), axis=1)
     good = flow.tracked & (err <= 0.25)
     assert good.sum() / len(subset) >= 0.9
@@ -45,20 +46,20 @@ def test_flat_region_untracked(texture_frame):
     img[100:140, 100:140] = 90  # paint a flat patch
     frame = GrayFrame(img)
     pts = CornerSet(np.array([[120.0, 120.0]]), np.array([1.0]))
-    flow = lk_flow(frame, frame, pts, window=25)
+    flow = lk_flow(frame, frame, pts, VisionConfig(lk_window=25))
     assert not flow.tracked[0]
 
 
 def test_point_leaving_frame_untracked():
     prev, nxt = _shifted_pair(seed=23, dx=-6, dy=0)
     pts = CornerSet(np.array([[18.0, 120.0]]), np.array([1.0]))
-    flow = lk_flow(prev, nxt, pts, window=35)
+    flow = lk_flow(prev, nxt, pts, VisionConfig(lk_window=35))
     assert not flow.tracked[0]
 
 
 def test_point_too_close_to_border_untracked(texture_frame):
     pts = CornerSet(np.array([[5.0, 5.0]]), np.array([1.0]))
-    flow = lk_flow(texture_frame, texture_frame, pts, window=35)
+    flow = lk_flow(texture_frame, texture_frame, pts, VisionConfig(lk_window=35))
     assert not flow.tracked[0]
 
 
@@ -74,7 +75,7 @@ def test_pyramid_recovers_larger_shift():
               & (corners.points[:, 1] < 360 - 1 - margin))
     subset = CornerSet(corners.points[inside], corners.response[inside])
     assert len(subset) >= 5
-    flow = lk_flow(prev, nxt, subset, window=35, pyramid_levels=3)
+    flow = lk_flow(prev, nxt, subset, VisionConfig(lk_window=35, lk_levels=3))
     err = np.linalg.norm(flow.vectors - np.array([12, 0]), axis=1)
     good = flow.tracked & (err <= 0.5)
     assert good.sum() / len(subset) >= 0.8
@@ -87,11 +88,12 @@ def test_mismatched_sizes_rejected(texture_frame):
         lk_flow(texture_frame, other, pts)
 
 
-@pytest.mark.parametrize("kwargs", [{"window": 4}, {"window": 1}, {"pyramid_levels": 0}])
+@pytest.mark.parametrize("kwargs", [{"lk_window": 4}, {"lk_window": 1}, {"lk_levels": 0}])
 def test_bad_parameters_rejected(texture_frame, kwargs):
+    # the settings are the section's, which refuses them before the stage runs
     pts = CornerSet(np.array([[50.0, 50.0]]), np.array([1.0]))
-    with pytest.raises(InvalidInputError):
-        lk_flow(texture_frame, texture_frame, pts, **kwargs)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        lk_flow(texture_frame, texture_frame, pts, VisionConfig(**kwargs))
 
 
 def test_deterministic(texture_frame):
@@ -135,7 +137,8 @@ def test_matches_per_corner_reference(window, levels):
     for seed in (window * 10 + levels, window * 10 + levels + 100):
         prev, nxt, corners = _oracle_case(seed, window)
         assert len(corners) > 64 and len(corners) % 32   # > two blocks, ragged tail
-        flow = lk_flow(prev, nxt, corners, window=window, pyramid_levels=levels)
+        flow = lk_flow(prev, nxt, corners,
+                       VisionConfig(lk_window=window, lk_levels=levels))
         vectors, tracked = reference_flow(prev, nxt, corners.points,
                                           window=window, pyramid_levels=levels)
         assert flow.vectors.tobytes() == vectors.tobytes()
@@ -149,7 +152,7 @@ def test_matches_reference_on_detected_corners():
     corners = detect_corners(prev)
     assert len(corners) > 32
     for levels in (1, 3):
-        flow = lk_flow(prev, nxt, corners, pyramid_levels=levels)
+        flow = lk_flow(prev, nxt, corners, VisionConfig(lk_levels=levels))
         vectors, tracked = reference_flow(prev, nxt, corners.points,
                                           pyramid_levels=levels)
         assert flow.vectors.tobytes() == vectors.tobytes()
@@ -160,7 +163,7 @@ def test_matches_reference_on_detected_corners():
 def test_empty_and_single_corner_match_reference(n):
     prev, nxt, _ = _oracle_case(seed=7, window=21)
     subset = CornerSet(np.array([[120.5, 90.25]])[:n].reshape(n, 2), np.ones(n))
-    flow = lk_flow(prev, nxt, subset, window=21, pyramid_levels=2)
+    flow = lk_flow(prev, nxt, subset, VisionConfig(lk_window=21, lk_levels=2))
     vectors, tracked = reference_flow(prev, nxt, subset.points, window=21,
                                       pyramid_levels=2)
     assert flow.vectors.shape == (n, 2) and flow.tracked.shape == (n,)
@@ -182,7 +185,7 @@ def test_windows_as_large_as_the_frame_match_reference(shape, window, levels, po
     prev, nxt = GrayFrame(base), GrayFrame(np.roll(base, dx, axis=1))
     points = np.array(points)
     flow = lk_flow(prev, nxt, CornerSet(points, np.ones(len(points))),
-                   window=window, pyramid_levels=levels)
+                   VisionConfig(lk_window=window, lk_levels=levels))
     vectors, tracked = reference_flow(prev, nxt, points, window=window,
                                       pyramid_levels=levels)
     assert flow.vectors.tobytes() == vectors.tobytes()

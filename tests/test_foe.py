@@ -118,9 +118,22 @@ class TestMagnitudeWeights:
             magnitude_weights(points, vectors, (240, 180), FRAME)
 
     def test_bad_radii_rejected(self):
-        with pytest.raises(InvalidInputError):
+        # the radii are the section's, which refuses them out of order
+        with pytest.raises(ConfigError, match="ring_radii"):
             magnitude_weights(*flows_at([10], [5.0]), (240, 180), FRAME,
-                              radii=(0.3, 0.15, 0.5))
+                              FoeConfig(ring_radii=(0.3, 0.15, 0.5)))
+
+    def test_radii_come_from_the_section(self):
+        # with the inner bound (360 px) past the speed-2 flows, the two
+        # rings of test_rings_statistically_independent merge into one of
+        # mean speed 10
+        points, vectors = flows_at([10, 30, 50, 70, 310, 330, 350],
+                                   [11, 21, 16, 16, 2, 2, 2])
+        split = magnitude_weights(points, vectors, (240, 180), FRAME)
+        merged = magnitude_weights(points, vectors, (240, 180), FRAME,
+                                   FoeConfig(ring_radii=(0.6, 0.7, 0.8)))
+        assert split.tolist() == [0.75, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert merged.tolist() == [1.0, 0.10, 0.10, 0.10, 0.10, 0.10, 0.10]
 
 
 class TestObjectWeights:
@@ -406,14 +419,12 @@ class TestMatchesReference:
         by_index = dict(ride.frames)
         stride = cfg.vision.frame_stride
         for i in range(0, 4 * stride, stride):
-            prev, nxt = (pipeline._load_clahe(by_index[j], j, cfg) for j in (i, i + stride))
+            prev, nxt = (pipeline._load_clahe(by_index[j], j, cfg.vision)
+                         for j in (i, i + stride))
             h, w = prev.data.shape
-            points, vectors = pipeline._pair_flows(prev, nxt, cfg)
-            corners = pipeline.detect_corners(
-                prev, max_per_cell=cfg.vision.corner_max_per_cell,
-                grid=cfg.vision.corner_grid, quality=cfg.vision.corner_quality)
-            field = pipeline.lk_flow(prev, nxt, corners, window=cfg.vision.lk_window,
-                                     pyramid_levels=cfg.vision.lk_levels)
+            points, vectors = pipeline._pair_flows(prev, nxt, cfg.vision)
+            corners = pipeline.detect_corners(prev, cfg.vision)
+            field = pipeline.lk_flow(prev, nxt, corners, cfg.vision)
             observations = ref.observations_from_flow(field)
             assert len(observations) == len(points) >= cfg.foe.min_flows
             assert points.tobytes() == np.array([o.point for o in observations]).tobytes()
@@ -425,7 +436,7 @@ class TestMatchesReference:
 
 class TestSmoother:
     def test_exponential_average_direct_value(self):
-        sm = FoeSmoother(window=5, decay=0.5)
+        sm = FoeSmoother(FoeConfig(smooth_window=5, smooth_decay=0.5))
         sm.push(0, (10.0, 20.0))
         sm.push(1, (12.0, 22.0))
         got = sm.push(2, (14.0, 24.0))
@@ -434,20 +445,14 @@ class TestSmoother:
         assert got[0] == pytest.approx(expect_x, abs=1e-12)
         assert got[1] == pytest.approx(expect_x + 10.0, abs=1e-12)
 
-    def test_zero_window_passthrough(self):
-        sm = FoeSmoother(window=0, decay=0.5)
-        sm.push(0, (5.0, 5.0))
-        got = sm.push(1, (100.0, 40.0))
-        assert np.allclose(got, (100.0, 40.0))
-
     def test_constant_sequence_fixed_point(self):
-        sm = FoeSmoother(window=5, decay=0.5)
+        sm = FoeSmoother(FoeConfig(smooth_window=5, smooth_decay=0.5))
         for t in range(8):
             got = sm.push(t, (33.0, 44.0))
         assert np.allclose(got, (33.0, 44.0))
 
     def test_missing_frames_drop_out(self):
-        sm = FoeSmoother(window=3, decay=0.5)
+        sm = FoeSmoother(FoeConfig(smooth_window=3, smooth_decay=0.5))
         sm.push(0, (0.0, 0.0))
         got = sm.push(5, (50.0, 60.0))  # frame 0 fell out of the window
         assert np.allclose(got, (50.0, 60.0))
@@ -462,7 +467,7 @@ class TestSmoother:
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                     min_size=1, max_size=12))
     def test_smoothed_point_in_bounding_box(self, pts):
-        sm = FoeSmoother(window=5, decay=0.5)
+        sm = FoeSmoother(FoeConfig(smooth_window=5, smooth_decay=0.5))
         for t, p in enumerate(pts):
             got = sm.push(t, p)
         window_pts = np.array(pts[max(0, len(pts) - 6):])

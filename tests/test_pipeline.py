@@ -147,9 +147,9 @@ class TestVisionPass:
         ride = load_ride(e2e_workspace["ride_bike"])
         cfg = PipelineConfig()
         by_index = dict(ride.frames)
-        prev, nxt = (_load_clahe(by_index[i], i, cfg) for i in (0, 5))
+        prev, nxt = (_load_clahe(by_index[i], i, cfg.vision) for i in (0, 5))
         assert (prev.index, nxt.index) == (0, 5)
-        points, vectors = _pair_flows(prev, nxt, cfg)
+        points, vectors = _pair_flows(prev, nxt, cfg.vision)
         assert points.shape == vectors.shape
         assert points.shape[0] >= 30
 
@@ -217,32 +217,53 @@ class TestVisionPass:
 
 
 def test_stages_take_the_config_sections(e2e_workspace, tmp_path, monkeypatch):
-    # the focus stage and the descriptor get the run's own section objects,
-    # so a `--set foe.*` or `--set risk.footprint_*` reaches them unchanged
+    # every stage gets the run's own section object, so a `--set` of any
+    # key reaches its stage unchanged
     from cyclerisk import pipeline
 
-    seen = {"foe": [], "risk": []}
-    refine_foe, risk_descriptor = pipeline.refine_foe, pipeline.risk_descriptor
+    seen = {}
 
-    def spy_refine(points, vectors, weights, cfg):
-        seen["foe"].append(cfg)
-        return refine_foe(points, vectors, weights, cfg)
+    def spy(name, index):
+        stage = getattr(pipeline, name)
+
+        def wrapper(*args):
+            seen.setdefault(name, []).append(args[index])
+            return stage(*args)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    spy("clahe", 1)
+    spy("detect_corners", 1)
+    spy("lk_flow", 3)
+    spy("magnitude_weights", 4)
+    spy("FoeSmoother", 0)
+    spy("refine_foe", 3)
+    spy("classify_risk", 3)
+    spy("smooth_sequence", 3)
+    risk_descriptor = pipeline.risk_descriptor
 
     def spy_descriptor(dets, rmap, params, frame, cfg):
-        seen["risk"].append(cfg)
+        seen.setdefault("risk_descriptor", []).append(cfg)
         return risk_descriptor(dets, rmap, params, frame=frame, cfg=cfg)
 
-    monkeypatch.setattr(pipeline, "refine_foe", spy_refine)
     monkeypatch.setattr(pipeline, "risk_descriptor", spy_descriptor)
-    cfg = PipelineConfig.from_dict({"foe": {"angle_thresh": 20.0},
+    cfg = PipelineConfig.from_dict({"vision": {"corner_quality": 0.02},
+                                    "foe": {"angle_thresh": 20.0},
                                     "risk": {"criterion": "proximity",
                                              "footprint_frac": 0.4,
-                                             "footprint_min_px": 4.0}})
+                                             "footprint_min_px": 4.0},
+                                    "emd": {"k": 3},
+                                    "behavior": {"smooth_decay": 0.7}})
     ride = load_ride(e2e_workspace["ride_bike"])
     result = pipeline.analyze_ride(ride, fileio.read_model(e2e_workspace["model"]),
                                    fileio.read_training_set(e2e_workspace["trainset"]),
                                    cfg, pipeline.RiskParams())
     assert result.descriptors
-    assert seen["foe"] and all(c is cfg.foe for c in seen["foe"])
-    assert len(seen["risk"]) == len(result.descriptors)
-    assert all(c is cfg.risk for c in seen["risk"])
+    sections = {"clahe": cfg.vision, "detect_corners": cfg.vision,
+                "lk_flow": cfg.vision, "magnitude_weights": cfg.foe,
+                "FoeSmoother": cfg.foe, "refine_foe": cfg.foe,
+                "risk_descriptor": cfg.risk, "classify_risk": cfg.emd,
+                "smooth_sequence": cfg.behavior}
+    assert set(seen) == set(sections)
+    for name, section in sections.items():
+        assert seen[name] and all(c is section for c in seen[name]), name
+    assert len(seen["risk_descriptor"]) == len(result.descriptors)

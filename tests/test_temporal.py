@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclerisk.behavior import TemporalSmoother, smooth_sequence, softmax
+from cyclerisk.behavior import smooth_sequence, softmax
+from cyclerisk.config import BehaviorConfig
 from cyclerisk.errors import InvalidInputError
 
 
@@ -24,82 +25,63 @@ class TestSoftmax:
         assert np.allclose(p.sum(axis=1), 1.0)
 
 
+def smooth(features, probs, window=10, decay=0.5, bandwidth=1.0):
+    cfg = BehaviorConfig(smooth_window=window, smooth_decay=decay)
+    return smooth_sequence(np.asarray(features, dtype=float),
+                           np.asarray(probs, dtype=float), bandwidth, cfg).tolist()
+
+
 class TestSmoother:
     def test_first_frame_is_plain_argmax(self):
-        sm = TemporalSmoother(window=10, decay=0.5, bandwidth=1.0)
-        cls, scores = sm.push(np.zeros(4), np.array([0.2, 0.7, 0.1]))
-        assert cls == 1
-        assert np.allclose(scores, [0.2, 0.7, 0.1])
+        # the first window has no history: its label is its own argmax
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(4))
+            assert smooth([rng.normal(size=3)], [p]) == [int(p.argmax())]
 
     def test_steady_stream_keeps_class(self):
-        sm = TemporalSmoother(window=10, decay=0.5, bandwidth=1.0)
-        p = np.array([0.6, 0.3, 0.1])
-        f = np.ones(4)
-        for _ in range(15):
-            cls, _ = sm.push(f, p)
-            assert cls == 0
+        assert smooth(np.ones((15, 4)), [[0.6, 0.3, 0.1]] * 15) == [0] * 15
 
     def test_single_flip_restored_by_history(self):
-        # 20 steady frames, one contradicting frame in the middle; identical
+        # 20 steady windows, one contradicting window in the middle; identical
         # features mean the affinity term is 1 and only decay weights matter
-        sm = TemporalSmoother(window=10, decay=0.5, bandwidth=1.0)
-        f = np.zeros(3)
-        steady = np.array([0.8, 0.2])
-        flipped = np.array([0.2, 0.8])
-        out = []
-        for t in range(20):
-            cls, _ = sm.push(f, flipped if t == 12 else steady)
-            out.append(cls)
-        assert out == [0] * 20
+        probs = [[0.2, 0.8] if t == 12 else [0.8, 0.2] for t in range(20)]
+        assert smooth(np.zeros((20, 3)), probs) == [0] * 20
 
     def test_distant_features_mute_history(self):
-        # near-zero bandwidth: history contributes nothing when features move
-        sm = TemporalSmoother(window=10, decay=0.0, bandwidth=1e-3)
-        sm.push(np.zeros(2), np.array([0.9, 0.1]))
-        cls, scores = sm.push(np.ones(2) * 5.0, np.array([0.1, 0.9]))
-        assert cls == 1
-        assert scores[0] == pytest.approx(0.1, abs=1e-12)
+        # near-zero bandwidth: history contributes nothing when features
+        # move; with a wide one the first window outweighs the second
+        feats = [[0.0, 0.0], [5.0, 5.0]]
+        probs = [[0.9, 0.1], [0.2, 0.8]]
+        assert smooth(feats, probs, decay=0.0, bandwidth=1e-3) == [0, 1]
+        assert smooth(feats, probs, decay=0.0, bandwidth=1e3) == [0, 0]
 
     def test_infinite_decay_matches_unsmoothed(self):
         rng = np.random.default_rng(4)
-        sm = TemporalSmoother(window=1, decay=1e9, bandwidth=1.0)
-        for _ in range(30):
-            p = rng.dirichlet(np.ones(3))
-            f = rng.normal(size=5)
-            cls, _ = sm.push(f, p)
-            assert cls == int(p.argmax())
+        probs = rng.dirichlet(np.ones(3), size=30)
+        feats = rng.normal(size=(30, 5))
+        got = smooth(feats, probs, window=1, decay=1e9)
+        assert got == probs.argmax(axis=1).tolist()
 
     def test_history_bounded_by_window(self):
-        sm = TemporalSmoother(window=2, decay=0.0, bandwidth=1.0)
-        f = np.zeros(2)
-        for _ in range(5):
-            sm.push(f, np.array([1.0, 0.0]))
-        _, scores = sm.push(f, np.array([1.0, 0.0]))
-        # at most window + 1 terms contribute with decay 0 and affinity 1
-        assert scores[0] == pytest.approx(3.0)
+        # five windows of class 0, then class 1, decay 0, affinity 1: window
+        # 6 sums windows 4..6 (at most window + 1 = 3 terms) and flips to
+        # class 1, where an unbounded history (5 against 2) would not
+        probs = [[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 3
+        feats = np.zeros((8, 2))
+        assert smooth(feats, probs, window=2, decay=0.0) == [0] * 6 + [1, 1]
+        assert smooth(feats, probs, window=7, decay=0.0) == [0] * 8
 
     def test_validation(self):
+        # the settings' bounds are the section's (tests/test_config.py);
+        # the probabilities are data and checked here
         with pytest.raises(InvalidInputError):
-            TemporalSmoother(window=0)
+            smooth(np.zeros((2, 2)), [[0.5, 0.5], [-0.1, 1.1]])
         with pytest.raises(InvalidInputError):
-            TemporalSmoother(decay=-0.1)
-        with pytest.raises(InvalidInputError):
-            TemporalSmoother(bandwidth=0.0)
-        sm = TemporalSmoother()
-        with pytest.raises(InvalidInputError):
-            sm.push(np.zeros(2), np.array([-0.1, 1.1]))
+            smooth(np.zeros((2, 2)), [0.5, 0.5])
 
 
 class TestSequence:
-    def test_matches_streaming(self):
-        rng = np.random.default_rng(6)
-        feats = rng.normal(size=(25, 4))
-        probs = rng.dirichlet(np.ones(3), size=25)
-        seq = smooth_sequence(feats, probs, window=5, decay=0.3, bandwidth=2.0)
-        sm = TemporalSmoother(window=5, decay=0.3, bandwidth=2.0)
-        manual = [sm.push(f, p)[0] for f, p in zip(feats, probs)]
-        assert seq.tolist() == manual
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidInputError):
-            smooth_sequence(np.zeros((3, 2)), np.zeros((4, 3)))
+            smooth_sequence(np.zeros((3, 2)), np.zeros((4, 3)), 1.0)
