@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import usable_bandwidth
 from ..errors import DegenerateTrainingError, InvalidInputError, SolverNotConvergedError
 
 _SUPPORT_EPS = 1e-10
@@ -32,8 +33,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.name not in ("linear", "poly2", "poly3", "gaussian"):
             raise InvalidInputError(f"unknown kernel {self.name!r}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise InvalidInputError("kernel bandwidth must be finite and positive")
+        if self.bandwidth is not None and not usable_bandwidth(self.bandwidth):
+            raise InvalidInputError("kernel bandwidth must be > 0 with "
+                                    "2 * bandwidth**2 finite and not 0")
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -54,10 +55,20 @@ def _check_ints(section) -> None:
 
 
 def _check_finite(name: str, value, strict: bool) -> None:
-    """value must be finite and > 0 (strict) or >= 0; NaN fails both."""
-    if not ((0.0 < value if strict else 0.0 <= value) and value < math.inf):
+    """value must be a finite float and > 0 (strict) or >= 0; NaN fails both,
+    and so does an integer too large for a float."""
+    if not ((0.0 < value if strict else 0.0 <= value)
+            and value <= sys.float_info.max):
         bound = "> 0" if strict else ">= 0"
         raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+
+
+def usable_bandwidth(bw: float) -> bool:
+    """> 0, with the smoother's and the kernel's 2 * bw**2 finite and not 0."""
+    try:
+        return 0.0 < bw and 0.0 < 2.0 * float(bw) ** 2 < math.inf
+    except OverflowError:
+        return False
 
 
 def _check_grid(name: str, grid) -> None:
@@ -169,8 +180,9 @@ class BehaviorConfig:
         _check_finite("C", self.C, strict=True)
         if self.kernel not in ("linear", "poly2", "poly3", "gaussian"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if self.bandwidth is not None:
-            _check_finite("bandwidth", self.bandwidth, strict=True)
+        if not (self.bandwidth is None or usable_bandwidth(self.bandwidth)):
+            raise ConfigError("bandwidth must be > 0 with 2 * bandwidth**2 "
+                              f"finite and not 0, got {self.bandwidth}")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be >= 1")
         _check_finite("smooth_decay", self.smooth_decay, strict=False)

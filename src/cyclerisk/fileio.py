@@ -18,6 +18,7 @@ import numpy as np
 
 from .behavior.stream import SensorStream
 from .behavior.svm import BinarySvm, KernelSpec, SvmModel
+from .config import usable_bandwidth
 from .emd import RiskTrainingSet, TrainingItem
 from .errors import InvalidInputError, RecordParseError
 from .risk import Detection, RiskDescriptor
@@ -454,8 +455,8 @@ def read_model(path) -> SvmModel:
         )
         if not (model.scale > 0).all():
             raise InvalidInputError("every scale must be > 0")
-        if model.smoother_bandwidth is not None and not model.smoother_bandwidth > 0:
-            raise InvalidInputError("smoother_bandwidth must be > 0")
+        if not (model.smoother_bandwidth is None or usable_bandwidth(model.smoother_bandwidth)):
+            raise InvalidInputError("smoother_bandwidth must be > 0, 2 * it**2 finite and not 0")
         d = int(model.feature_mask.sum())
         if (not 2 <= len(set(model.classes)) == len(model.classes) == len(binaries)
                 or set(model.priors) != set(model.classes)

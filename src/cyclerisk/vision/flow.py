@@ -1,22 +1,20 @@
 """Sparse optical flow: iterative Lucas-Kanade with an optional pyramid.
 
-Each corner is tracked on its own terms, but the tracker works on a block of
-corners at a time (Bouguet, "Pyramidal Implementation of the Lucas Kanade
-Feature Tracker", 2001). The spatial gradient and its 2x2 normal matrix come
-from the earlier frame and stay fixed while the update iterations re-sample
-the later frame at the moving position; at full resolution that gradient is
-GrayFrame.gradient, the one corner detection read. Each corner leaves the
-block's working set when it converges or is rejected. A point is reported as
-untracked when it is too close to the border for its window, when its normal
-matrix is near singular (no texture to lock onto) or when the window leaves
-the frame. One that runs out of iterations inside the frame counts as
-tracked. A coarse level that loses a point restarts the finer level from zero.
-
-Blocks bound memory (see _BLOCK). Every product and sum is evaluated in the
-same order as a one-corner-at-a-time loop, so the flow is bit-identical to it.
-
-The matching window's side and the pyramid depth are `VisionConfig.lk_window`
-and `VisionConfig.lk_levels`.
+Each corner is tracked on its own terms, a block of corners at a time
+(Bouguet, "Pyramidal Implementation of the Lucas Kanade Feature Tracker",
+2001). The gradient template and its 2x2 normal matrix come from the earlier
+frame (at full resolution GrayFrame.gradient, which corner detection read)
+and stay fixed, so each update needs only the template's inner products with
+the later frame under the moving window (Baker & Matthews, "Lucas-Kanade 20
+Years On", 2004): four integer-aligned sums a window (see _correlate), and
+no window is resampled. A point is untracked when its window does not fit
+the frame, when its normal matrix is near singular (no texture to lock onto)
+or when the window leaves the frame; one that runs out of iterations inside
+the frame counts as tracked. A coarse level that loses a point restarts the
+finer level from zero. docs/formats.md gives the sampler and the rule the
+flow keeps against the per-corner reference; a corner tracked in a block
+gives the bytes it gives alone. The window's side and the pyramid depth are
+`VisionConfig.lk_window` and `VisionConfig.lk_levels`.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ from .frames import GrayFrame, sobel
 _MIN_EIG = 1e-3
 _MAX_ITERS = 20
 _CONVERGENCE = 0.01  # pixels
-# Corners tracked together. A block's (n, window, window) working arrays are
-# a few hundred kB. Tracking all 128 corners of a 240x180 frame in one block
-# made a ride analysis no faster and took its peak memory from 71 to 77 MB.
-_BLOCK = 32
+# Corners tracked together. Of 8, 16, 20, 24 and 32, 24 made the traced ride
+# analysis fastest; the others lost time to fresh memory from the allocator
+# (the gap closed with glibc's mmap threshold fixed), and so did corners.
+_BLOCK = 24
 _TAPS = np.exp(-0.5 * np.arange(-4, 5) ** 2)
 _TAPS = (_TAPS / _TAPS.sum())[4:]  # pyramid blur: sigma 1, cut at 4, centre first
 
@@ -60,45 +58,45 @@ class FlowField:
         return int(self.points.shape[0])
 
 
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample img on n square grids at once.
+def _blocks(tiles: np.ndarray, origin: np.ndarray):
+    """(blocks, fractions) of n windows. tiles is the (size+1)-square sliding
+    window view of an image with one zero row and column appended; origin
+    (n, 2) is the (x, y) of each window's first sample; its floor picks the
+    block."""
+    corner = np.floor(origin).astype(np.intp)
+    return tiles[corner[:, 1], corner[:, 0]], origin - corner
 
-    img carries one zero row and column past the frame (see _pad). xs and ys
-    are (n, W) float coordinates inside the frame; row r, column c of window i
-    samples (xs[i, c], ys[i, r]). Returns (n, W, W). Floor and the fractional
-    weights work on the (n, W) vectors, and each window reads one (W+1, W+1)
-    block of img. On the last row or column the weight of the zero padding is
-    0, which gives the value of clamping the taps to the frame.
-    """
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    fx = (xs - x0)[:, None, :]
-    fy = (ys - y0)[:, :, None]
-    size = xs.shape[1]
-    blocks = sliding_window_view(img, (size + 1, size + 1))[y0[:, 0], x0[:, 0]]
-    p00, p01 = blocks[:, :-1, :-1], blocks[:, :-1, 1:]
-    p10, p11 = blocks[:, 1:, :-1], blocks[:, 1:, 1:]
-    # p00*(1-fx)*(1-fy) + p01*fx*(1-fy) + p10*(1-fx)*fy + p11*fx*fy, in place,
-    # with the same products and left-to-right sums
-    cx, cy = 1 - fx, 1 - fy
-    out = p00 * cx
-    out *= cy
-    term = p01 * fx
-    term *= cy
-    out += term
-    np.multiply(p10, cx, out=term)
-    term *= fy
-    out += term
-    np.multiply(p11, fx, out=term)
-    term *= fy
-    out += term
+
+def _sample(tiles: np.ndarray, origin: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The image sampled bilinearly on n windows into out, (n, L) with row
+    stride size+1 (see _correlate): along x on all size+1 rows of each block,
+    then along y. Both passes run on the flat block, so each row's last x
+    sample mixes in the next row; that entry is set to 0. A fraction 0 gives
+    the zero row or column weight 0, so a window may end on the last one."""
+    blocks, frac = _blocks(tiles, origin)
+    side = blocks.shape[-1]
+    flat = blocks.reshape(len(origin), -1)
+    fx, fy = frac[:, :1], frac[:, 1:]
+    rows = flat[:, :-1] * (1 - fx) + flat[:, 1:] * fx
+    np.add(rows[:, :-side] * (1 - fy), rows[:, side:] * fy, out=out)
+    out[:, side - 1::side] = 0.0
     return out
 
 
-def _pad(img: np.ndarray) -> np.ndarray:
-    """img with one zero row and column appended, so that every bilinear tap
-    of an in-frame coordinate has a right and a lower neighbour."""
-    return np.pad(img, ((0, 1), (0, 1)))
+def _correlate(tmpl: np.ndarray, tiles: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """(n, k) inner products of k templates a window with the image as
+    _sample samples it: sum_ab c_ab * S_ab, with S_ab the inner product with
+    the block's integer window at offset (b, a) and c_ab the bilinear
+    weights. tmpl (n, k, L) has row stride size+1 (a zero after each row, the
+    last one dropped), so each such window is one slice of the flat block.
+    einsum, not BLAS: the sums do not depend on the thread count."""
+    blocks, frac = _blocks(tiles, origin)
+    n, _, length = tmpl.shape
+    window, row, step = blocks.strides
+    s = np.einsum("nkl,nabl->abnk", tmpl, np.ndarray(
+        (n, 2, 2, length), buffer=blocks, strides=(window, row, step, step)))
+    cx, fx, cy, fy = 1 - frac[:, :1], frac[:, :1], 1 - frac[:, 1:], frac[:, 1:]
+    return (s[0, 0] * cx + s[0, 1] * fx) * cy + (s[1, 0] * cx + s[1, 1] * fx) * fy
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -115,69 +113,57 @@ def _downsample(img: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(img[::2, ::2])
 
 
-def _track_level(
-    prev: np.ndarray,
-    gx: np.ndarray,
-    gy: np.ndarray,
-    nxt: np.ndarray,
-    points: np.ndarray,
-    guess: np.ndarray,
-    half: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the displacements of a block of points at one pyramid level.
-
-    Returns (vectors, tracked). A point that is rejected before iterating
-    keeps its guess; one whose window leaves the frame keeps the estimate
-    from before that step.
-    """
-    h, w = prev.shape[0] - 1, prev.shape[1] - 1  # the frame, without the padding
+def _track_level(prev: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+                 nxt: np.ndarray, points: np.ndarray, guess: np.ndarray,
+                 half: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, tracked) of a block of points at one pyramid level, each
+    window addressed by its origin, point - half; the images come as tiles
+    (see _blocks). A point rejected before iterating keeps its guess; one
+    whose window leaves the frame keeps the estimate from before that step."""
+    size = 2 * half + 1
+    last = np.array(prev.shape[1::-1]) - 1  # the last origin whose window fits
     v = guess.copy()
     ok = np.zeros(len(points), dtype=bool)
-    px, py = points[:, 0], points[:, 1]
 
-    idx = np.flatnonzero(~((px < half) | (py < half)
-                           | (px > w - 1 - half) | (py > h - 1 - half)))
+    def inside(q: np.ndarray) -> np.ndarray:
+        return ((q >= 0) & (q <= last)).all(axis=1)
+
+    origin = points - half
+    idx = np.flatnonzero(inside(origin))
     if idx.size == 0:
-        return v, ok  # no window fits, or the frame is smaller than one
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    wx = px[idx, None] + offsets
-    wy = py[idx, None] + offsets
+        return v, ok
+    origin = origin[idx]
 
-    i_win = _bilinear(prev, wx, wy)
-    ix = _bilinear(gx, wx, wy)
-    iy = _bilinear(gy, wx, wy)
-
-    gxx = (ix * ix).sum(axis=(1, 2))
-    gxy = (ix * iy).sum(axis=(1, 2))
-    gyy = (iy * iy).sum(axis=(1, 2))
+    # the gradient templates, with row stride size + 1 (see _correlate)
+    tmpl = np.empty((idx.size, 2, size * (size + 1) - 1))
+    for k, g in enumerate((gx, gy)):
+        _sample(g, origin, tmpl[:, k])
+    normal = np.einsum("nkl,nml->nkm", tmpl, tmpl)
+    gxx, gxy, gyy = normal[:, 0, 0], normal[:, 0, 1], normal[:, 1, 1]
     trace = gxx + gyy
     det = gxx * gyy - gxy * gxy
     min_eig = (trace - np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))) / 2.0
-    npix = (2 * half + 1) ** 2
-    keep = ~(min_eig / npix < _MIN_EIG)
+    keep = ~(min_eig / size ** 2 < _MIN_EIG)
+    # sum(g * I) over the earlier frame's window; each step subtracts sum(g * J)
+    g_prev = _correlate(tmpl, prev, origin)
 
     vv = v[idx]
     for _ in range(_MAX_ITERS):
-        qx = wx + vv[:, :1]
-        qy = wy + vv[:, 1:]
-        inside = ~((qx.min(axis=1) < 0) | (qy.min(axis=1) < 0)
-                   | (qx.max(axis=1) > w - 1) | (qy.max(axis=1) > h - 1))
-        left = keep & ~inside
+        q = origin + vv
+        fits = inside(q)
+        left = keep & ~fits
         v[idx[left]] = vv[left]  # left the frame: untracked
-        keep &= inside
+        keep &= fits
         if not keep.all():
-            idx, vv, qx, qy, wx, wy, i_win, ix, iy, gxx, gxy, gyy, det = (
-                a[keep] for a in (idx, vv, qx, qy, wx, wy, i_win, ix, iy,
+            idx, vv, q, origin, tmpl, g_prev, gxx, gxy, gyy, det = (
+                a[keep] for a in (idx, vv, q, origin, tmpl, g_prev,
                                   gxx, gxy, gyy, det))
             if idx.size == 0:
                 return v, ok
-        diff = i_win - _bilinear(nxt, qx, qy)
-        bx = (ix * diff).sum(axis=(1, 2))
-        by = (iy * diff).sum(axis=(1, 2))
+        bx, by = (g_prev - _correlate(tmpl, nxt, q)).T
         dx = (gyy * bx - gxy * by) / det
         dy = (gxx * by - gxy * bx) / det
-        vv[:, 0] += dx
-        vv[:, 1] += dy
+        vv += np.column_stack((dx, dy))
         converged = dx * dx + dy * dy < _CONVERGENCE * _CONVERGENCE
         v[idx[converged]] = vv[converged]
         ok[idx[converged]] = True
@@ -200,6 +186,11 @@ def lk_flow(prev: GrayFrame, nxt: GrayFrame, corners: CornerSet,
 
     window = cfg.lk_window
     half = window // 2
+    n = len(corners)
+    vectors = np.zeros((n, 2), dtype=np.float64)
+    tracked = np.zeros(n, dtype=bool)
+    if min(prev.data.shape) < window:  # no window fits the frame
+        return FlowField(corners.points.copy(), vectors, tracked)
 
     prevs, nxts, grads = [prev.pixels], [nxt.pixels], [prev.gradient]
     for _ in range(cfg.lk_levels - 1):
@@ -208,21 +199,15 @@ def lk_flow(prev: GrayFrame, nxt: GrayFrame, corners: CornerSet,
         prevs.append(_downsample(prevs[-1]))
         nxts.append(_downsample(nxts[-1]))
         grads.append(sobel(prevs[-1]))
-    prevs = [_pad(img) for img in prevs]
-    nxts = [_pad(img) for img in nxts]
-    grads = [(_pad(gx), _pad(gy)) for gx, gy in grads]
-
-    n = len(corners)
-    vectors = np.zeros((n, 2), dtype=np.float64)
-    tracked = np.zeros(n, dtype=bool)
+    pad, side = ((0, 1), (0, 1)), (window + 1, window + 1)
+    levels = [[sliding_window_view(np.pad(a, pad), side) for a in (p, *g, q)]
+              for p, g, q in zip(prevs, grads, nxts)]
 
     for start in range(0, n, _BLOCK):
         points = corners.points[start:start + _BLOCK]
         v = np.zeros((len(points), 2))
-        for level in range(len(prevs) - 1, -1, -1):
-            gx, gy = grads[level]
-            v, ok = _track_level(prevs[level], gx, gy, nxts[level],
-                                 points / 2.0 ** level, v, half)
+        for level in range(len(levels) - 1, -1, -1):
+            v, ok = _track_level(*levels[level], points / 2.0 ** level, v, half)
             if level > 0:
                 v = v * 2.0
                 v[~ok] = 0.0  # restart the finer level from scratch

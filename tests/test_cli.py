@@ -598,6 +598,38 @@ class TestDryRunAndExitCodes:
         assert "smoother_bandwidth must be > 0" in err
         assert out == ""
 
+    def test_underflowing_smoother_bandwidth_exit_2(self, e2e_workspace, tmp_path,
+                                                    capsys):
+        # 2 * 1e-320**2 is 0: the smoother used to divide by it
+        head, body = e2e_workspace["model"].read_text().split("\n", 1)
+        body = json.loads(body)
+        body["smoother_bandwidth"] = 1e-320
+        model = tmp_path / "bad.cymd"
+        model.write_text(head + "\n" + json.dumps(body) + "\n")
+        rc, out, err = run(capsys, "classify-behavior", "--model", str(model),
+                           "--ride", str(e2e_workspace["train_ride"]))
+        assert rc == 2
+        assert "smoother_bandwidth must be > 0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("setting", [
+        # integers too large for a float: they used to pass the config and
+        # end in an OverflowError in the stage that read them
+        *(f"{key}=1{'0' * 400}" for key in (
+            "behavior.bandwidth", "behavior.smooth_decay", "foe.delta",
+            "foe.smooth_decay", "risk.footprint_min_px")),
+        # 2 * bandwidth**2 underflows to 0, the smoother's divisor
+        "behavior.bandwidth=1e-320"],
+        ids=lambda s: s if len(s) < 40 else s.split("=")[0] + "=10**400")
+    def test_setting_no_stage_can_use_exit_3(self, e2e_workspace, capsys, setting):
+        rc, out, err = run(capsys, "--set", setting, "classify-behavior",
+                           "--model", str(e2e_workspace["model"]),
+                           "--ride", str(e2e_workspace["train_ride"]))
+        assert rc == 3
+        assert "config error" in err
+        assert setting.split("=")[0].split(".")[1] + " must be" in err
+        assert out == ""
+
     @pytest.mark.parametrize("where", ["bike_pair", "walk_frame_0"])
     def test_truncated_frame(self, e2e_workspace, tmp_path, capsys, where):
         src = e2e_workspace["ride_mixed"]

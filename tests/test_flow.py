@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclerisk.config import VisionConfig
 from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.vision import CornerSet, GrayFrame, detect_corners, lk_flow
-from cyclerisk.vision.flow import _downsample
+from cyclerisk.vision.flow import _BLOCK, _downsample, _sample
 
 from conftest import filter_images, smooth_texture
 from vision_reference import reference_downsample, reference_flow
@@ -105,6 +106,17 @@ def test_deterministic(texture_frame):
     assert np.array_equal(a.tracked, b.tracked)
 
 
+def assert_flow_rule(flow, vectors, tracked, reasons):
+    """The flow rule against reference_flow (docs/formats.md): identical
+    tracked flags on every point, and the flow within 1e-9 px on every point
+    the reference stops by convergence. A point that uses up the iteration
+    cap moves chaotically with any change of rounding, so it is not held."""
+    assert flow.tracked.tobytes() == tracked.tobytes()
+    converged = reasons == "converged"
+    err = np.abs(flow.vectors - vectors)[converged]
+    assert err.max(initial=0.0) <= 1e-9
+
+
 def _oracle_case(seed, window, h=180, w=240):
     """A shifted textured pair with flat patches, and points that probe every
     untracked rule: on and just inside/outside the border margin, in a flat
@@ -136,15 +148,15 @@ def _oracle_case(seed, window, h=180, w=240):
 def test_matches_per_corner_reference(window, levels):
     for seed in (window * 10 + levels, window * 10 + levels + 100):
         prev, nxt, corners = _oracle_case(seed, window)
-        assert len(corners) > 64 and len(corners) % 32   # > two blocks, ragged tail
+        assert len(corners) > 2 * _BLOCK and len(corners) % _BLOCK   # ragged tail
         flow = lk_flow(prev, nxt, corners,
                        VisionConfig(lk_window=window, lk_levels=levels))
-        vectors, tracked = reference_flow(prev, nxt, corners.points,
-                                          window=window, pyramid_levels=levels)
-        assert flow.vectors.tobytes() == vectors.tobytes()
-        assert flow.tracked.tobytes() == tracked.tobytes()
+        vectors, tracked, reasons = reference_flow(
+            prev, nxt, corners.points, window=window, pyramid_levels=levels)
+        assert_flow_rule(flow, vectors, tracked, reasons)
         assert flow.points.tobytes() == corners.points.tobytes()
         assert tracked.any() and not tracked.all()
+        assert (reasons == "converged").any()
 
 
 def test_matches_reference_on_detected_corners():
@@ -153,10 +165,10 @@ def test_matches_reference_on_detected_corners():
     assert len(corners) > 32
     for levels in (1, 3):
         flow = lk_flow(prev, nxt, corners, VisionConfig(lk_levels=levels))
-        vectors, tracked = reference_flow(prev, nxt, corners.points,
-                                          pyramid_levels=levels)
-        assert flow.vectors.tobytes() == vectors.tobytes()
-        assert flow.tracked.tobytes() == tracked.tobytes()
+        vectors, tracked, reasons = reference_flow(prev, nxt, corners.points,
+                                                   pyramid_levels=levels)
+        assert_flow_rule(flow, vectors, tracked, reasons)
+        assert (reasons == "converged").sum() > 32
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -164,11 +176,10 @@ def test_empty_and_single_corner_match_reference(n):
     prev, nxt, _ = _oracle_case(seed=7, window=21)
     subset = CornerSet(np.array([[120.5, 90.25]])[:n].reshape(n, 2), np.ones(n))
     flow = lk_flow(prev, nxt, subset, VisionConfig(lk_window=21, lk_levels=2))
-    vectors, tracked = reference_flow(prev, nxt, subset.points, window=21,
-                                      pyramid_levels=2)
+    vectors, tracked, reasons = reference_flow(prev, nxt, subset.points,
+                                               window=21, pyramid_levels=2)
     assert flow.vectors.shape == (n, 2) and flow.tracked.shape == (n,)
-    assert flow.vectors.tobytes() == vectors.tobytes()
-    assert flow.tracked.tobytes() == tracked.tobytes()
+    assert_flow_rule(flow, vectors, tracked, reasons)
 
 
 @pytest.mark.parametrize("shape,window,levels,points,dx", [
@@ -186,11 +197,53 @@ def test_windows_as_large_as_the_frame_match_reference(shape, window, levels, po
     points = np.array(points)
     flow = lk_flow(prev, nxt, CornerSet(points, np.ones(len(points))),
                    VisionConfig(lk_window=window, lk_levels=levels))
-    vectors, tracked = reference_flow(prev, nxt, points, window=window,
-                                      pyramid_levels=levels)
-    assert flow.vectors.tobytes() == vectors.tobytes()
-    assert flow.tracked.tobytes() == tracked.tobytes()
+    vectors, tracked, reasons = reference_flow(prev, nxt, points, window=window,
+                                               pyramid_levels=levels)
+    assert_flow_rule(flow, vectors, tracked, reasons)
     assert tracked.any() == (window < min(shape))
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_sampler_matches_scalar_loop(size):
+    # the sampler's definition, one pixel at a time with Python floats
+    rng = np.random.default_rng(size)
+    h, w = 9, 12
+    img = rng.uniform(-50.0, 300.0, (h, w))
+    origins = np.column_stack([rng.uniform(0.0, w - size, 40),
+                               rng.uniform(0.0, h - size, 40)])
+    # whole-pixel origins, down to the last row and column: fraction 0
+    origins[:4] = [[w - size, h - size], [0.0, h - size], [w - size, 0.5], [3.0, 2.0]]
+    padded = np.pad(img, ((0, 1), (0, 1)))   # the tracker's zero row and column
+    side = size + 1
+    flat = _sample(sliding_window_view(padded, (side, side)), origins,
+                   np.full((len(origins), size * side - 1), np.nan))
+    assert not flat[:, size::side].any()   # the zero after each row
+    got = np.append(flat, np.zeros((len(origins), 1)), axis=1).reshape(-1, size, side)
+    padded = padded.tolist()
+    for i, (ox, oy) in enumerate(origins.tolist()):
+        x0, y0 = int(np.floor(ox)), int(np.floor(oy))
+        fx, fy = ox - x0, oy - y0
+        for r in range(size):
+            top, bottom = padded[y0 + r], padded[y0 + r + 1]
+            for c in range(size):
+                x = x0 + c
+                upper = top[x] * (1 - fx) + top[x + 1] * fx
+                lower = bottom[x] * (1 - fx) + bottom[x + 1] * fx
+                assert got[i, r, c] == upper * (1 - fy) + lower * fy
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("window", [3, 21, 35])
+def test_block_matches_each_corner_alone(window, levels):
+    # every window's sums are its own, whatever block it is tracked in
+    prev, nxt, corners = _oracle_case(seed=window + levels, window=window)
+    cfg = VisionConfig(lk_window=window, lk_levels=levels)
+    flow = lk_flow(prev, nxt, corners, cfg)
+    assert flow.tracked.any()
+    for i in range(len(corners)):
+        alone = lk_flow(prev, nxt, CornerSet(corners.points[i:i + 1], np.ones(1)), cfg)
+        assert alone.vectors.tobytes() == flow.vectors[i:i + 1].tobytes()
+        assert alone.tracked.tobytes() == flow.tracked[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("img", filter_images())

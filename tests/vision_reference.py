@@ -4,9 +4,11 @@ LK flow.
 The filters are scipy.ndimage's: the Sobel gradient, the 5x5 box mean and
 3x3 maximum of the corner score, and the Gaussian of the flow pyramid. The
 corners and the flow are the straightforward per-peak and per-corner loops
-the vectorized code in `cyclerisk.vision` replaced. The property tests
-require the package to reproduce all of them byte for byte, so nothing here
-uses the package's own helpers.
+the vectorized code in `cyclerisk.vision` replaced, and nothing here uses
+the package's own helpers. The property tests require the package to
+reproduce all of them byte for byte, except the flow: the tracker sums
+inner products in another order, so it must match the flags and, where the
+reference stops by convergence, the flow to 1e-9 px (docs/formats.md).
 """
 
 import numpy as np
@@ -104,34 +106,32 @@ def reference_corners(data, max_per_cell=8, grid=(4, 4), quality=0.01):
     return pts, resp
 
 
-def _bilinear(img, xs, ys):
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.clip(x0, 0, img.shape[1] - 2)
-    y0 = np.clip(y0, 0, img.shape[0] - 2)
-    fx = xs - x0
-    fy = ys - y0
-    p00 = img[y0, x0]
-    p01 = img[y0, x0 + 1]
-    p10 = img[y0 + 1, x0]
-    p11 = img[y0 + 1, x0 + 1]
-    return (p00 * (1 - fx) * (1 - fy) + p01 * fx * (1 - fy)
-            + p10 * (1 - fx) * fy + p11 * fx * fy)
+def _sample(img, ox, oy, size):
+    """img, padded with one zero row and column, bilinearly sampled on the
+    size x size window whose first sample is at (ox, oy): one fraction for
+    the whole window, interpolated along x on size+1 rows, then along y."""
+    x0, y0 = int(np.floor(ox)), int(np.floor(oy))
+    fx, fy = ox - x0, oy - y0
+    block = img[y0:y0 + size + 1, x0:x0 + size + 1]
+    rows = block[:, :-1] * (1 - fx) + block[:, 1:] * fx
+    return rows[:-1] * (1 - fy) + rows[1:] * fy
 
 
 def _track_one(prev, gx, gy, nxt, point, guess, half):
-    h, w = prev.shape
-    px, py = point
-    if px < half or py < half or px > w - 1 - half or py > h - 1 - half:
-        return guess, False
+    """(vector, tracked, exit reason) of one corner at one level; the images
+    carry the zero row and column _sample reads."""
+    h, w = prev.shape[0] - 1, prev.shape[1] - 1
+    size = 2 * half + 1
 
-    ox, oy = np.meshgrid(np.arange(-half, half + 1, dtype=np.float64),
-                         np.arange(-half, half + 1, dtype=np.float64))
-    wx = px + ox
-    wy = py + oy
-    i_win = _bilinear(prev, wx, wy)
-    ix = _bilinear(gx, wx, wy)
-    iy = _bilinear(gy, wx, wy)
+    def inside(qx, qy):
+        return 0 <= qx <= w - size and 0 <= qy <= h - size
+
+    ox, oy = point[0] - half, point[1] - half
+    if not inside(ox, oy):
+        return guess, False, "border"
+    i_win = _sample(prev, ox, oy, size)
+    ix = _sample(gx, ox, oy, size)
+    iy = _sample(gy, ox, oy, size)
 
     gxx = float((ix * ix).sum())
     gxy = float((ix * iy).sum())
@@ -139,18 +139,15 @@ def _track_one(prev, gx, gy, nxt, point, guess, half):
     trace = gxx + gyy
     det = gxx * gyy - gxy * gxy
     min_eig = (trace - np.sqrt(max(trace * trace - 4.0 * det, 0.0))) / 2.0
-    npix = (2 * half + 1) ** 2
-    if min_eig / npix < _MIN_EIG:
-        return guess, False
+    if min_eig / size ** 2 < _MIN_EIG:
+        return guess, False, "flat"
 
     v = guess.astype(np.float64).copy()
     for _ in range(_MAX_ITERS):
-        qx = wx + v[0]
-        qy = wy + v[1]
-        if (qx.min() < 0 or qy.min() < 0
-                or qx.max() > w - 1 or qy.max() > h - 1):
-            return v, False
-        diff = i_win - _bilinear(nxt, qx, qy)
+        qx, qy = ox + v[0], oy + v[1]
+        if not inside(qx, qy):
+            return v, False, "left"
+        diff = i_win - _sample(nxt, qx, qy, size)
         bx = float((ix * diff).sum())
         by = float((iy * diff).sum())
         dx = (gyy * bx - gxy * by) / det
@@ -158,12 +155,14 @@ def _track_one(prev, gx, gy, nxt, point, guess, half):
         v[0] += dx
         v[1] += dy
         if dx * dx + dy * dy < _CONVERGENCE * _CONVERGENCE:
-            return v, True
-    return v, True
+            return v, True, "converged"
+    return v, True, "cap"
 
 
 def reference_flow(prev, nxt, points, window=35, pyramid_levels=1):
-    """(vectors, tracked) as lk_flow computed them one corner at a time."""
+    """(vectors, tracked, reasons) as lk_flow computes them, one corner at a
+    time. A reason is how the last level stopped: "border", "flat", "left",
+    "converged", or "cap" when any level ran out of iterations."""
     half = window // 2
     prevs = [prev.data.astype(np.float64)]
     nxts = [nxt.data.astype(np.float64)]
@@ -173,23 +172,26 @@ def reference_flow(prev, nxt, points, window=35, pyramid_levels=1):
         prevs.append(reference_downsample(prevs[-1]))
         nxts.append(reference_downsample(nxts[-1]))
     grads = [reference_gradient(img) for img in prevs]
+    levels = [[np.pad(img, ((0, 1), (0, 1))) for img in (p, *g, q)]
+              for p, g, q in zip(prevs, grads, nxts)]
 
     n = points.shape[0]
     vectors = np.zeros((n, 2), dtype=np.float64)
     tracked = np.zeros(n, dtype=bool)
+    reasons = np.empty(n, dtype=object)
     for i in range(n):
         pt = points[i]
         v = np.zeros(2)
-        ok = False
+        capped = False
         for level in range(len(prevs) - 1, -1, -1):
             scale = 2.0 ** level
-            gx, gy = grads[level]
-            v, ok = _track_one(prevs[level], gx, gy, nxts[level],
-                               pt / scale, v, half)
+            v, ok, reason = _track_one(*levels[level], pt / scale, v, half)
+            capped |= reason == "cap"
             if level > 0:
                 v = v * 2.0
             if not ok and level > 0:
                 v = np.zeros(2)
         vectors[i] = v
         tracked[i] = ok
-    return vectors, tracked
+        reasons[i] = "cap" if capped else reason
+    return vectors, tracked, reasons
