@@ -11,15 +11,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclerisk import fileio
+from cyclerisk.behavior.preprocess import preprocess
 from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
                            _parse_size, _load_gamma_profile, main,
                            resolve_config)
 from cyclerisk.emd import build_distance_matrix
-from cyclerisk.errors import InvalidInputError, RecordParseError
+from cyclerisk.errors import InsufficientDataError, InvalidInputError, RecordParseError
 from cyclerisk.risk import DEFAULT_CLASS_COEFFS
 from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
                          ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
@@ -673,6 +674,8 @@ class TestDryRunAndExitCodes:
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(sensor_csv_text().map(str.encode), st.binary(max_size=400)))
+    @example(b"t,ax,ay,az,gx,gy,gz,speed,lat,lon,acc\n1_0" + b",0.0" * 10
+             + b"\n40.2" + b",0.0" * 10)
     def test_garbage_sensor_log_exit_2_3_or_4(self, e2e_workspace,
                                               tmp_path_factory, raw):
         p = tmp_path_factory.mktemp("garbage") / "sensors.csv"
@@ -681,7 +684,16 @@ class TestDryRunAndExitCodes:
                 contextlib.redirect_stderr(io.StringIO()):
             rc = main(["classify-behavior", "--model",
                        str(e2e_workspace["model"]), "--ride", str(p)])
-        assert rc in (2, 3, 4)
+        # the generator can write a valid log (`1_0` is a number): one the
+        # reader accepts is classified, or exits 4 when no window survives
+        try:
+            preprocess(fileio.read_sensor_csv(p))
+        except RecordParseError:
+            assert rc == 2
+        except InsufficientDataError:
+            assert rc == 4
+        else:
+            assert rc == 0
 
     @pytest.mark.parametrize("command", ["classify-behavior", "train-behavior", "analyze"])
     def test_huge_sensor_values_exit_2(self, e2e_workspace, tmp_path, capsys, command):
