@@ -34,10 +34,10 @@ from .frames import GrayFrame, sobel
 _MIN_EIG = 1e-3
 _MAX_ITERS = 20
 _CONVERGENCE = 0.01  # pixels
-# Corners tracked together. Of 8, 16, 20, 24 and 32, 24 made the traced ride
-# analysis fastest; the others lost time to fresh memory from the allocator
-# (the gap closed with glibc's mmap threshold fixed), and so did corners.
-_BLOCK = 24
+# Corners tracked together. A block's (n, window, window) working arrays are
+# a few hundred kB. Tracking all 128 corners of a 240x180 frame in one block
+# made a ride analysis no faster and took its peak memory from 71 to 77 MB.
+_BLOCK = 32
 _TAPS = np.exp(-0.5 * np.arange(-4, 5) ** 2)
 _TAPS = (_TAPS / _TAPS.sum())[4:]  # pyramid blur: sigma 1, cut at 4, centre first
 

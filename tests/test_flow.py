@@ -109,12 +109,16 @@ def test_deterministic(texture_frame):
 def assert_flow_rule(flow, vectors, tracked, reasons):
     """The flow rule against reference_flow (docs/formats.md): identical
     tracked flags on every point, and the flow within 1e-9 px on every point
-    the reference stops by convergence. A point that uses up the iteration
-    cap moves chaotically with any change of rounding, so it is not held."""
+    whose levels never use up the iteration cap, times (1 + its largest
+    displacement component) for a point that left the frame: its last
+    estimate may have wandered far in ill-conditioned steps. A point that
+    uses up the cap moves chaotically with any change of rounding, so it is
+    not held."""
     assert flow.tracked.tobytes() == tracked.tobytes()
-    converged = reasons == "converged"
-    err = np.abs(flow.vectors - vectors)[converged]
-    assert err.max(initial=0.0) <= 1e-9
+    held = reasons != "cap"
+    scale = np.where(reasons == "left", 1.0 + np.abs(vectors).max(axis=1), 1.0)
+    err = np.abs(flow.vectors - vectors).max(axis=1, initial=0.0)
+    assert (err[held] <= 1e-9 * scale[held]).all()
 
 
 def _oracle_case(seed, window, h=180, w=240):

@@ -7,8 +7,9 @@ corners and the flow are the straightforward per-peak and per-corner loops
 the vectorized code in `cyclerisk.vision` replaced, and nothing here uses
 the package's own helpers. The property tests require the package to
 reproduce all of them byte for byte, except the flow: the tracker sums
-inner products in another order, so it must match the flags and, where the
-reference stops by convergence, the flow to 1e-9 px (docs/formats.md).
+inner products in another order, so it must match the flags and, wherever
+the reference stops before the iteration cap, the flow to the flow rule's
+1e-9 px (docs/formats.md).
 """
 
 import numpy as np
