@@ -12,14 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError, InvalidInputError
-from .stream import SensorStream
+from .stream import SENSOR_FIELDS, SensorStream
 
 TRIM_SECONDS = 10.0
 GRID_RATE = 10.0
 WINDOW_SIZE = 100
 WINDOW_STRIDE = 50
-
-_FIELDS = ("ax", "ay", "az", "gx", "gy", "gz", "speed", "lat", "lon", "acc")
 
 
 def preprocess(stream: SensorStream, trim: float = TRIM_SECONDS,
@@ -55,7 +53,7 @@ def preprocess(stream: SensorStream, trim: float = TRIM_SECONDS,
     held = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 1)
     chosen = np.where(within, nearest, held)
 
-    kw = {name: getattr(stream, name)[chosen] for name in _FIELDS}
+    kw = {name: getattr(stream, name)[chosen] for name in SENSOR_FIELDS[1:]}
     return SensorStream(t=grid, **kw, gap_mask=~within)
 
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import InvalidInputError
-
-CHANNEL_NAMES = ("ax", "ay", "az", "gx", "gy", "gz", "speed")
 
 
 @dataclass
@@ -38,7 +36,7 @@ class SensorStream:
         if self.t.ndim != 1 or self.t.size == 0:
             raise InvalidInputError("timestamps must be a nonempty 1-D array")
         n = self.t.size
-        for name in ("ax", "ay", "az", "gx", "gy", "gz", "speed", "lat", "lon", "acc"):
+        for name in SENSOR_FIELDS[1:]:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (n,):
                 raise InvalidInputError(f"channel {name} has shape {arr.shape}, want ({n},)")
@@ -60,3 +58,8 @@ class SensorStream:
     def channel_matrix(self) -> np.ndarray:
         """Feature channels as one (n, 7) block: ax ay az gx gy gz speed."""
         return np.column_stack([getattr(self, c) for c in CHANNEL_NAMES])
+
+
+# the columns of sensors.csv in file order: every field above but gap_mask
+SENSOR_FIELDS = tuple(f.name for f in fields(SensorStream) if f.name != "gap_mask")
+CHANNEL_NAMES = SENSOR_FIELDS[1:8]   # the feature channels: ax .. speed

@@ -45,13 +45,24 @@ def _build(cls, data: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# the largest integer a key or grid entry may hold: a stage stores it in a C
+# integer, and a grid's cell index (row * cols + col) stays within int64
+INT_MAX = 2**31 - 1
+
+
+def _is_int(v) -> bool:
+    """An integer (not a bool) of at most INT_MAX."""
+    return (not isinstance(v, bool) and isinstance(v, numbers.Integral)
+            and v <= INT_MAX)
+
+
 def _check_ints(section) -> None:
-    """Every field declared `int` must hold an integer (not a bool)."""
+    """Every field declared `int` must hold an integer (not a bool) of at
+    most INT_MAX."""
     for f in fields(section):
         v = getattr(section, f.name)
-        if f.type == "int" and (isinstance(v, bool)
-                                or not isinstance(v, numbers.Integral)):
-            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+        if f.type == "int" and not _is_int(v):
+            raise ConfigError(f"{f.name} must be an integer <= {INT_MAX}, got {v!r}")
 
 
 def _check_finite(name: str, value, strict: bool) -> None:
@@ -72,12 +83,9 @@ def usable_bandwidth(bw: float) -> bool:
 
 
 def _check_grid(name: str, grid) -> None:
-    """A grid is two positive integers (not bools)."""
-    if (len(grid) != 2
-            or any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                   for v in grid)
-            or min(grid) < 1):
-        raise ConfigError(f"{name} must be two integers >= 1, got {grid}")
+    """A grid is two integers (not bools) in [1, INT_MAX]."""
+    if len(grid) != 2 or not all(_is_int(v) for v in grid) or min(grid) < 1:
+        raise ConfigError(f"{name} must be two integers in [1, {INT_MAX}], got {grid}")
 
 
 @dataclass(frozen=True)

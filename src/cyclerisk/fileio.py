@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .behavior.stream import SensorStream
+from .behavior.stream import SENSOR_FIELDS, SensorStream
 from .behavior.svm import BinarySvm, KernelSpec, SvmModel
 from .config import usable_bandwidth
 from .emd import RiskTrainingSet, TrainingItem
@@ -28,7 +28,7 @@ MAGIC_TRAINING = b"CYTS"
 MAGIC_MODEL = b"CYMD"
 FORMAT_VERSION = "1.0.0"
 
-SENSOR_HEADER = "t,ax,ay,az,gx,gy,gz,speed,lat,lon,acc"
+SENSOR_HEADER = ",".join(SENSOR_FIELDS)
 
 
 # ---------------------------------------------------------------- JSON core
@@ -239,12 +239,9 @@ def read_detections(path) -> list[Detection]:
 
 # ------------------------------------------------------------- sensor CSV
 
-_SENSOR_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz", "speed", "lat", "lon", "acc")
-
-
 def write_sensor_csv(path, stream: SensorStream) -> None:
     rows = [SENSOR_HEADER]
-    cols = [getattr(stream, f) for f in _SENSOR_FIELDS]
+    cols = [getattr(stream, f) for f in SENSOR_FIELDS]
     for i in range(len(stream)):
         rows.append(",".join(repr(float(c[i])) for c in cols))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -256,64 +253,58 @@ _BLOCK_ROWS = 256  # rows per parse block: bounds the temporary strings
 def read_sensor_csv(path) -> SensorStream:
     """Parse a sensor log; blank rows are skipped, numbers follow `float()`.
 
-    Well-formed files are parsed in blocks of rows into one array and checked
-    as arrays. A file with a blank row, or one that fails any check, is read
-    again row by row, which gives the failing line its message.
+    Rows are parsed in blocks into one array and checked as arrays. A log
+    with a bad row reports the first one in file order, found from the same
+    arrays; on that row the rules apply in the order field count, number,
+    finite, increasing `t`.
     """
     path = Path(path)
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != SENSOR_HEADER:
         raise RecordParseError(f"header must be {SENSOR_HEADER!r}", path=str(path),
                               line=1)
-    width = len(_SENSOR_FIELDS)
-    body = lines[1:]
-    if body and all(line.count(",") == width - 1 for line in body):
-        values = np.empty((width, len(body)))
-        try:
-            for start in range(0, len(body), _BLOCK_ROWS):
-                block = body[start:start + _BLOCK_ROWS]
-                parsed = np.fromiter(map(float, ",".join(block).split(",")),
-                                     np.float64, width * len(block))
-                values[:, start:start + len(block)] = parsed.reshape(-1, width).T
-        except ValueError:
-            pass
-        else:
-            t = values[0]
-            if np.isfinite(values).all() and (t[1:] > t[:-1]).all():
-                return SensorStream(**dict(zip(_SENSOR_FIELDS, values)))
-    return _read_sensor_rows(lines, path)
-
-
-def _read_sensor_rows(lines: list[str], path: Path) -> SensorStream:
-    """The row-by-row reader: skips blank rows, names the first malformed one."""
-    columns: list[list[float]] = [[] for _ in _SENSOR_FIELDS]
-    prev_t = None
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_SENSOR_FIELDS):
-            raise RecordParseError(f"expected {len(_SENSOR_FIELDS)} fields, "
-                                   f"got {len(parts)}", path=str(path), line=lineno)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise RecordParseError(f"bad number: {exc}", path=str(path),
-                                  line=lineno) from exc
-        if any(not math.isfinite(v) for v in values):
-            raise RecordParseError("non-finite sensor value", path=str(path),
-                                  line=lineno)
-        if prev_t is not None and values[0] <= prev_t:
-            raise RecordParseError(
-                f"timestamp {values[0]!r} does not increase past {prev_t!r}",
-                path=str(path), line=lineno)
-        prev_t = values[0]
-        for col, v in zip(columns, values):
-            col.append(v)
-    if not columns[0]:
+    width = len(SENSOR_FIELDS)
+    body, linenos = lines[1:], range(2, len(lines) + 1)
+    if all(line.count(",") == width - 1 for line in body):
+        n = len(body)
+    else:  # a blank row fails the comma count: drop blank rows, keep line numbers
+        linenos = [no for no, line in zip(linenos, body) if line.strip()]
+        body = [line for line in body if line.strip()]
+        n = next((i for i, line in enumerate(body) if line.count(",") != width - 1),
+                 len(body))
+    if not body:
         raise RecordParseError("no samples", path=str(path), line=2)
-    data = {f: np.array(c) for f, c in zip(_SENSOR_FIELDS, columns)}
-    return SensorStream(**data)
+    # rows before n have the right field count; parse up to the first bad number
+    error = (f"expected {width} fields, got {body[n].count(',') + 1}"
+             if n < len(body) else None)
+    values = np.empty((width, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = body[start:min(start + _BLOCK_ROWS, n)]
+        try:
+            parsed = np.fromiter(map(float, ",".join(block).split(",")),
+                                 np.float64, width * len(block))
+        except ValueError:  # write the block's rows up to its first bad number
+            for i, line in enumerate(block, start):
+                try:
+                    values[:, i] = [float(p) for p in line.split(",")]
+                except ValueError as exc:
+                    error, n = f"bad number: {exc}", i
+                    break
+            break
+        values[:, start:start + len(block)] = parsed.reshape(-1, width).T
+    t = values[0]
+    if error is None and np.isfinite(values).all() and (t[1:] > t[:-1]).all():
+        return SensorStream(**dict(zip(SENSOR_FIELDS, values)))
+    # a row before n that is not finite or whose t does not increase comes first
+    values, t = values[:, :n], t[:n]
+    finite = np.isfinite(values).all(axis=0)
+    bad = ~finite
+    bad[1:] |= t[1:] <= t[:-1]
+    if bad.any():
+        n = int(bad.argmax())
+        error = ("non-finite sensor value" if not finite[n] else
+                 f"timestamp {float(t[n])!r} does not increase past {float(t[n - 1])!r}")
+    raise RecordParseError(error, path=str(path), line=linenos[n])
 
 
 # ------------------------------------------------- magic-framed record files

@@ -35,21 +35,14 @@ POLYLINE_STEP = 1.0        # s, GPS subsampling for report polylines
 
 @dataclass
 class RideInputs:
-    """Parsed on-disk ride: metadata, frame files, detections, sensor log."""
+    """Parsed on-disk ride: frame clock, frame files, detections, sensor log."""
 
     ride_dir: Path
-    meta: dict
+    fps: float              # frames per second, finite and > 0
+    frame_start: float      # sensor-clock time of frame 0, s
     frames: list            # (index, path), sorted
     detections: dict        # frame index -> list[Detection]
     stream: SensorStream
-
-    @property
-    def fps(self) -> float:
-        return float(self.meta["fps"])
-
-    @property
-    def frame_start(self) -> float:
-        return float(self.meta.get("frame_start", 0.0))
 
     def frame_time(self, index: int) -> float:
         return self.frame_start + index / self.fps
@@ -85,8 +78,8 @@ def load_ride(ride_dir) -> RideInputs:
         for d in fileio.read_detections(det_path):
             dets.setdefault(d.frame, []).append(d)
     stream = fileio.read_sensor_csv(sensors_path)
-    return RideInputs(ride_dir=ride_dir, meta=meta, frames=frames,
-                      detections=dets, stream=stream)
+    return RideInputs(ride_dir=ride_dir, fps=fps, frame_start=frame_start,
+                      frames=frames, detections=dets, stream=stream)
 
 
 @dataclass

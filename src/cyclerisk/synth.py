@@ -31,6 +31,9 @@ class SyntheticScene:
     inlier_mask: np.ndarray
 
 
+DEPTH_RANGE = (0.05, 0.2)  # bounds of an expansion scene's per-flow rate lam
+
+
 def gen_expansion_scene(
     foe: tuple[float, float],
     n: int = 100,
@@ -38,12 +41,11 @@ def gen_expansion_scene(
     outlier_frac: float = 0.0,
     seed: int = 0,
     dims: tuple[int, int] = (480, 360),
-    depth_range: tuple[float, float] = (0.05, 0.2),
 ) -> SyntheticScene:
     """Radial expansion field around a known focus, with scripted outliers.
 
     Inlier flows are lam * (p - foe) plus isotropic Gaussian noise with the
-    given pixel sigma, lam drawn uniformly from depth_range. Outliers keep an
+    given pixel sigma, lam drawn uniformly from DEPTH_RANGE. Outliers keep an
     inlier-like magnitude but point in a uniformly random direction. Exactly
     round(outlier_frac * n) flows are outliers.
     """
@@ -73,7 +75,7 @@ def gen_expansion_scene(
         pts[filled:filled + len(kept)] = kept
         filled += len(kept)
 
-    lam = rng.uniform(depth_range[0], depth_range[1], size=n)
+    lam = rng.uniform(*DEPTH_RANGE, size=n)
     radial = pts - foe_pt
     vecs = lam[:, None] * radial
 

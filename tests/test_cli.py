@@ -638,6 +638,25 @@ class TestDryRunAndExitCodes:
         assert setting.split("=")[0].split(".")[1] + " must be" in err
         assert out == ""
 
+    @pytest.mark.parametrize("setting, command", [
+        # integers past a C integer: they used to pass the config and end in
+        # an OverflowError in the stage that read them
+        (f"behavior.smooth_window=1{'0' * 400}", "classify-behavior"),
+        ("vision.corner_grid=[1,999999999999999999999999999999]", "analyze")],
+        ids=["smooth_window=10**400", "corner_grid=[1,10**30-1]"])
+    def test_integer_past_cap_exit_3(self, e2e_workspace, capsys, tmp_path, setting,
+                                     command):
+        inputs = {"classify-behavior": ["--ride", str(e2e_workspace["train_ride"])],
+                  "analyze": [str(e2e_workspace["ride_bike"]), "--out",
+                              str(tmp_path / "o"), "--trainset",
+                              str(e2e_workspace["trainset"])]}[command]
+        rc, out, err = run(capsys, "--set", setting, command, "--model",
+                           str(e2e_workspace["model"]), *inputs)
+        assert rc == 3
+        assert "config error" in err and "Traceback" not in err
+        assert setting.split("=")[0].split(".")[1] + " must be" in err
+        assert out == "" and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("where", ["bike_pair", "walk_frame_0"])
     def test_truncated_frame(self, e2e_workspace, tmp_path, capsys, where):
         src = e2e_workspace["ride_mixed"]

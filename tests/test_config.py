@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from cyclerisk.config import (BehaviorConfig, EmdConfig, FoeConfig, PipelineConfig,
-                             RiskConfig, VisionConfig, apply_overrides, load_config)
+from cyclerisk.config import (INT_MAX, BehaviorConfig, EmdConfig, FoeConfig,
+                             PipelineConfig, RiskConfig, VisionConfig, apply_overrides,
+                             load_config)
 from cyclerisk.errors import ConfigError
 
 
@@ -221,3 +222,16 @@ class TestOverrides:
     def test_integer_keys_need_integers(self, key, value):
         with pytest.raises(ConfigError, match="integer"):
             apply_overrides(PipelineConfig(), [f"{key}={value}"])
+
+    @pytest.mark.parametrize("key", [
+        "vision.corner_max_per_cell", "vision.lk_window", "vision.lk_levels",
+        "vision.frame_stride", "foe.max_refine_iters", "foe.min_flows",
+        "foe.smooth_window", "emd.k", "behavior.smooth_window", "seed",
+        "vision.clahe_grid", "vision.corner_grid"])
+    def test_integers_capped_at_int_max(self, key):
+        def setting(v):
+            return f"{key}={[1, v] if key.endswith('grid') else v}"
+        apply_overrides(PipelineConfig(), [setting(INT_MAX)])
+        for too_big in (INT_MAX + 1, 10**400):
+            with pytest.raises(ConfigError, match=f"{key.split('.')[-1]} must be"):
+                apply_overrides(PipelineConfig(), [setting(too_big)])

@@ -14,6 +14,7 @@ from cyclerisk.behavior.stream import SensorStream
 from cyclerisk.emd import RiskTrainingSet, TrainingItem
 from cyclerisk.errors import InvalidInputError, RecordParseError
 from cyclerisk.risk import Detection, RiskDescriptor
+from cyclerisk.synth import gen_ride
 
 
 def small_stream(n=20, start=0.0):
@@ -288,6 +289,69 @@ class TestSensorCsvMatchesRowReader:
         assert got[0] == ("ok" if bad_row is None else "error")
         if bad_row is not None:
             assert got[2] == bad_row + 2
+
+
+def _sensor_lines(path, n):
+    fio.write_sensor_csv(path, small_stream(n))
+    return path.read_text().splitlines()
+
+
+class TestSensorCsvErrorOrder:
+    """The first bad row in file order is named; on it the rules apply in
+    the order field count, number, finite, increasing `t`."""
+
+    @pytest.mark.parametrize("block", [3, 256])
+    def test_decrease_before_bad_number_in_one_block(self, tmp_path, block):
+        # data rows 3, 4 and 5 share a block at either size; the rows of a
+        # block whose parse fails are written before the checks read them
+        p = tmp_path / "sensors.csv"
+        lines = _sensor_lines(p, 20)
+        lines[4], lines[5] = lines[5], lines[4]   # row 4's t falls: file line 6
+        fields = lines[6].split(",")
+        fields[3] = "abc"                         # file line 7
+        lines[6] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fio, "_BLOCK_ROWS", block)
+            got = _sensor_outcome(fio.read_sensor_csv, p)
+        assert got == _sensor_outcome(reference_read_sensor_csv, p)
+        assert got[2] == 6 and "does not increase" in got[1]
+
+    @pytest.mark.parametrize("bad, match", [
+        ("short", "expected 11 fields, got 3"), ("abc", "bad number"),
+        ("nan", "non-finite"), ("t_back", "does not increase")])
+    def test_blank_rows_count_in_line_number(self, tmp_path, bad, match):
+        p = tmp_path / "sensors.csv"
+        lines = _sensor_lines(p, 20)
+        fields = lines[8].split(",")
+        if bad == "short":
+            fields = fields[:3]
+        elif bad == "t_back":
+            fields[0] = lines[1].split(",")[0]
+        else:
+            fields[2] = bad
+        lines[8] = ",".join(fields)
+        lines[3:3] = ["", " \t"]   # data row 7 moves from file line 9 to 11
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordParseError, match=match) as err:
+            fio.read_sensor_csv(p)
+        assert err.value.line == 11
+        assert _sensor_outcome(fio.read_sensor_csv, p) == _sensor_outcome(
+            reference_read_sensor_csv, p)
+
+    def test_blank_rows_leave_long_log_unchanged(self, tmp_path):
+        # a 30-min three-mode log, read with and without blank rows
+        p, q = tmp_path / "sensors.csv", tmp_path / "blank.csv"
+        stream = gen_ride([("walk", 600), ("bike", 600), ("motor", 600)],
+                          seed=2024).stream
+        fio.write_sensor_csv(p, stream)
+        lines = p.read_text().splitlines()
+        for at in (len(lines), 2 + fio._BLOCK_ROWS, 1 + fio._BLOCK_ROWS, 9000, 1):
+            lines.insert(at, " " if at % 2 else "")
+        q.write_text("\n".join(lines) + "\n")
+        want = _sensor_outcome(fio.read_sensor_csv, p)
+        assert want[0] == "ok" and len(stream) == 18000
+        assert _sensor_outcome(fio.read_sensor_csv, q) == want
 
 
 _NOT_UTF8 = b"\xff\xfe"
