@@ -93,7 +93,8 @@ def magnitude_weights(
         raise InvalidInputError(f"bad frame size {frame_size}")
 
     prev_foe = np.asarray(prev_foe, dtype=np.float64).reshape(2)
-    bounds = np.asarray(cfg.ring_radii, dtype=np.float64) * math.hypot(w, h)
+    with np.errstate(over="ignore"):   # a radius past the float range has no bound
+        bounds = np.asarray(cfg.ring_radii, dtype=np.float64) * math.hypot(w, h)
 
     mags = _magnitudes(vectors)
     if (mags == 0.0).any():
@@ -127,8 +128,13 @@ def object_weights(points: np.ndarray, detections) -> np.ndarray:
 
 
 def _huber_value(t: np.ndarray, delta: float) -> np.ndarray:
+    # the linear branch only where it applies: at a delta near the float
+    # range it overflows for the residuals inside delta
     a = np.abs(t)
-    return np.where(a <= delta, 0.5 * t * t, delta * (a - 0.5 * delta))
+    out = 0.5 * t * t
+    far = a > delta
+    out[far] = delta * (a[far] - 0.5 * delta)
+    return out
 
 
 def _usable(points, vectors, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,8 +187,9 @@ def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
     stop = "max_iters"
     for _ in range(_IRLS_MAX_ITERS - 1):
         scaled = np.abs(normals @ x - offsets) / wts
-        hub = np.where(scaled <= cfg.delta, 1.0,
-                       cfg.delta / np.maximum(scaled, 1e-300))
+        hub = np.ones_like(scaled)
+        far = scaled > cfg.delta
+        hub[far] = cfg.delta / np.maximum(scaled[far], 1e-300)
         x_next = solve(hub * inv_w2)
         iterations += 1
         history.append(objective(x_next))

@@ -61,10 +61,12 @@ def load_ride(ride_dir) -> RideInputs:
     meta = fileio.read_ride_meta(meta_path)
     if not isinstance(meta, dict):
         raise InvalidInputError("ride.json must hold an object")
+    fps, frame_start = meta.get("fps", 0.0), meta.get("frame_start", 0.0)
+    if not (fileio._is_json(fps, "number") and fileio._is_json(frame_start, "number")):
+        raise InvalidInputError("ride.json fps and frame_start must be JSON numbers")
     try:
-        fps = float(meta.get("fps", 0.0))
-        frame_start = float(meta.get("frame_start", 0.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+        fps, frame_start = float(fps), float(frame_start)
+    except OverflowError as exc:
         raise InvalidInputError(
             f"ride.json fps and frame_start must be numbers: {exc}") from exc
     if not (math.isfinite(fps) and fps > 0):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from cyclerisk import fileio
 from cyclerisk.behavior import KernelSpec, loss, train_svm
@@ -28,6 +27,7 @@ from cyclerisk.risk import (Detection, RiskParams, lane_region_map,
                             proximity_region_map, risk_descriptor)
 from cyclerisk.synth import gen_expansion_scene, gen_ride, gen_risk_detections
 from cyclerisk.vision import CornerSet, GrayFrame, clahe, detect_corners, lk_flow
+from emd_reference import lp_transport
 
 GATE_LINES = []
 
@@ -47,24 +47,6 @@ def unit_ls_focus(pts, vecs):
     offsets = (normals * pts).sum(axis=1)
     x, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     return x
-
-
-def lp_transport(a, b, cost):
-    """Dense LP reference for the transport value (independent solver)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a = a / a.sum()
-    b = b / b.sum()
-    m, n = cost.shape
-    A_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        A_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
 
 
 def qp_oracle(K, y, C):

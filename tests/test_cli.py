@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclerisk import fileio
@@ -25,6 +25,7 @@ from cyclerisk.risk import DEFAULT_CLASS_COEFFS
 from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
                          ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
                          sensor_csv_text)
+from test_config import formats_key_table
 from test_synth import src_env
 
 
@@ -1049,6 +1050,50 @@ class TestJsonFieldTypeExitCodes:
                               "--model", str(e2e_workspace["model"]),
                               "--trainset", str(e2e_workspace["trainset"])])
         assert rc == 2 and "detections.ndjson:2:" in err
+
+
+CONFIG_KEYS = formats_key_table()
+
+# any JSON value: numbers at and past every bound (NaN, infinities,
+# subnormals, 2**31, an integer too large for a float), strings, booleans,
+# null, and lists of them, nested; plus numbers and short number lists of
+# the sizes the keys take, so that many drawn values are accepted and run
+_plausible = st.integers(1, 64) | st.floats(1e-6, 100.0)
+config_values = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+        | st.integers()
+        | st.sampled_from([0, 1, 3, 2**31 - 1, 2**31, 10**400, 5e-324, 1e300, 1.7e308]),
+        lambda inner: st.lists(inner, max_size=4), max_leaves=6),
+    _plausible,
+    st.lists(_plausible | st.floats(), min_size=2, max_size=3))
+
+
+class TestConfigFuzzExitCodes:
+    """No `--set` value of any key ends in a traceback: each command exits
+    0, 2, 3 or 4."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=config_values)
+    # a Huber threshold or ring radius near the float range once overflowed
+    # in numpy (a RuntimeWarning, an error under this suite's filter)
+    @example(key="foe.delta", value=1.7e308)
+    @example(key="foe.ring_radii", value=[0.15, 0.3, 1.7e308])
+    def test_set_any_value(self, e2e_workspace, short_bike_ride, tmp_path_factory,
+                           key, value):
+        # behavior keys tune labeling; every other key tunes analyze
+        model = str(e2e_workspace["model"])
+        setting = ["--set", f"{key}={json.dumps(value)}"]
+        if key.startswith("behavior."):
+            argv = setting + ["classify-behavior", "--model", model,
+                              "--ride", str(short_bike_ride)]
+        else:
+            argv = ["--criterion", "proximity", *setting, "analyze",
+                    str(short_bike_ride), "--out", str(tmp_path_factory.mktemp("o")),
+                    "--model", model, "--trainset", str(e2e_workspace["trainset"])]
+        rc, err = quiet_main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
 
 
 def test_cli_imports_without_scipy():

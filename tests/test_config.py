@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,13 @@ from cyclerisk.config import (INT_MAX, BehaviorConfig, EmdConfig, FoeConfig,
                              PipelineConfig, RiskConfig, VisionConfig, apply_overrides,
                              load_config)
 from cyclerisk.errors import ConfigError
+
+
+def formats_key_table():
+    """The keys of the docs/formats.md config key table, in table order."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    return re.findall(r"^\| `([\w.]+)` \|", text.split("## Config file", 1)[1],
+                      flags=re.M)
 
 
 class TestDefaults:
@@ -37,7 +46,9 @@ class TestDefaults:
                 else:
                     yield prefix + k
 
-        assert sorted(flat(PipelineConfig().to_dict())) == [
+        keys = sorted(flat(PipelineConfig().to_dict()))
+        assert keys == sorted(formats_key_table())
+        assert keys == [
             "behavior.C", "behavior.bandwidth", "behavior.kernel",
             "behavior.smooth_decay", "behavior.smooth_window",
             "emd.cross_factor", "emd.k",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import cyclerisk.emd
 from cyclerisk.emd import (
@@ -17,6 +16,7 @@ from cyclerisk.emd import (
     emd_with_flow,
     transfer_lower_bounds,
 )
+from cyclerisk import fileio
 from cyclerisk.config import EmdConfig
 from cyclerisk.errors import InvalidInputError, ZeroMassError
 from cyclerisk.risk import (
@@ -27,27 +27,21 @@ from cyclerisk.risk import (
     risk_descriptor,
 )
 from cyclerisk.synth import gen_risk_detections
-from emd_reference import relaxed_lower_bounds
+from emd_reference import lp_transport, relaxed_lower_bounds
 
 DIMS = (480, 360)
 
 
-def lp_transport(a, b, cost):
-    """Dense LP reference for the transport value (independent solver)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a = a / a.sum()
-    b = b / b.sum()
-    m, n = cost.shape
-    A_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        A_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
+def brute_force_neighbors(values, train, dist, k):
+    """All-pairs k nearest: one exact solve per usable training item.
+
+    Returns the usable items and the k nearest as (distance, index into
+    them) pairs, in (distance, index) order.
+    """
+    usable = [it for it in train.items if it.values.sum() > 0.0]
+    dists = np.array([emd(values, it.values, dist) for it in usable])
+    order = np.lexsort((np.arange(len(usable)), dists))
+    return usable, [(float(dists[i]), int(i)) for i in order[:min(k, len(usable))]]
 
 
 def brute_force_classify(values, train, dist, k):
@@ -55,20 +49,17 @@ def brute_force_classify(values, train, dist, k):
     values = np.asarray(values, dtype=np.float64).reshape(25)
     if values.sum() <= 0.0:
         return RiskLevel(level=1, neighbor_distances=(), votes={})
-    usable = [it for it in train.items if it.values.sum() > 0.0]
-    dists = np.array([emd(values, it.values, dist) for it in usable])
-    order = np.lexsort((np.arange(len(usable)), dists))
-    nearest = order[:min(k, len(usable))]
+    usable, nearest = brute_force_neighbors(values, train, dist, k)
     votes, sums = {}, {}
-    for idx in nearest:
+    for d, idx in nearest:
         lv = usable[idx].level
         votes[lv] = votes.get(lv, 0) + 1
-        sums[lv] = sums.get(lv, 0.0) + float(dists[idx])
+        sums[lv] = sums.get(lv, 0.0) + d
     top = max(votes.values())
     tied = sorted(lv for lv, c in votes.items() if c == top)
     winner = min(tied, key=lambda lv: (sums[lv], lv))
     return RiskLevel(level=winner,
-                     neighbor_distances=tuple(float(dists[i]) for i in nearest),
+                     neighbor_distances=tuple(d for d, _ in nearest),
                      votes=votes)
 
 
@@ -438,6 +429,49 @@ class TestPrunedRetrieval:
         assert ict_solves <= len(calls)
 
 
+class TestRideRetrieval:
+    @pytest.mark.parametrize("criterion", ["lane", "proximity"])
+    def test_pruned_matches_brute_force_on_ride(self, e2e_workspace, monkeypatch,
+                                                criterion):
+        # the e2e bike ride has road users on every bike frame pair; the
+        # retrieval must find the very items brute force finds, not only
+        # equal distances
+        dims = (240, 180)
+        rmap = (lane_region_map((120.0, 90.0), dims) if criterion == "lane"
+                else proximity_region_map(dims))
+        D = build_distance_matrix(rmap)
+        train = RiskTrainingSet(criterion=criterion, items=[
+            TrainingItem(risk_descriptor(gen_risk_detections(
+                rmap, lv, seed=1000 * lv + s, frame=s), rmap, frame=s).values, lv)
+            for lv in (1, 2, 3) for s in range(30)])
+        index = {id(it.values): i for i, it in
+                 enumerate(it for it in train.items if it.values.sum() > 0.0)}
+        by_frame = {}
+        for det in fileio.read_detections(e2e_workspace["ride_bike"] / "detections.ndjson"):
+            by_frame.setdefault(det.frame, []).append(det)
+        assert sorted(by_frame) == list(range(0, 200, 5))
+
+        solved = []
+
+        def recorded(a, b, dist):
+            value = emd(a, b, dist)
+            solved.append((value, index[id(b)]))
+            return value
+
+        monkeypatch.setattr(cyclerisk.emd, "emd", recorded)
+        k = EmdConfig().k
+        for frame, dets in sorted(by_frame.items()):
+            query = risk_descriptor(dets, rmap, frame=frame).values
+            assert query.sum() > 0.0
+            solved.clear()
+            got = classify_risk(query, train, D, EmdConfig(k=k))
+            _, nearest = brute_force_neighbors(query, train, D, k)
+            want = brute_force_classify(query, train, D, k)
+            assert sorted(solved)[:k] == nearest
+            assert got.neighbor_distances == tuple(d for d, _ in nearest)
+            assert (got.level, got.votes) == (want.level, want.votes)
+
+
 @st.composite
 def signatures(draw, allow_empty=False):
     """25 bins, each empty or a positive mass; nonempty unless allowed."""
@@ -545,6 +579,38 @@ def test_drawn_retrieval_matches_brute_force(case, key):
     assert got.level == want.level
     assert got.votes == want.votes
     assert got.neighbor_distances == want.neighbor_distances
+
+
+@st.composite
+def ride_supports(draw):
+    """A ground matrix and two signatures shaped like ride descriptors: 1-9
+    occupied bins a side; b takes some of a's bins, some of their mirror
+    partners (ground distance 0) and some others."""
+    D = ground(draw(st.sampled_from(["lane", "proximity"])), 2.0)
+    bins_a = draw(st.lists(st.integers(0, 24), min_size=1, max_size=9, unique=True))
+    mirrors = [int(j) for i in bins_a for j in np.flatnonzero(D[i] == 0.0) if j != i]
+    near = st.sampled_from(bins_a + mirrors)
+    bins_b = draw(st.lists(near | st.integers(0, 24), min_size=1, max_size=9,
+                           unique=True))
+    mass = st.floats(1e-3, 10.0)
+    a, b = np.zeros(25), np.zeros(25)
+    a[bins_a] = draw(st.lists(mass, min_size=len(bins_a), max_size=len(bins_a)))
+    b[bins_b] = draw(st.lists(mass, min_size=len(bins_b), max_size=len(bins_b)))
+    return D, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ride_supports())
+def test_transport_matches_dense_lp_on_ride_supports(case):
+    D, a, b = case
+    value = emd(a, b, D)
+    assert abs(value - lp_transport(a, b, D)) <= 1e-9
+    assert emd(b, a, D) == value
+    assert emd(a, a, D) == 0.0
+    _, plan = emd_with_flow(a, b, D)
+    assert (plan >= 0.0).all()
+    np.testing.assert_allclose(plan.sum(axis=1), a / a.sum(), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(plan.sum(axis=0), b / b.sum(), rtol=0.0, atol=1e-12)
 
 
 def test_transport_speed(lane_D):

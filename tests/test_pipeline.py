@@ -141,6 +141,23 @@ class TestLoadRide:
         with pytest.raises(InvalidInputError, match="fps"):
             load_ride(d)
 
+    @pytest.mark.parametrize("meta", ['{"fps": "5"}', '{"fps": true}',
+                                      '{"fps": "1e1", "frame_start": " 3 "}',
+                                      '{"fps": 5, "frame_start": false}'])
+    def test_fps_and_frame_start_must_be_json_numbers(self, e2e_workspace,
+                                                       tmp_path, meta, capsys):
+        d = tmp_path / "ride"
+        d.mkdir()
+        (d / "ride.json").write_text(meta)
+        (d / "sensors.csv").write_text("stub")
+        with pytest.raises(InvalidInputError, match="JSON numbers"):
+            load_ride(d)
+        code = main(["analyze", str(d), "--out", str(tmp_path / "out"),
+                     "--model", str(e2e_workspace["model"]),
+                     "--trainset", str(e2e_workspace["trainset"])])
+        assert code == 2
+        assert "JSON numbers" in capsys.readouterr().err
+
 
 class TestVisionPass:
     def test_observations_are_plentiful(self, e2e_workspace):
