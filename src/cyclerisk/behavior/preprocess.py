@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InsufficientDataError, InvalidInputError
+from ..errors import InsufficientDataError
 from .stream import SENSOR_FIELDS, SensorStream
 
 TRIM_SECONDS = 10.0
@@ -20,8 +20,7 @@ WINDOW_SIZE = 100
 WINDOW_STRIDE = 50
 
 
-def preprocess(stream: SensorStream, trim: float = TRIM_SECONDS,
-               rate: float = GRID_RATE) -> SensorStream:
+def preprocess(stream: SensorStream) -> SensorStream:
     """Trim both ends and resample to a uniform lattice.
 
     Each grid slot takes the nearest sample when one lies strictly within
@@ -29,18 +28,16 @@ def preprocess(stream: SensorStream, trim: float = TRIM_SECONDS,
     flagged in gap_mask. Raises when fewer than one window of samples
     survives the trim.
     """
-    if trim <= 0 or rate <= 0:
-        raise InvalidInputError("trim and rate must be positive")
     t = stream.t
-    t_start = t[0] + trim
-    t_end = t[-1] - trim
+    t_start = t[0] + TRIM_SECONDS
+    t_end = t[-1] - TRIM_SECONDS
     span = t_end - t_start
-    n = int(np.floor(span * rate + 1e-9)) + 1 if span >= 0 else 0
+    n = int(np.floor(span * GRID_RATE + 1e-9)) + 1 if span >= 0 else 0
     if n < WINDOW_SIZE:
         raise InsufficientDataError(
             f"{n} samples remain after trimming; need at least {WINDOW_SIZE}")
 
-    grid = t_start + np.arange(n) / rate
+    grid = t_start + np.arange(n) / GRID_RATE
     right = np.searchsorted(t, grid)
     left = np.clip(right - 1, 0, t.size - 1)
     right = np.clip(right, 0, t.size - 1)
@@ -48,7 +45,7 @@ def preprocess(stream: SensorStream, trim: float = TRIM_SECONDS,
     nearest = np.where(pick_right, right, left)
 
     # strict half-period tolerance: a sample exactly 50 ms away does not count
-    tol = 0.5 / rate
+    tol = 0.5 / GRID_RATE
     within = np.abs(t[nearest] - grid) < tol
     held = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 1)
     chosen = np.where(within, nearest, held)
@@ -65,15 +62,12 @@ class RawWindow:
     data: np.ndarray
 
 
-def make_windows(stream: SensorStream, size: int = WINDOW_SIZE,
-                 stride: int = WINDOW_STRIDE) -> list[RawWindow]:
-    """Sliding windows over the channel matrix, half-overlapped by default."""
-    if size < 2 or stride < 1:
-        raise InvalidInputError("window size must be >= 2 and stride >= 1")
+def make_windows(stream: SensorStream) -> list[RawWindow]:
+    """Sliding windows over the channel matrix, half-overlapped."""
     n = len(stream)
-    if n < size:
-        raise InsufficientDataError(f"stream has {n} samples; one window needs {size}")
+    if n < WINDOW_SIZE:
+        raise InsufficientDataError(
+            f"stream has {n} samples; one window needs {WINDOW_SIZE}")
     channels = stream.channel_matrix()
-    count = (n - size) // stride + 1
-    return [RawWindow(start=k * stride, data=channels[k * stride:k * stride + size])
-            for k in range(count)]
+    starts = range(0, n - WINDOW_SIZE + 1, WINDOW_STRIDE)
+    return [RawWindow(start=k, data=channels[k:k + WINDOW_SIZE]) for k in starts]

@@ -216,16 +216,6 @@ def _inventory(args) -> list[str]:
 
 # ----------------------------------------------------------------- commands
 
-def _is_finite(value) -> bool:
-    """A JSON number (not a bool) that a finite float can hold."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the float range
-        return False
-
-
 def _load_gamma_profile(path) -> RiskParams:
     if path is None:
         return RiskParams()
@@ -239,14 +229,15 @@ def _load_gamma_profile(path) -> RiskParams:
     params = {}
     if "class_coeffs" in data:
         coeffs = data["class_coeffs"]
-        if not isinstance(coeffs, dict) or not all(map(_is_finite, coeffs.values())):
-            raise InvalidInputError("class_coeffs must map class names to finite numbers")
-        params["class_coeffs"] = {str(k): float(v) for k, v in coeffs.items()}
+        if not (fileio.is_json(coeffs, "object")
+                and fileio.is_json(list(coeffs.values()), "number list")):
+            raise InvalidInputError(
+                f"{path}: class_coeffs must map class names to finite numbers")
+        params["class_coeffs"] = {k: float(v) for k, v in coeffs.items()}
     if "cell_coeffs" in data:
         cells = data["cell_coeffs"]
-        if (not isinstance(cells, list) or len(cells) != 25
-                or not all(map(_is_finite, cells))):
-            raise InvalidInputError("cell_coeffs must list 25 finite numbers")
+        if not (fileio.is_json(cells, "number list") and len(cells) == 25):
+            raise InvalidInputError(f"{path}: cell_coeffs must list 25 finite numbers")
         params["cell_coeffs"] = np.array([0.0] + [float(v) for v in cells])
     return RiskParams(**params)
 
@@ -458,13 +449,21 @@ def _eval_risk(args, cfg: PipelineConfig) -> int:
     if not args.sets:
         raise InvalidInputError("eval --task risk needs LEVEL:FILE args")
     train = fileio.read_training_set(args.trainset)
+    if args.criterion is not None and args.criterion != train.criterion:
+        raise InvalidInputError(
+            f"training set is {train.criterion!r} but --criterion asked for "
+            f"{args.criterion!r}")
     w, h = _parse_size(args.dims)
     rmap = region_map_for(train.criterion, (w / 2.0, h / 2.0), (w, h))
     dist = build_distance_matrix(rmap, train.cross_factor)
     counts = [[0, 0, 0] for _ in range(3)]
     for spec in args.sets:
         level, path = _parse_level_file(spec)
-        _, descs = fileio.read_descriptors(path)
+        crit, descs = fileio.read_descriptors(path)
+        if crit != train.criterion:
+            raise InvalidInputError(
+                f"{path} holds {crit!r} descriptors but the training set is "
+                f"{train.criterion!r}")
         for d in descs:
             got = classify_risk(d, train, dist, cfg.emd).level
             counts[level - 1][got - 1] += 1

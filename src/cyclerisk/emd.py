@@ -69,7 +69,7 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
         raise InvalidInputError(
             f"cross_factor must be finite and >= 1, got {cross_factor}")
     w, h = region_map.dims
-    cents = region_map.centroids()[1:].copy()
+    cents = region_map.centroids()[1:]
     missing = np.isnan(cents[:, 0])
     cents[missing] = (w / 2.0, h / 2.0)
 

@@ -56,34 +56,62 @@ def parse_json(text: str, what: str, path, line: int = 1):
                                line=line + getattr(exc, "lineno", 1) - 1) from exc
 
 
-_JSON_KINDS = {"integer": int, "number": (int, float), "string": str}
+# the Python types json.loads gives each scalar kind; a bool is not an int here
+_JSON_TYPES = {"integer": {int}, "number": {int, float}, "string": {str},
+               "boolean": {bool}, "object": {dict}}
 
 
-def _is_json(value, kind: str) -> bool:
-    """Whether a parsed JSON value is of `kind`: "integer", "number", "string"
-    or "number list" (an array of numbers). A boolean is neither an integer
-    nor a number."""
-    if kind == "number list":
-        return isinstance(value, list) and all(_is_json(v, "number") for v in value)
-    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind])
+def is_json(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of `kind`: the one rule the readers apply.
+
+    The kinds are "integer", "number" (an integer or a fraction that converts
+    to a finite double: not NaN, Infinity, 1e999 or 10**400), "string",
+    "boolean" and "object"; "K list" is an array whose every entry is of kind
+    K, and "K or null" is null or of kind K. A boolean is neither an integer
+    nor a number, and nothing is coerced: "5" is not a number.
+    """
+    if kind.endswith(" or null"):
+        return value is None or is_json(value, kind[:-len(" or null")])
+    if kind.endswith(" list"):
+        kind = kind[:-len(" list")]
+        if type(value) is not list:
+            return False
+        if kind not in _JSON_TYPES:     # a list of lists
+            return all(is_json(v, kind) for v in value)
+        values = value
+    else:
+        values = (value,)
+    if not set(map(type, values)) <= _JSON_TYPES[kind]:
+        return False
+    try:
+        return kind != "number" or all(map(math.isfinite, values))
+    except OverflowError:  # an integer past the float range
+        return False
 
 
-def _json_fields(rec, kinds: dict, what: str, path, line: int) -> list:
+def _json_fields(rec, kinds: dict, what: str, path, line: int,
+                 defaults: dict | None = None) -> list:
     """rec[key] for each key of `kinds`, which maps a key to its JSON kind.
 
-    A record that is not an object, a missing key or a value of another kind
-    raises RecordParseError; nothing is coerced.
+    A key of `defaults` may be left out and then reads as its default. A
+    record that is not an object, a missing key or a value of another kind
+    raises RecordParseError naming the key; nothing is coerced.
     """
-    if not isinstance(rec, dict):
+    if type(rec) is not dict:
         raise RecordParseError(f"{what}: not a JSON object", path=str(path), line=line)
+    out = []
     for key, kind in kinds.items():
-        if key not in rec:
-            raise RecordParseError(f"{what}: missing {key!r}", path=str(path),
-                                   line=line)
-        if not _is_json(rec[key], kind):
-            raise RecordParseError(f"{what}: {key!r} must be a JSON {kind}",
-                                   path=str(path), line=line)
-    return [rec[key] for key in kinds]
+        if key in rec:
+            if not is_json(rec[key], kind):
+                rule = "; a number must be finite" if "number" in kind else ""
+                raise RecordParseError(f"{what}: {key!r} must be a JSON {kind}{rule}",
+                                       path=str(path), line=line)
+            out.append(rec[key])
+        elif defaults and key in defaults:
+            out.append(defaults[key])
+        else:
+            raise RecordParseError(f"{what}: missing {key!r}", path=str(path), line=line)
+    return out
 
 
 def _plain(obj):
@@ -223,15 +251,8 @@ def read_detections(path) -> list[Detection]:
             raise RecordParseError("bbox must have 4 entries", path=str(path),
                                   line=lineno)
         try:
-            score, bbox = float(score), tuple(float(v) for v in bbox)
-        except OverflowError as exc:
-            raise RecordParseError(f"bad detection record: {exc}", path=str(path),
-                                  line=lineno) from exc
-        if any(not math.isfinite(v) for v in (score, *bbox)):
-            raise RecordParseError("non-finite value in detection", path=str(path),
-                                  line=lineno)
-        try:
-            out.append(Detection(frame=frame, label=label, score=score, bbox=bbox))
+            out.append(Detection(frame=frame, label=label, score=float(score),
+                                 bbox=tuple(bbox)))
         except InvalidInputError as exc:
             raise RecordParseError(str(exc), path=str(path), line=lineno) from exc
     return out
@@ -315,39 +336,24 @@ def _write_record(path, magic: bytes, body: dict) -> None:
                            + text.encode("utf-8") + b"\n")
 
 
-def _read_record(path, magic: bytes) -> dict:
+def _read_record(path, magic: bytes):
+    """The parsed JSON body of a record file whose header line checks out."""
     path = Path(path)
-    raw = path.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0 or len(raw) < 6:
+    text = read_text(path)
+    head, newline, body = text.partition("\n")
+    if not newline or len(text) < 6:
         raise RecordParseError("missing record header", path=str(path), line=1)
-    head = raw[:nl]
-    if head[:4] != magic or head[4:5] != b" ":
-        raise RecordParseError(
-            f"magic mismatch: expected {magic.decode()!r}, found "
-            f"{head[:4].decode('ascii', 'replace')!r}", path=str(path), line=1)
-    version = head[5:].decode("ascii", "replace")
+    if head[:5] != magic.decode() + " ":
+        raise RecordParseError(f"magic mismatch: expected {magic.decode()!r}, found "
+                               f"{head[:4]!r}", path=str(path), line=1)
+    version = head[5:]
     m = re.fullmatch(r"(\d+)\.(\d+)\.(\d+)", version)
     if not m:
         raise RecordParseError(f"bad version {version!r}", path=str(path), line=1)
     if m.group(1) != FORMAT_VERSION.split(".")[0]:
         raise RecordParseError(f"unsupported major version {version}",
                               path=str(path), line=1)
-    try:
-        return json.loads(raw[nl + 1:].decode("utf-8"))
-    # ValueError covers bad UTF-8, bad JSON and an integer too long to parse;
-    # RecursionError, arrays or objects nested too deep
-    except (ValueError, RecursionError) as exc:
-        raise RecordParseError(f"bad record body: {exc}", path=str(path),
-                              line=2) from exc
-
-
-def _finite(values) -> np.ndarray:
-    """values as a float64 array whose every entry is finite."""
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("non-finite number")
-    return arr
+    return parse_json(body, "bad record body", path, line=2)
 
 
 def write_descriptors(path, criterion: str, descriptors) -> None:
@@ -358,18 +364,20 @@ def write_descriptors(path, criterion: str, descriptors) -> None:
 
 
 def read_descriptors(path) -> tuple[str, list[RiskDescriptor]]:
-    body = _read_record(path, MAGIC_DESCRIPTORS)
+    what = "bad descriptor body"
+    criterion, frames = _json_fields(_read_record(path, MAGIC_DESCRIPTORS), {
+        "criterion": "string", "frames": "object list"}, what, path, 2)
+    fields = [_json_fields(f, {"frame": "integer", "values": "number list",
+                               "skipped_unknown": "integer"},
+                           f"{what}: frames[{n}]", path, 2, {"skipped_unknown": 0})
+              for n, f in enumerate(frames)]
     try:
-        criterion = str(body["criterion"])
-        out = [RiskDescriptor(values=np.array(f["values"], dtype=np.float64),
-                              criterion=criterion, frame=int(f["frame"]),
-                              skipped_unknown=int(f.get("skipped_unknown", 0)))
-               for f in body["frames"]]
-    except (KeyError, TypeError, ValueError, OverflowError,
-            InvalidInputError) as exc:
-        raise RecordParseError(f"bad descriptor body: {exc}", path=str(path),
-                              line=2) from exc
-    return criterion, out
+        return criterion, [RiskDescriptor(values=np.array(values, dtype=np.float64),
+                                          criterion=criterion, frame=frame,
+                                          skipped_unknown=skipped)
+                           for frame, values, skipped in fields]
+    except InvalidInputError as exc:
+        raise RecordParseError(f"{what}: {exc}", path=str(path), line=2) from exc
 
 
 def write_training_set(path, train: RiskTrainingSet) -> None:
@@ -382,16 +390,21 @@ def write_training_set(path, train: RiskTrainingSet) -> None:
 
 
 def read_training_set(path) -> RiskTrainingSet:
-    body = _read_record(path, MAGIC_TRAINING)
+    what = "bad training-set body"
+    criterion, cross_factor, items = _json_fields(
+        _read_record(path, MAGIC_TRAINING),
+        {"criterion": "string", "cross_factor": "number", "items": "object list"},
+        what, path, 2, {"cross_factor": 2.0})
+    fields = [_json_fields(i, {"values": "number list", "level": "integer"},
+                           f"{what}: items[{n}]", path, 2)
+              for n, i in enumerate(items)]
     try:
-        items = [TrainingItem(values=np.array(i["values"], dtype=np.float64),
-                              level=int(i["level"])) for i in body["items"]]
-        return RiskTrainingSet(criterion=str(body["criterion"]), items=items,
-                               cross_factor=float(body.get("cross_factor", 2.0)))
-    except (KeyError, TypeError, ValueError, OverflowError,
-            InvalidInputError) as exc:
-        raise RecordParseError(f"bad training-set body: {exc}", path=str(path),
-                              line=2) from exc
+        return RiskTrainingSet(
+            criterion=criterion, cross_factor=float(cross_factor),
+            items=[TrainingItem(values=np.array(values, dtype=np.float64), level=level)
+                   for values, level in fields])
+    except InvalidInputError as exc:
+        raise RecordParseError(f"{what}: {exc}", path=str(path), line=2) from exc
 
 
 def write_model(path, model: SvmModel) -> None:
@@ -418,53 +431,55 @@ def write_model(path, model: SvmModel) -> None:
 
 
 def read_model(path) -> SvmModel:
-    body = _read_record(path, MAGIC_MODEL)
+    what = "bad model body"
+    (classes, kernel, C, mu, scale, feature_mask, priors, smoother_bandwidth,
+     binaries) = _json_fields(_read_record(path, MAGIC_MODEL), {
+        "classes": "string list", "kernel": "object", "C": "number",
+        "mu": "number list", "scale": "number list", "feature_mask": "boolean list",
+        "priors": "object", "smoother_bandwidth": "number or null",
+        "binaries": "object list"}, what, path, 2, {"smoother_bandwidth": None})
+    name, bandwidth = _json_fields(kernel, {"name": "string",
+                                            "bandwidth": "number or null"},
+                                   f"{what}: kernel", path, 2)
+    prior_values = _json_fields(priors, dict.fromkeys(priors, "number"),
+                                f"{what}: priors", path, 2)
+    machines = [_json_fields(b, {"sv_x": "number list list", "sv_coef": "number list",
+                                 "bias": "number", "weights": "number list or null"},
+                             f"{what}: binaries[{n}]", path, 2)
+                for n, b in enumerate(binaries)]
+    d = sum(feature_mask)
     try:
-        kern = body["kernel"]
-        binaries = tuple(
-            BinarySvm(sv_x=_finite(b["sv_x"]).reshape(
-                          len(b["sv_coef"]), -1) if b["sv_coef"] else
-                      np.zeros((0, len(body["mu"]))),
-                      sv_coef=_finite(b["sv_coef"]),
-                      bias=float(_finite(b["bias"])),
-                      weights=None if b["weights"] is None
-                      else _finite(b["weights"]))
-            for b in body["binaries"])
+        if (not 2 <= len(set(classes)) == len(classes) == len(machines)
+                or set(priors) != set(classes) or len(mu) != d or len(scale) != d
+                or any(len(sv_x) != len(sv_coef) or any(len(r) != d for r in sv_x)
+                       or weights is not None and len(weights) != d
+                       for sv_x, sv_coef, _, weights in machines)):
+            raise InvalidInputError("classes, binaries, priors and feature "
+                                    "sizes disagree")
         model = SvmModel(
-            classes=tuple(str(c) for c in body["classes"]),
-            kernel=KernelSpec(str(kern["name"]),
-                              None if kern["bandwidth"] is None
-                              else float(kern["bandwidth"])),
-            C=float(_finite(body["C"])),
-            mu=_finite(body["mu"]),
-            scale=_finite(body["scale"]),
-            binaries=binaries,
-            priors={str(k): float(_finite(v)) for k, v in body["priors"].items()},
-            feature_mask=np.array(body["feature_mask"], dtype=bool),
-            smoother_bandwidth=None if body.get("smoother_bandwidth") is None
-            else float(_finite(body["smoother_bandwidth"])),
-        )
+            classes=tuple(classes),
+            kernel=KernelSpec(name, None if bandwidth is None else float(bandwidth)),
+            C=float(C), mu=np.array(mu, dtype=np.float64),
+            scale=np.array(scale, dtype=np.float64),
+            binaries=tuple(
+                BinarySvm(sv_x=np.array(sv_x, dtype=np.float64).reshape(len(sv_coef), d),
+                          sv_coef=np.array(sv_coef, dtype=np.float64), bias=float(bias),
+                          weights=None if weights is None
+                          else np.array(weights, dtype=np.float64))
+                for sv_x, sv_coef, bias, weights in machines),
+            priors=dict(zip(priors, map(float, prior_values))),
+            feature_mask=np.array(feature_mask, dtype=bool),
+            smoother_bandwidth=None if smoother_bandwidth is None
+            else float(smoother_bandwidth))
         if not (model.scale > 0).all():
             raise InvalidInputError("every scale must be > 0")
         if not (model.smoother_bandwidth is None or usable_bandwidth(model.smoother_bandwidth)):
             raise InvalidInputError("smoother_bandwidth must be > 0, 2 * it**2 finite and not 0")
-        d = int(model.feature_mask.sum())
-        if (not 2 <= len(set(model.classes)) == len(model.classes) == len(binaries)
-                or set(model.priors) != set(model.classes)
-                or model.feature_mask.ndim != 1 or model.mu.shape != (d,)
-                or model.scale.shape != (d,) or any(
-                    b.sv_coef.ndim != 1 or b.sv_x.shape != (b.sv_coef.size, d)
-                    or b.weights is not None and b.weights.shape != (d,)
-                    for b in binaries)):
-            raise InvalidInputError("classes, binaries, priors and feature "
-                                    "sizes disagree")
         if model.kernel.name == "gaussian" and model.kernel.bandwidth is None:
             raise InvalidInputError("a gaussian model needs its bandwidth")
         return model
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
-            InvalidInputError) as exc:
-        raise RecordParseError(f"bad model body: {exc}", path=str(path),
-                              line=2) from exc
+    except InvalidInputError as exc:
+        raise RecordParseError(f"{what}: {exc}", path=str(path), line=2) from exc
 
 
 # ------------------------------------------------------------------ GeoJSON

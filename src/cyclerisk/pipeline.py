@@ -11,7 +11,6 @@ repeated runs write byte-identical outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,19 +59,13 @@ def load_ride(ride_dir) -> RideInputs:
         raise InvalidInputError(f"missing {sensors_path}")
     meta = fileio.read_ride_meta(meta_path)
     if not isinstance(meta, dict):
-        raise InvalidInputError("ride.json must hold an object")
+        raise InvalidInputError(f"{meta_path} must hold an object")
     fps, frame_start = meta.get("fps", 0.0), meta.get("frame_start", 0.0)
-    if not (fileio._is_json(fps, "number") and fileio._is_json(frame_start, "number")):
-        raise InvalidInputError("ride.json fps and frame_start must be JSON numbers")
-    try:
-        fps, frame_start = float(fps), float(frame_start)
-    except OverflowError as exc:
-        raise InvalidInputError(
-            f"ride.json fps and frame_start must be numbers: {exc}") from exc
-    if not (math.isfinite(fps) and fps > 0):
-        raise InvalidInputError("ride.json must declare a positive fps")
-    if not math.isfinite(frame_start):
-        raise InvalidInputError("ride.json frame_start must be finite")
+    if not (fileio.is_json(fps, "number") and fileio.is_json(frame_start, "number")):
+        raise InvalidInputError(f"{meta_path}: fps and frame_start must be numbers: "
+                                "finite JSON numbers, not strings or booleans")
+    if fps <= 0:
+        raise InvalidInputError(f"{meta_path} must declare a positive fps")
     frames = fileio.list_frames(ride_dir / "frames")
     dets: dict[int, list] = {}
     det_path = ride_dir / "detections.ndjson"
@@ -80,7 +73,7 @@ def load_ride(ride_dir) -> RideInputs:
         for d in fileio.read_detections(det_path):
             dets.setdefault(d.frame, []).append(d)
     stream = fileio.read_sensor_csv(sensors_path)
-    return RideInputs(ride_dir=ride_dir, fps=fps, frame_start=frame_start,
+    return RideInputs(ride_dir=ride_dir, fps=float(fps), frame_start=float(frame_start),
                       frames=frames, detections=dets, stream=stream)
 
 

@@ -91,7 +91,6 @@ class RegionMap:
     dims: tuple[int, int]
     assignment: np.ndarray
     areas: np.ndarray = field(init=False)
-    _centroids: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
@@ -108,17 +107,14 @@ class RegionMap:
 
     def centroids(self) -> np.ndarray:
         """(26, 2) mean pixel-center position per sub-region; NaN if empty."""
-        if self._centroids is None:
-            w, h = self.dims
-            xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, (h, 1))
-            ys = np.tile((np.arange(h, dtype=np.float64) + 0.5)[:, None], (1, w))
-            flat = self.assignment.ravel()
-            sx = np.bincount(flat, weights=xs.ravel(), minlength=26)
-            sy = np.bincount(flat, weights=ys.ravel(), minlength=26)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cents = np.column_stack((sx, sy)) / self.areas[:, None]
-            self._centroids = cents
-        return self._centroids
+        w, h = self.dims
+        xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, (h, 1))
+        ys = np.tile((np.arange(h, dtype=np.float64) + 0.5)[:, None], (1, w))
+        flat = self.assignment.ravel()
+        sx = np.bincount(flat, weights=xs.ravel(), minlength=26)
+        sy = np.bincount(flat, weights=ys.ravel(), minlength=26)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.column_stack((sx, sy)) / self.areas[:, None]
 
 
 def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
@@ -266,12 +262,15 @@ def object_footprint(det: Detection, dims: tuple[int, int],
 
 
 def descriptor_bins(values) -> np.ndarray:
-    """The 25 bins as float64, rejecting negative or non-finite mass.
+    """The 25 bins as float64, rejecting another count or negative or
+    non-finite mass.
 
     The total must be finite too, since retrieval divides by it; a finite
     total also rules out any non-finite bin.
     """
-    v = np.asarray(values, dtype=np.float64).reshape(25)
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size != 25:
+        raise InvalidInputError(f"a descriptor has 25 bins, got {v.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         total = v.sum()
     if not (np.isfinite(total) and (v >= 0).all()):

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .behavior.preprocess import make_windows, preprocess
+from .behavior.stream import SensorStream
 from .config import RiskConfig
 from .errors import InvalidInputError
-from .risk import SUBREGION_COLORS, proximity_region_map
+from .risk import SUBREGION_COLORS, Detection, proximity_region_map
 
 
 @dataclass
@@ -103,8 +105,6 @@ def gen_risk_detections(region_map, level: int, seed: int = 0, frame: int = 0) -
     level 1 stays entirely green. Footprints are placed by rejection sampling
     against the map's color assignment, so the label is true by construction.
     """
-    from .risk import Detection
-
     if level not in (1, 2, 3):
         raise InvalidInputError(f"risk level must be 1, 2 or 3, got {level}")
     rng = np.random.default_rng(seed)
@@ -183,16 +183,13 @@ MAX_SEGMENT_S = 86400.0  # one day: 864,000 samples, well inside memory
 class SyntheticRide:
     """Scripted multi-mode recording with ground-truth labels.
 
-    window_labels align with make_windows(preprocess(stream)) under the
-    default trim and grid settings.
+    window_labels align with make_windows(preprocess(stream)).
     """
 
-    schedule: tuple
-    stream: "object"
+    stream: SensorStream
     sample_modes: np.ndarray
     window_labels: list[str]
     window_starts: np.ndarray
-    seed: int = 0
 
 
 def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
@@ -203,9 +200,6 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
     motorized travel is fast but smooth. Speed follows a mean-reverting walk
     around each mode's nominal value so windows see realistic variation.
     """
-    from .behavior.preprocess import make_windows, preprocess
-    from .behavior.stream import SensorStream
-
     schedule = tuple((str(m), float(d)) for m, d in schedule)
     if not schedule:
         raise InvalidInputError("schedule must contain at least one segment")
@@ -285,10 +279,8 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
         labels.append(schedule[int(modes[tally.argmax()])][0])
         starts.append(win.start)
 
-    return SyntheticRide(schedule=schedule, stream=stream,
-                         sample_modes=sample_modes, window_labels=labels,
-                         window_starts=np.asarray(starts, dtype=np.intp),
-                         seed=seed)
+    return SyntheticRide(stream=stream, sample_modes=sample_modes, window_labels=labels,
+                         window_starts=np.asarray(starts, dtype=np.intp))
 
 
 FRAME_ZOOM = 1.002  # per-frame radial magnification about the focus

@@ -21,6 +21,7 @@ from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
                            resolve_config)
 from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError, RecordParseError
+from cyclerisk.pipeline import load_ride
 from cyclerisk.risk import DEFAULT_CLASS_COEFFS
 from test_fileio import (detection_record, json_file_bytes, label_record, model_bytes,
                          ndjson_bytes, pgm_bytes, record_bytes, ride_meta,
@@ -407,6 +408,26 @@ class TestEval:
         rows = payload["confusion_percent"]
         for row in rows:
             assert sum(row) == pytest.approx(100.0) or sum(row) == 0.0
+
+    @pytest.mark.parametrize("flag", [[], ["--criterion", "proximity"]],
+                             ids=["descriptors", "flag"])
+    def test_risk_criterion_must_match_trainset(self, e2e_workspace, tmp_path,
+                                                capsys, flag):
+        # the proximity set relabeled lane: proximity descriptors do not fit
+        # it, nor does --criterion proximity, as train-risk and analyze hold
+        ws = e2e_workspace
+        lane = {name: tmp_path / ws[name].name
+                for name in ("trainset", "level1", "level2", "level3")}
+        for name, path in lane.items():
+            path.write_text(ws[name].read_text().replace(
+                '"criterion":"proximity"', '"criterion":"lane"'))
+        files = lane if flag else ws
+        sets = [f"{k}:{files[f'level{k}']}" for k in (1, 2, 3)]
+        rc, stdout, err = run(capsys, *flag, "eval", "--task", "risk",
+                              "--trainset", str(lane["trainset"]), *sets,
+                              "--dims", "240x180")
+        assert rc == 2 and "proximity" in err and "lane" in err
+        assert "confusion" not in stdout
 
     def test_risk_needs_trainset(self, capsys):
         rc, _, err = run(capsys, "eval", "--task", "risk", "1:x.cydr")
@@ -1050,6 +1071,89 @@ class TestJsonFieldTypeExitCodes:
                               "--model", str(e2e_workspace["model"]),
                               "--trainset", str(e2e_workspace["trainset"])])
         assert rc == 2 and "detections.ndjson:2:" in err
+
+
+_GAMMA = {"class_coeffs": {"car": 1.0}, "cell_coeffs": [0.5] * 25}
+
+# (file, path to a field in its body, a value of another kind than the
+# field's). Each record value was once coerced into a valid field.
+_WRONG_KIND = [
+    *[("level2", ("frames", 0, "frame"), v) for v in ("17", 17.9, True)],
+    *[("level2", ("frames", 0, "skipped_unknown"), v) for v in ("3", 2.5, False)],
+    *[("level2", ("frames", 0, "values", 3), v) for v in ("0.5", True)],
+    *[("trainset", ("items", 0, "level"), v) for v in (True, 2.7, "3")],
+    *[("trainset", ("cross_factor",), v) for v in ("3", True)],
+    *[("model", ("C",), v) for v in ("2", True)],
+    ("model", ("mu", 0), "0.5"),
+    *[("model", ("feature_mask", 0), v) for v in (1, "no")],
+    ("model", ("classes",), [1, 2]),
+    ("model", ("smoother_bandwidth",), "1.5"),
+    ("model", ("binaries", 0, "bias"), "0.25"),
+    ("model", ("kernel", "bandwidth"), "2"),
+    ("model", ("priors", "bike"), "0.3"),
+    ("ride.json", ("fps",), math.inf),
+    ("ride.json", ("frame_start",), "0"),
+    *[("gamma", ("class_coeffs",), {"car": v}) for v in (True, 10 ** 400)],
+    *[("gamma", ("cell_coeffs",), [0.5] * 24 + [v]) for v in ("0.5", math.nan)],
+]
+
+
+class TestWrongKindExitCodes:
+    """A field of another JSON kind than docs/formats.md gives it exits 2 with
+    a message naming the file and the field, and its reader raises."""
+
+    @pytest.mark.parametrize("name,where,value", _WRONG_KIND, ids=[
+        f"{n}:{'.'.join(map(str, w))}={json.dumps(v)[:12]}" for n, w, v in _WRONG_KIND])
+    def test_exit_2_naming_file_and_key(self, e2e_workspace, short_bike_ride,
+                                        tmp_path, name, where, value):
+        ws = e2e_workspace
+        if name in ("level2", "trainset", "model"):
+            head, text = ws[name].read_text().split("\n", 1)
+            body = json.loads(text)
+        else:
+            body = json.loads(json.dumps(_GAMMA) if name == "gamma" else
+                              (short_bike_ride / "ride.json").read_text())
+        node = body
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        text = json.dumps(body)   # writes Infinity and NaN tokens
+        ride = short_bike_ride
+        if name == "ride.json":
+            ride = ride_with(tmp_path, short_bike_ride, "ride.json", text.encode())
+            path = ride / "ride.json"
+        elif name == "gamma":
+            path = tmp_path / "gamma.json"
+            path.write_text(text)
+        else:
+            path = tmp_path / ws[name].name
+            path.write_text(head + "\n" + text + "\n")
+
+        read, error = {
+            "level2": (fileio.read_descriptors, RecordParseError),
+            "trainset": (fileio.read_training_set, RecordParseError),
+            "model": (fileio.read_model, RecordParseError),
+            "ride.json": (lambda p: load_ride(p.parent), InvalidInputError),
+            "gamma": (_load_gamma_profile, InvalidInputError),
+        }[name]
+        with pytest.raises(error):
+            read(path)
+
+        out = str(tmp_path / "out")
+        analyze = ["--criterion", "proximity", "analyze", str(ride), "--out", out,
+                   "--model", str(ws["model"]), "--trainset", str(ws["trainset"])]
+        argv = {
+            "level2": ["train-risk", f"1:{ws['level1']}", f"2:{path}",
+                       f"3:{ws['level3']}", "--out", out],
+            "trainset": analyze[:-1] + [str(path)],
+            "model": ["classify-behavior", "--model", str(path), "--ride", str(ride)],
+            "ride.json": analyze,
+            "gamma": analyze + ["--gamma-profile", str(path)],
+        }[name]
+        rc, err = quiet_main(argv)
+        assert rc == 2 and "Traceback" not in err
+        assert str(path) in err
+        assert all(key in err for key in where if isinstance(key, str)), err
 
 
 CONFIG_KEYS = formats_key_table()

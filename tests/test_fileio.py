@@ -1,6 +1,7 @@
 """Codec round trips and strict parse diagnostics."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -581,6 +582,20 @@ def _finite_total(values):
     return values.shape == (25,) and np.isfinite(values.sum()) and (values >= 0).all()
 
 
+# the documented JSON kinds, checked apart from the reader's own rule
+def _is_number(v):
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _is_number_or_null(v):
+    return v is None or _is_number(v)
+
+
+def _record_body(raw):
+    """The JSON body of a record file, below its header line."""
+    return json.loads(raw.split(b"\n", 1)[1])
+
+
 class TestRecordFuzz:
     @settings(max_examples=200, deadline=None)
     @given(raw=record_bytes(b"CYDR"))
@@ -593,6 +608,14 @@ class TestRecordFuzz:
             return
         assert isinstance(criterion, str)
         assert all(_finite_total(d.values) for d in descs)
+        # nothing was coerced: every field read had its documented kind
+        body = _record_body(raw)
+        assert type(body["criterion"]) is str
+        assert len(body["frames"]) == len(descs)
+        for f in body["frames"]:
+            assert type(f["frame"]) is int
+            assert type(f.get("skipped_unknown", 0)) is int
+            assert all(map(_is_number, f["values"]))
 
     @settings(max_examples=200, deadline=None)
     @given(raw=record_bytes(b"CYTS"))
@@ -607,6 +630,12 @@ class TestRecordFuzz:
         assert 1.0 <= ts.cross_factor < float("inf")
         assert all(_finite_total(it.values) and it.level in (1, 2, 3)
                    for it in ts.items)
+        body = _record_body(raw)
+        assert type(body["criterion"]) is str
+        assert _is_number(body.get("cross_factor", 2.0))
+        for item in body["items"]:
+            assert type(item["level"]) is int
+            assert all(map(_is_number, item["values"]))
 
     @pytest.mark.parametrize("body", _BAD_BODIES[3:],
                              ids=["deep", "long-int", "long-int-field", "not-utf8"])
@@ -864,10 +893,10 @@ def model_bytes(draw, n_features=3):
     def vec(k):
         return [draw(st.sampled_from([0.5, -1.0, 2.0])) for _ in range(size(k))]
 
-    classes = draw(st.sampled_from([["bike", "walk"], ["bike", "motor", "walk"],
-                                    ["walk"], ["bike", "bike"]]))
-    binaries = [{"sv_x": vec(n_sv * d), "sv_coef": vec(n_sv), "bias": 0.5,
-                 "weights": vec(d) if draw(st.booleans()) else None}
+    classes = list(draw(st.sampled_from([("bike", "walk"), ("bike", "motor", "walk"),
+                                         ("walk",), ("bike", "bike")])))
+    binaries = [{"sv_x": [vec(d) for _ in range(size(n_sv))], "sv_coef": vec(n_sv),
+                 "bias": 0.5, "weights": vec(d) if draw(st.booleans()) else None}
                 for n_sv in [draw(st.integers(0, 3)) for _ in range(size(len(classes)))]]
     body = {
         "classes": classes,
@@ -883,7 +912,8 @@ def model_bytes(draw, n_features=3):
         "smoother_bandwidth": draw(st.sampled_from([None, 1.0])),
         "binaries": binaries,
     }
-    spoil = draw(st.sampled_from(["none"] * 3 + ["value", "number", "drop", "all"]))
+    spoil = draw(st.sampled_from(["none"] * 3 + ["value", "number", "entry", "entry",
+                                                 "drop", "all"]))
     key = draw(st.sampled_from(sorted(body)))
     if spoil == "value":
         body[key] = draw(_JSON)
@@ -892,6 +922,14 @@ def model_bytes(draw, n_features=3):
             for k, v in node.items():
                 if isinstance(v, float) and draw(st.booleans()):
                     node[k] = draw(st.sampled_from(_ODD_NUMBERS))
+    elif spoil == "entry":          # one entry of an array, even a class name
+        arrays = [body[k] for k in ("classes", "mu", "scale", "feature_mask")]
+        arrays += [a for b in binaries for a in (b["sv_coef"], *b["sv_x"])]
+        arrays = [a for a in arrays if a]
+        if arrays:
+            entries = draw(st.sampled_from(arrays))
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(
+                st.sampled_from(_ODD_NUMBERS + (0, 1, "no", "bike")))
     elif spoil == "drop":
         del body[key]
     elif spoil == "all":
@@ -973,6 +1011,20 @@ class TestReaderFuzz:
         for b in model.binaries:
             assert b.sv_x.shape == (b.sv_coef.size, d)
             assert b.weights is None or b.weights.shape == (d,)
+        # nothing was coerced: every field read had its documented kind
+        body = _record_body(raw)
+        assert all(type(c) is str for c in body["classes"])
+        assert type(body["kernel"]["name"]) is str
+        assert _is_number_or_null(body["kernel"]["bandwidth"])
+        assert _is_number(body["C"])
+        assert all(map(_is_number, body["mu"] + body["scale"]))
+        assert all(type(v) is bool for v in body["feature_mask"])
+        assert all(map(_is_number, body["priors"].values()))
+        assert _is_number_or_null(body.get("smoother_bandwidth"))
+        for b in body["binaries"]:
+            assert all(map(_is_number, [v for row in b["sv_x"] for v in row]))
+            assert all(map(_is_number, b["sv_coef"])) and _is_number(b["bias"])
+            assert b["weights"] is None or all(map(_is_number, b["weights"]))
 
     @settings(max_examples=200, deadline=None)
     @given(raw=json_file_bytes(ride_meta()))

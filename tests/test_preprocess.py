@@ -108,13 +108,6 @@ class TestPreprocess:
         out = preprocess(lattice_stream(60))
         assert np.allclose(np.diff(out.t), 0.1, atol=1e-12)
 
-    def test_bad_params(self):
-        s = lattice_stream(60)
-        with pytest.raises(InvalidInputError):
-            preprocess(s, trim=0.0)
-        with pytest.raises(InvalidInputError):
-            preprocess(s, rate=-1.0)
-
 
 class TestWindows:
     @pytest.mark.parametrize("n,expect", [(100, 1), (150, 2), (250, 4), (1000, 19)])
