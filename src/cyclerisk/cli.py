@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--criterion", choices=("lane", "proximity"),
-                   help="risk partition to use")
+                   help="exit 2 unless the input files use this risk partition")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config value, e.g. vision.lk_window=21")
     p.add_argument("--dry-run", action="store_true",
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--n", type=int, default=100, help="number of flows")
     gs.add_argument("--noise", type=float, default=0.0, help="flow noise (px)")
     gs.add_argument("--outliers", type=float, default=0.0,
-                    help="outlier fraction in [0,1)")
+                    help="outlier fraction in [0,1]")
     gs.set_defaults(func=cmd_gen_scene, inputs=())
 
     gr = sub.add_parser("gen-ride", help="synthetic ride dataset")
@@ -180,8 +180,6 @@ def resolve_config(args) -> PipelineConfig:
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.criterion is not None:
-        overrides.append(f"risk.criterion={args.criterion}")
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
@@ -242,10 +240,17 @@ def _load_gamma_profile(path) -> RiskParams:
     return RiskParams(**params)
 
 
+def _check_criterion(args, criterion: str, what: str) -> None:
+    if args.criterion is not None and args.criterion != criterion:
+        raise InvalidInputError(f"{what} {criterion!r} but --criterion asked "
+                                f"for {args.criterion!r}")
+
+
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
     ride = load_ride(args.ride)
     model = fileio.read_model(args.model)
     train = fileio.read_training_set(args.trainset)
+    _check_criterion(args, train.criterion, "training set is")
     params = _load_gamma_profile(args.gamma_profile)
     result = analyze_ride(ride, model, train, cfg, params)
     write_analysis(args.out, result)
@@ -277,10 +282,7 @@ def cmd_train_risk(args, cfg: PipelineConfig) -> int:
                 f"held {criterion!r}")
         seen.add(level)
         items.extend(TrainingItem(values=d.values, level=level) for d in descs)
-    if args.criterion is not None and args.criterion != criterion:
-        raise InvalidInputError(
-            f"descriptor files are {criterion!r} but --criterion asked for "
-            f"{args.criterion!r}")
+    _check_criterion(args, criterion, "descriptor files are")
     if seen != {1, 2, 3}:
         raise InvalidInputError(
             f"training needs descriptors for levels 1, 2 and 3; got "
@@ -449,10 +451,7 @@ def _eval_risk(args, cfg: PipelineConfig) -> int:
     if not args.sets:
         raise InvalidInputError("eval --task risk needs LEVEL:FILE args")
     train = fileio.read_training_set(args.trainset)
-    if args.criterion is not None and args.criterion != train.criterion:
-        raise InvalidInputError(
-            f"training set is {train.criterion!r} but --criterion asked for "
-            f"{args.criterion!r}")
+    _check_criterion(args, train.criterion, "training set is")
     w, h = _parse_size(args.dims)
     rmap = region_map_for(train.criterion, (w / 2.0, h / 2.0), (w, h))
     dist = build_distance_matrix(rmap, train.cross_factor)

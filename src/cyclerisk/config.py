@@ -148,14 +148,10 @@ class FoeConfig:
 
 @dataclass(frozen=True)
 class RiskConfig:
-    criterion: str = "lane"
     footprint_frac: float = 0.2
     footprint_min_px: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.criterion not in ("lane", "proximity"):
-            raise ConfigError(f"criterion must be lane or proximity, "
-                              f"got {self.criterion!r}")
         if not 0.0 < self.footprint_frac <= 1.0:
             raise ConfigError("footprint_frac must be in (0, 1]")
         _check_finite("footprint_min_px", self.footprint_min_px, strict=False)

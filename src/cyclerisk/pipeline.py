@@ -25,7 +25,7 @@ from .config import PipelineConfig, VisionConfig
 from .emd import RiskTrainingSet, build_distance_matrix, classify_risk
 from .errors import (CycleRiskError, InvalidInputError)
 from .foe import FoeSmoother, magnitude_weights, object_weights, refine_foe
-from .risk import RiskParams, lane_region_map, proximity_region_map, risk_descriptor
+from .risk import RiskParams, region_map_for, risk_descriptor
 from .vision import GrayFrame, clahe, detect_corners, lk_flow
 
 GPS_JOIN_TOLERANCE = 0.5   # s, frame-to-position nearest join
@@ -167,11 +167,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
     later frame carries over as the next pair's earlier frame, so every
     frame is read once and at most two are held.
     """
-    criterion = cfg.risk.criterion
-    if train.criterion != criterion:
-        raise InvalidInputError(
-            f"training set is for {train.criterion!r} but the run uses "
-            f"{criterion!r}")
+    criterion = train.criterion
     if not ride.frames:
         raise InvalidInputError(f"no frames under {ride.ride_dir}/frames")
 
@@ -192,10 +188,11 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
     bike = [i for i in processed if rows[i].mode == "bike"]
 
     smoother = FoeSmoother(cfg.foe)
-    nxt = None
+    nxt = dist = None
     for i in bike:
         row = rows[i]
-        # reads stay outside the try: an unreadable frame ends the run
+        # reads stay outside the try: an unreadable frame, or one whose size
+        # differs from the first bike frame's, ends the run
         prev = (nxt if nxt is not None and nxt.index == i
                 else _load_clahe(by_index[i], i, cfg.vision))
         nxt = _load_clahe(by_index[i + stride], i + stride, cfg.vision)
@@ -203,9 +200,11 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             h, w = prev.data.shape
             dims = (w, h)
             prev_foe = np.array([w / 2.0, h / 2.0])
-            if criterion == "proximity":
-                prox_map = proximity_region_map(dims)
-                prox_dist = build_distance_matrix(prox_map, train.cross_factor)
+        for frame in (prev, nxt):
+            fh, fw = frame.data.shape
+            if (fw, fh) != dims:
+                raise InvalidInputError(f"{by_index[frame.index]}: frame is {fw}x{fh}, "
+                                        f"not {w}x{h} like the first bike frame")
         try:
             points, vectors = _pair_flows(prev, nxt, cfg.vision)
         except CycleRiskError as exc:
@@ -219,11 +218,10 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             smoothed = smoother.push(i, refined.point)
             prev_foe = smoothed
             row.foe = (float(smoothed[0]), float(smoothed[1]))
-            if criterion == "lane":
-                rmap = lane_region_map(smoothed, dims)
+            # the proximity map ignores the focus: build it once
+            if dist is None or criterion == "lane":
+                rmap = region_map_for(criterion, smoothed, dims)
                 dist = build_distance_matrix(rmap, train.cross_factor)
-            else:
-                rmap, dist = prox_map, prox_dist
             desc = risk_descriptor(dets, rmap, risk_params, frame=i, cfg=cfg.risk)
             verdict = classify_risk(desc, train, dist, cfg.emd)
             row.level = verdict.level

@@ -186,9 +186,12 @@ class TestAnalyzeOutputs:
                 .read_text().splitlines()]
         assert len(descs) == sum(1 for r in rows if r["level"] is not None)
 
-    def test_rerun_byte_identical(self, e2e_workspace, tmp_path, capsys):
+    # the training set fixes the criterion: --criterion only checks it
+    @pytest.mark.parametrize("flag", [["--criterion", "proximity"], []],
+                             ids=["flag", "no_flag"])
+    def test_rerun_byte_identical(self, e2e_workspace, tmp_path, capsys, flag):
         out2 = tmp_path / "again"
-        rc, _, _ = run(capsys, "--criterion", "proximity", "analyze",
+        rc, _, _ = run(capsys, *flag, "analyze",
                        str(e2e_workspace["ride_bike"]), "--out", str(out2),
                        "--model", str(e2e_workspace["model"]),
                        "--trainset", str(e2e_workspace["trainset"]))
@@ -207,6 +210,66 @@ class TestAnalyzeOutputs:
                          "--trainset", str(e2e_workspace["trainset"]))
         assert rc == 2
         assert "lane" in err
+
+
+def ride_with_frames(root, src, frames):
+    """A copy of ride `src` whose frames named in `frames` (index -> image)
+    are replaced."""
+    ride = root / "ride"
+    ride.mkdir()
+    for path in sorted(src.rglob("*")):
+        dest = ride / path.relative_to(src)
+        if path.is_dir():
+            dest.mkdir()
+        elif path.name not in {fileio.frame_filename(i) for i in frames}:
+            dest.symlink_to(path.resolve())
+    for i, image in frames.items():
+        fileio.write_pgm(ride / "frames" / fileio.frame_filename(i), image)
+    return ride
+
+
+class TestFrameSizes:
+    @pytest.mark.parametrize("criterion", ["lane", "proximity"])
+    def test_frames_too_small_all_skipped(self, e2e_workspace, short_bike_ride,
+                                          tmp_path, capsys, criterion):
+        # a proximity ride of such frames used to exit 2: its region map
+        # was built before the first pair's try
+        tiny = np.full((4, 4), 128, dtype=np.uint8)
+        ride = ride_with_frames(tmp_path, short_bike_ride,
+                                {i: tiny for i, _ in fileio.list_frames(
+                                    short_bike_ride / "frames")})
+        trainset = tmp_path / "t.cyts"
+        trainset.write_text(e2e_workspace["trainset"].read_text().replace(
+            '"criterion":"proximity"', f'"criterion":"{criterion}"'))
+        out = tmp_path / "o"
+        rc, _, err = run(capsys, "analyze", str(ride), "--out", str(out),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(trainset))
+        assert rc == 0, err
+        rows = [json.loads(line) for line in
+                (out / "frames.ndjson").read_text().splitlines()]
+        assert [r["frame"] for r in rows] == [0, 5]
+        assert all(r["level"] is None and r["note"] for r in rows)
+        assert fileio.read_descriptors(out / "descriptors.cydr") == (criterion, [])
+
+    @pytest.mark.parametrize("first", [5, 10])
+    def test_frame_of_another_size_exit_2(self, e2e_workspace, short_bike_ride,
+                                          tmp_path, capsys, first):
+        # frames from `first` on are larger than frame 0; a pair of two such
+        # frames used to be scored against frame 0's size
+        frames = {}
+        for i, path in fileio.list_frames(short_bike_ride / "frames"):
+            if i >= first:
+                frames[i] = np.pad(fileio.read_pgm(path), ((0, 60), (0, 80)))
+        ride = ride_with_frames(tmp_path, short_bike_ride, frames)
+        out = tmp_path / "o"
+        rc, _, err = run(capsys, "analyze", str(ride), "--out", str(out),
+                         "--model", str(e2e_workspace["model"]),
+                         "--trainset", str(e2e_workspace["trainset"]))
+        assert rc == 2
+        assert fileio.frame_filename(first) in err and "320x240" in err
+        assert "240x180" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestClassifyBehavior:
@@ -501,8 +564,7 @@ class TestDryRunAndExitCodes:
                             "missing.cyts")
         assert rc == 0
         lines = stdout.splitlines()
-        cfg = json.loads(lines[0])
-        assert cfg["risk"]["criterion"] == "proximity"
+        assert "criterion" not in json.loads(lines[0])["risk"]
         inventory = "\n".join(lines[1:])
         assert "missing.cyts [missing]" in inventory
         assert "model.cymd" in inventory
@@ -532,6 +594,22 @@ class TestDryRunAndExitCodes:
                              "--out", str(tmp_path / "s"))
             assert rc == 3, bad
             assert "config error" in err
+
+    @pytest.mark.parametrize("where", ["set", "config"])
+    def test_criterion_key_is_unknown_exit_3(self, e2e_workspace, tmp_path, capsys,
+                                             where):
+        config = tmp_path / "run.json"
+        config.write_text('{"risk": {"criterion": "proximity"}}')
+        setting = (["--set", "risk.criterion=proximity"] if where == "set"
+                   else ["--config", str(config)])
+        rc, out, err = run(capsys, *setting, "analyze",
+                           str(e2e_workspace["ride_bike"]), "--out", str(tmp_path / "o"),
+                           "--model", str(e2e_workspace["model"]),
+                           "--trainset", str(e2e_workspace["trainset"]))
+        assert rc == 3
+        assert "config error" in err and "criterion" in err
+        assert "Traceback" not in err
+        assert out == "" and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("meta", [
         '{"fps": "abc"}', '{"fps": 5, "frame_start": null}',

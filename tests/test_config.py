@@ -30,7 +30,7 @@ class TestDefaults:
         assert cfg.foe.delta == 1.0
         assert cfg.foe.min_flows == 8
         assert cfg.foe.ring_radii == (0.15, 0.30, 0.50)
-        assert cfg.risk.criterion == "lane"
+        assert cfg.risk.footprint_frac == 0.2
         assert cfg.emd.cross_factor == 2.0
         assert cfg.emd.k == 5
         assert cfg.behavior.kernel == "linear"
@@ -55,7 +55,7 @@ class TestDefaults:
             "foe.angle_thresh", "foe.delta", "foe.max_refine_iters",
             "foe.min_flows", "foe.ring_radii", "foe.smooth_decay",
             "foe.smooth_window", "foe.tol",
-            "risk.criterion", "risk.footprint_frac", "risk.footprint_min_px",
+            "risk.footprint_frac", "risk.footprint_min_px",
             "seed",
             "vision.clahe_clip", "vision.clahe_grid", "vision.corner_grid",
             "vision.corner_max_per_cell", "vision.corner_quality",
@@ -169,9 +169,9 @@ class TestFromDict:
 class TestFile:
     def test_load(self, tmp_path):
         p = tmp_path / "run.json"
-        p.write_text(json.dumps({"risk": {"criterion": "proximity"}}))
+        p.write_text(json.dumps({"risk": {"footprint_frac": 0.4}}))
         cfg = load_config(p)
-        assert cfg.risk.criterion == "proximity"
+        assert cfg.risk.footprint_frac == 0.4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -265,8 +265,7 @@ def test_stages_take_the_config_sections(e2e_workspace, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "risk_descriptor", spy_descriptor)
     cfg = PipelineConfig.from_dict({"vision": {"corner_quality": 0.02},
                                     "foe": {"angle_thresh": 20.0},
-                                    "risk": {"criterion": "proximity",
-                                             "footprint_frac": 0.4,
+                                    "risk": {"footprint_frac": 0.4,
                                              "footprint_min_px": 4.0},
                                     "emd": {"k": 3},
                                     "behavior": {"smooth_decay": 0.7}})
