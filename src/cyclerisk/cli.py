@@ -359,16 +359,18 @@ def cmd_gen_scene(args, cfg: PipelineConfig) -> int:
     scene = gen_expansion_scene(foe, n=args.n, noise=args.noise,
                                 outlier_frac=args.outliers, seed=cfg.seed,
                                 dims=(w, h))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     truth = {"foe": [float(foe[0]), float(foe[1])], "dims": [w, h],
              "n": args.n, "noise": args.noise, "outlier_frac": args.outliers,
              "seed": cfg.seed, "inliers": int(scene.inlier_mask.sum())}
-    (out / "truth.json").write_text(fileio.canonical_json(truth) + "\n",
-                                    encoding="utf-8")
-    fileio.write_ndjson(out / "flows.ndjson", (fileio.canonical_json(
+    # both texts are serialized before the first write
+    truth_text = fileio.canonical_json(truth) + "\n"
+    flow_lines = [fileio.canonical_json(
         {"point": [p[0], p[1]], "vec": [v[0], v[1]], "inlier": bool(inlier)})
-        for p, v, inlier in zip(scene.points, scene.vectors, scene.inlier_mask)))
+        for p, v, inlier in zip(scene.points, scene.vectors, scene.inlier_mask)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "truth.json").write_text(truth_text, encoding="utf-8")
+    fileio.write_ndjson(out / "flows.ndjson", flow_lines)
     print(f"wrote {out}: {args.n} flows, {truth['inliers']} inliers")
     return 0
 

@@ -175,12 +175,8 @@ def _min_cost_transport(a: list, b: list, cost: np.ndarray) -> list:
     raise ZeroMassError("transport failed to terminate; masses inconsistent")
 
 
-def _transport(a, b, dist: np.ndarray):
-    """Checked EMD between unit-normalized a and b.
-
-    Returns the value, the plan restricted to the two supports, and the
-    support indices.
-    """
+def _transport(a, b, dist: np.ndarray) -> float:
+    """Checked EMD between unit-normalized a and b."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape or a.shape[0] != dist.shape[0] or dist.shape[0] != dist.shape[1]:
@@ -197,16 +193,8 @@ def _transport(a, b, dist: np.ndarray):
     ia = np.nonzero(a > 0.0)[0]
     ib = np.nonzero(b > 0.0)[0]
     sub = dist[np.ix_(ia, ib)]
-    plan_sub = np.array(_min_cost_transport(a[ia].tolist(), b[ib].tolist(), sub))
-    return float((plan_sub * sub).sum()), plan_sub, ia, ib
-
-
-def emd_with_flow(a, b, dist: np.ndarray):
-    """EMD plus the optimal transport plan between unit-normalized masses."""
-    value, plan_sub, ia, ib = _transport(a, b, dist)
-    plan = np.zeros_like(dist)
-    plan[np.ix_(ia, ib)] = plan_sub
-    return value, plan
+    plan = np.array(_min_cost_transport(a[ia].tolist(), b[ib].tolist(), sub))
+    return float((plan * sub).sum())
 
 
 def emd(a, b, dist: np.ndarray) -> float:
@@ -218,8 +206,8 @@ def emd(a, b, dist: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.tobytes() <= b.tobytes():
-        return _transport(a, b, dist)[0]
-    return _transport(b, a, np.asarray(dist, dtype=np.float64).T)[0]
+        return _transport(a, b, dist)
+    return _transport(b, a, np.asarray(dist, dtype=np.float64).T)
 
 
 @dataclass

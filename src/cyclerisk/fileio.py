@@ -510,14 +510,6 @@ def write_report_geojson(path, segments) -> None:
     Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
 
 
-def read_report_geojson(path) -> dict:
-    path = Path(path)
-    doc = parse_json(read_text(path), "bad GeoJSON", path)
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise RecordParseError("expected a FeatureCollection", path=str(path), line=1)
-    return doc
-
-
 # ------------------------------------------------------------ ride layout
 
 def write_ride_meta(path, meta: dict) -> None:

@@ -4,10 +4,11 @@ Flows arrive as plain arrays, one row per flow: (n, 2) source points, (n, 2)
 displacement vectors and (n,) weights. Each flow spans a line through its
 source point; during forward motion those lines meet near one image point.
 The estimate is the point minimizing a robust (Huber) sum of weighted
-point-to-line distances. A flow's weight is the product of a
-magnitude-consistency term (`magnitude_weights`: flows that disagree with
-their annulus's mean speed are discounted) and an object term
-(`object_weights`: flows sitting on detected moving objects are discounted);
+point-to-line distances, reached by iteratively reweighted least squares.
+A flow's weight is the product of a magnitude-consistency term
+(`magnitude_weights`: flows that disagree with their annulus's mean speed
+are discounted) and an object term (`object_weights`: flows sitting on
+detected moving objects are discounted);
 rows with a zero weight or a zero vector take no part. An orientation
 refinement pass then drops flows whose direction disagrees with the radial
 expansion pattern around the estimate and re-solves.
@@ -22,7 +23,7 @@ quorum, ring radii and the smoother's window and decay) are the fields of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +48,18 @@ _IRLS_TOL = 1e-8
 
 @dataclass
 class FoeEstimate:
-    """Result of one estimation or refinement run.
+    """Result of one estimation or refinement run: the focus and its counts.
 
     iterations counts solver rounds (reweighted solves for estimate_foe,
-    prune-and-solve rounds for refine_foe). objective_history records the
-    robust objective after every reweighted solve of the last estimation.
+    prune-and-solve rounds for refine_foe); active_count counts the flows
+    of the last solve; stop_reason is "converged", "max_iters" or, for
+    refine_foe, "quorum".
     """
 
     point: np.ndarray
     iterations: int
     active_count: int
-    objective: float
-    stop_reason: str = "converged"
-    objective_history: list[float] = field(default_factory=list)
+    stop_reason: str
 
 
 def _magnitudes(vectors: np.ndarray) -> np.ndarray:
@@ -127,42 +127,29 @@ def object_weights(points: np.ndarray, detections) -> np.ndarray:
     return np.exp(-np.where(inside, score, 0.0).max(axis=1, initial=0.0))
 
 
-def _huber_value(t: np.ndarray, delta: float) -> np.ndarray:
-    # the linear branch only where it applies: at a delta near the float
-    # range it overflows for the residuals inside delta
-    a = np.abs(t)
-    out = 0.5 * t * t
-    far = a > delta
-    out[far] = delta * (a[far] - 0.5 * delta)
-    return out
+def _flow_lines(points, vectors, weights, min_flows: int):
+    """The usable rows as a flow-line table.
 
-
-def _usable(points, vectors, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows with a positive weight and a nonzero vector."""
+    A row is usable with a positive weight and a nonzero vector. Returns
+    the source points, unit directions, unit normals, offsets n_i . p_i and
+    weights of those rows; raises InsufficientFlowError below the quorum.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     keep = (weights > 0.0) & (vectors != 0.0).any(axis=1)
-    return points[keep], vectors[keep], weights[keep]
-
-
-def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
-                 cfg: FoeConfig = FoeConfig()) -> FoeEstimate:
-    """Robustly intersect the flow lines.
-
-    Solves argmin_x sum_i huber_delta(f(x, L_i) / w_i) where f is the
-    point-to-line distance, by iteratively reweighted least squares on the
-    2x2 normal system. Raises InsufficientFlowError below the quorum and
-    DegenerateGeometryError when the lines do not pin down a point.
-    """
-    pts, vecs, wts = _usable(points, vectors, weights)
-    n = len(wts)
-    if n < cfg.min_flows:
-        raise InsufficientFlowError(f"{n} usable flows, need {cfg.min_flows}")
-
-    dirs = vecs / _magnitudes(vecs)[:, None]
+    points, vectors, weights = points[keep], vectors[keep], weights[keep]
+    if len(weights) < min_flows:
+        raise InsufficientFlowError(f"{len(weights)} usable flows, need {min_flows}")
+    dirs = vectors / _magnitudes(vectors)[:, None]
     normals = np.column_stack((-dirs[:, 1], dirs[:, 0]))
-    offsets = np.einsum("ij,ij->i", normals, pts)  # n_i . p_i
+    offsets = np.einsum("ij,ij->i", normals, points)
+    return points, dirs, normals, offsets, weights
+
+
+def _irls(normals: np.ndarray, offsets: np.ndarray, wts: np.ndarray,
+          delta: float) -> tuple[np.ndarray, int, str]:
+    """Huber IRLS over flow lines: the point, the solve count, the stop reason."""
 
     def solve(coef: np.ndarray) -> np.ndarray:
         m00 = float((coef * normals[:, 0] * normals[:, 0]).sum())
@@ -176,32 +163,33 @@ def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
         rhs = (normals * (coef * offsets)[:, None]).sum(axis=0)
         return np.linalg.solve(mat, rhs)
 
-    def objective(x: np.ndarray) -> float:
-        res = np.abs(normals @ x - offsets) / wts
-        return float(_huber_value(res, cfg.delta).sum())
-
     inv_w2 = 1.0 / (wts * wts)
     x = solve(inv_w2)
-    history = [objective(x)]
-    iterations = 1
-    stop = "max_iters"
-    for _ in range(_IRLS_MAX_ITERS - 1):
+    for iterations in range(2, _IRLS_MAX_ITERS + 1):
         scaled = np.abs(normals @ x - offsets) / wts
         hub = np.ones_like(scaled)
-        far = scaled > cfg.delta
-        hub[far] = cfg.delta / np.maximum(scaled[far], 1e-300)
+        far = scaled > delta
+        hub[far] = delta / np.maximum(scaled[far], 1e-300)
         x_next = solve(hub * inv_w2)
-        iterations += 1
-        history.append(objective(x_next))
         step = float(np.linalg.norm(x_next - x))
         x = x_next
         if step < _IRLS_TOL:
-            stop = "converged"
-            break
+            return x, iterations, "converged"
+    return x, _IRLS_MAX_ITERS, "max_iters"
 
-    return FoeEstimate(point=x, iterations=iterations, active_count=n,
-                       objective=history[-1], stop_reason=stop,
-                       objective_history=history)
+
+def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
+                 cfg: FoeConfig = FoeConfig()) -> FoeEstimate:
+    """Robustly intersect the flow lines.
+
+    Solves argmin_x sum_i huber_delta(f(x, L_i) / w_i) where f is the
+    point-to-line distance, by iteratively reweighted least squares on the
+    2x2 normal system. Raises InsufficientFlowError below the quorum and
+    DegenerateGeometryError when the lines do not pin down a point.
+    """
+    *_, normals, offsets, wts = _flow_lines(points, vectors, weights, cfg.min_flows)
+    x, iterations, stop = _irls(normals, offsets, wts, cfg.delta)
+    return FoeEstimate(x, iterations, len(wts), stop)
 
 
 def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
@@ -215,16 +203,16 @@ def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
     (the last feasible estimate is returned, flagged "quorum"), or after
     max_refine_iters rounds.
     """
-    points, vectors, weights = _usable(points, vectors, weights)
-    est = estimate_foe(points, vectors, weights, cfg)
-    dirs = vectors / _magnitudes(vectors)[:, None]
+    points, dirs, normals, offsets, weights = _flow_lines(points, vectors, weights,
+                                                          cfg.min_flows)
+    point = _irls(normals, offsets, weights, cfg.delta)[0]
     active = np.arange(len(weights))
     solves = 1
     cos_limit = math.cos(math.radians(cfg.angle_thresh))
 
     stop = "max_iters"
     while solves < cfg.max_refine_iters + 1:
-        radial = points[active] - est.point
+        radial = points[active] - point
         norms = np.linalg.norm(radial, axis=1)
         # A flow starting exactly at the estimate carries no direction
         # information; it is never pruned.
@@ -239,17 +227,15 @@ def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
             stop = "quorum"
             break
         pruned = active[keep]
-        new_est = estimate_foe(points[pruned], vectors[pruned], weights[pruned], cfg)
+        new_point = _irls(normals[pruned], offsets[pruned], weights[pruned], cfg.delta)[0]
         solves += 1
-        moved = float(np.linalg.norm(new_est.point - est.point))
-        active, est = pruned, new_est
+        moved = float(np.linalg.norm(new_point - point))
+        active, point = pruned, new_point
         if moved < cfg.tol:
             stop = "converged"
             break
 
-    return FoeEstimate(point=est.point, iterations=solves,
-                       active_count=len(active), objective=est.objective,
-                       stop_reason=stop, objective_history=est.objective_history)
+    return FoeEstimate(point, solves, len(active), stop)
 
 
 class FoeSmoother:

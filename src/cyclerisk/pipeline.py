@@ -11,6 +11,7 @@ repeated runs write byte-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +68,9 @@ def load_ride(ride_dir) -> RideInputs:
     if fps <= 0:
         raise InvalidInputError(f"{meta_path} must declare a positive fps")
     frames = fileio.list_frames(ride_dir / "frames")
+    if frames and not math.isfinite(frame_start + frames[-1][0] / fps):
+        raise InvalidInputError(f"{meta_path}: frame {frames[-1][0]} has no finite "
+                                "time (frame_start + index / fps)")
     dets: dict[int, list] = {}
     det_path = ride_dir / "detections.ndjson"
     if det_path.exists():

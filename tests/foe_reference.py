@@ -3,19 +3,19 @@
 This is the object path the array code in `cyclerisk.foe` replaced: one
 `FlowObservation` per flow, weighted one flow (and one box) at a time, and
 re-stacked into arrays on every solve. The property tests require the
-package to reproduce it byte for byte, so keep it independent of the
-package's helpers: only the settings (`FoeConfig`) and the result record
-are shared.
+package to reproduce its point, counts, stop reason and errors byte for
+byte, so keep it independent of the package's helpers: only the settings
+(`FoeConfig`) are shared. Its result record also carries the robust
+objective after every reweighted solve, which the package never computes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from cyclerisk.errors import DegenerateGeometryError, InsufficientFlowError, InvalidInputError
 from cyclerisk.config import FoeConfig
-from cyclerisk.foe import FoeEstimate
 
 _MAG_OUTLIER = 0.10
 _MAG_MID = 0.75
@@ -23,6 +23,22 @@ _MAG_INLIER = 1.00
 _COND_LIMIT = 1e12
 _IRLS_MAX_ITERS = 50
 _IRLS_TOL = 1e-8
+
+
+@dataclass
+class RefEstimate:
+    """The reference's result: the package's four fields plus the objective.
+
+    objective_history holds the robust objective after every reweighted
+    solve of the last estimation; objective is its last entry.
+    """
+
+    point: np.ndarray
+    iterations: int
+    active_count: int
+    stop_reason: str
+    objective: float
+    objective_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -131,7 +147,7 @@ def _huber_value(t, delta):
     return np.where(a <= delta, 0.5 * t * t, delta * (a - 0.5 * delta))
 
 
-def estimate_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
+def estimate_foe(observations, cfg=FoeConfig()) -> RefEstimate:
     usable = _usable(observations)
     n = len(usable)
     if n < cfg.min_flows:
@@ -177,12 +193,12 @@ def estimate_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
             stop = "converged"
             break
 
-    return FoeEstimate(point=x, iterations=iterations, active_count=n,
-                       objective=history[-1], stop_reason=stop,
+    return RefEstimate(point=x, iterations=iterations, active_count=n,
+                       stop_reason=stop, objective=history[-1],
                        objective_history=history)
 
 
-def refine_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
+def refine_foe(observations, cfg=FoeConfig()) -> RefEstimate:
     active = _usable(observations)
     est = estimate_foe(active, cfg)
     solves = 1
@@ -212,6 +228,7 @@ def refine_foe(observations, cfg=FoeConfig()) -> FoeEstimate:
             stop = "converged"
             break
 
-    return FoeEstimate(point=est.point, iterations=solves,
-                       active_count=len(active), objective=est.objective,
-                       stop_reason=stop, objective_history=est.objective_history)
+    return RefEstimate(point=est.point, iterations=solves,
+                       active_count=len(active), stop_reason=stop,
+                       objective=est.objective,
+                       objective_history=est.objective_history)

@@ -131,6 +131,9 @@ def test_g02_contaminated_scene_beats_plain_ls():
 
 
 def test_g03_robust_objective_beats_pixel_lattice():
+    def huber_sum(res):   # the Huber objective at delta 1, unit weights
+        return np.where(res <= 1.0, 0.5 * res * res, res - 0.5).sum(axis=-1)
+
     worst = -np.inf
     for s in range(20):
         rng = np.random.default_rng(300 + s)
@@ -146,9 +149,9 @@ def test_g03_robust_objective_beats_pixel_lattice():
         for yv in np.arange(0.0, DIMS[1] + 1.0):
             res = np.abs(xs[:, None] * normals[:, 0] + yv * normals[:, 1]
                          - offsets)
-            vals = np.where(res <= 1.0, 0.5 * res * res, res - 0.5).sum(axis=1)
-            best = min(best, float(vals.min()))
-        worst = max(worst, est.objective - best)
+            best = min(best, float(huber_sum(res).min()))
+        ours = float(huber_sum(np.abs(normals @ est.point - offsets)))
+        worst = max(worst, ours - best)
     ok = worst <= 1e-6
     gate("g03 robust objective vs 1-px lattice", ok,
          f"worst objective excess {worst:.2e} (tol 1e-6)")
@@ -476,7 +479,7 @@ def test_g11b_codecs_round_trip_byte_exact(tmp_path):
                  "risk": {}, "coords": [(-8.60, 41.16), (-8.59, 41.16)]}]
     g1, g2 = tmp_path / "a.geojson", tmp_path / "b.geojson"
     fileio.write_report_geojson(g1, segments)
-    doc = fileio.read_report_geojson(g1)
+    doc = json.loads(g1.read_text(encoding="utf-8"))
     back = [{"mode": f["properties"]["mode"],
              "start_t": f["properties"]["start_t"],
              "end_t": f["properties"]["end_t"],

@@ -866,6 +866,8 @@ class TestDryRunAndExitCodes:
         ["gen-scene", "--foe", "inf,5"],
         ["gen-scene", "--noise", "nan"],
         ["gen-scene", "--noise", "inf"],
+        # finite, but the noisy flows overflow to infinity, which JSON cannot hold
+        ["gen-scene", "--noise", "1e308", "--n", "10"],
     ], ids=lambda a: " ".join(a[1:]))
     def test_bad_generator_args_exit_2_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -1119,6 +1121,19 @@ class TestUnparsableJsonExitCodes:
                               "--model", str(e2e_workspace["model"]),
                               "--trainset", str(e2e_workspace["trainset"])])
         assert rc == 2 and "fps and frame_start must be numbers" in err
+
+    def test_frame_time_past_float_range(self, e2e_workspace, short_bike_ride,
+                                         tmp_path):
+        # fps > 0, but frame 10 would occur at 10 / 1e-320 s: infinity
+        ride = ride_with(tmp_path, short_bike_ride, "ride.json", b'{"fps": 1e-320}')
+        out = tmp_path / "o"
+        rc, err = quiet_main(["--criterion", "proximity", "analyze", str(ride),
+                              "--out", str(out),
+                              "--model", str(e2e_workspace["model"]),
+                              "--trainset", str(e2e_workspace["trainset"])])
+        assert rc == 2 and "ride.json" in err and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestJsonFieldTypeExitCodes:

@@ -389,13 +389,6 @@ class TestNotUtf8:
             fio.read_ride_meta(p)
         assert err.value.line == 1
 
-    def test_report_geojson(self, tmp_path):
-        p = tmp_path / "report.geojson"
-        p.write_bytes(b'{"type":\r\r"' + _NOT_UTF8 + b'"}')
-        with pytest.raises(RecordParseError, match="UTF-8") as err:
-            fio.read_report_geojson(p)
-        assert err.value.line == 3
-
     def test_newlines_read_as_path_read_text_does(self, tmp_path):
         p = tmp_path / "mixed.txt"
         p.write_bytes("a\r\nb\rc\n\u00e9\r".encode("utf-8"))
@@ -772,7 +765,7 @@ class TestGeoJson:
         }
         p = tmp_path / "report.geojson"
         fio.write_report_geojson(p, self.segments())
-        doc = fio.read_report_geojson(p)
+        doc = json.loads(p.read_text(encoding="utf-8"))
         jsonschema.validate(doc, schema)
 
     def test_lon_lat_order(self, tmp_path):
@@ -958,12 +951,6 @@ def ride_meta(draw):
     return meta
 
 
-@st.composite
-def geojson_doc(draw):
-    return {"type": draw(st.sampled_from(["FeatureCollection"] * 4 + ["Feature", 3])),
-            "features": _or_json(draw, st.just([]))}
-
-
 def _read_or_record_error(read, tmp_path_factory, raw, name):
     p = tmp_path_factory.mktemp("fuzz") / name
     p.write_bytes(raw)
@@ -1031,14 +1018,6 @@ class TestReaderFuzz:
     def test_ride_meta(self, tmp_path_factory, raw):
         _read_or_record_error(fio.read_ride_meta, tmp_path_factory, raw, "ride.json")
 
-    @settings(max_examples=200, deadline=None)
-    @given(raw=json_file_bytes(geojson_doc()))
-    def test_report_geojson(self, tmp_path_factory, raw):
-        doc = _read_or_record_error(fio.read_report_geojson, tmp_path_factory,
-                                    raw, "report.geojson")
-        if doc is not None:
-            assert doc["type"] == "FeatureCollection"
-
 
 class TestUnparsableJson:
     """A body nested too deep or an integer too long to convert is a
@@ -1048,10 +1027,9 @@ class TestUnparsableJson:
                              ids=["deep", "long-int"])
     @pytest.mark.parametrize("read,name,line", [
         (fio.read_ride_meta, "ride.json", 1),
-        (fio.read_report_geojson, "report.geojson", 1),
         (fio.read_detections, "detections.ndjson", 2),
         (fio.read_window_labels, "labels.ndjson", 2),
-    ], ids=["ride-meta", "geojson", "detections", "labels"])
+    ], ids=["ride-meta", "detections", "labels"])
     def test_record_error(self, tmp_path, read, name, line, body):
         p = tmp_path / name
         p.write_bytes(b"\n" * (line - 1) + body + b"\n")
