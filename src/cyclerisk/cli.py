@@ -287,6 +287,8 @@ def cmd_train_risk(args, cfg: PipelineConfig) -> int:
         raise InvalidInputError(
             f"training needs descriptors for levels 1, 2 and 3; got "
             f"{sorted(seen)}")
+    if not any(it.values.sum() > 0.0 for it in items):
+        raise InvalidInputError("training needs a descriptor with positive mass")
     ts = RiskTrainingSet(criterion=criterion, items=items,
                          cross_factor=cfg.emd.cross_factor)
     fileio.write_training_set(args.out, ts)

@@ -1,10 +1,10 @@
 """File formats: frame images, detection and sensor logs, record files, reports.
 
-Every writer is canonical (sorted JSON keys, shortest-round-trip float text,
-fixed separators), so write(read(f)) reproduces f byte for byte and repeated
-runs produce identical output. Binary record files open with a 4-byte magic,
-a space, a semantic version, and a newline; the body is canonical JSON.
-See docs/formats.md for the full layout of each format.
+Every writer is canonical (sorted string keys, shortest-round-trip float text,
+fixed separators; json meets numpy values only in its `default` hook), so
+write(read(f)) reproduces f byte for byte and repeated runs produce identical
+output. Binary record files open with a 4-byte magic, a space, a semantic
+version, and a newline; the body is canonical JSON. See docs/formats.md.
 """
 
 from __future__ import annotations
@@ -33,12 +33,21 @@ SENSOR_HEADER = ",".join(SENSOR_FIELDS)
 
 # ---------------------------------------------------------------- JSON core
 
+def _numpy_value(obj):
+    """json's hook: numpy arrays and real numbers as plain lists and numbers."""
+    if isinstance(obj, np.floating):
+        return float(obj)   # tolist() leaves a long double as it is
+    if isinstance(obj, (np.ndarray, np.integer, np.bool_)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    """Stable, minimal JSON text; floats keep shortest exact repr."""
+    """Stable, minimal JSON text (string keys); floats keep shortest exact repr."""
     try:
-        return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    except ValueError as exc:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_numpy_value)
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"value not serializable: {exc}") from exc
 
 
@@ -114,24 +123,8 @@ def _json_fields(rec, kinds: dict, what: str, path, line: int,
     return out
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _float_list(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=np.float64)]
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def write_ndjson(path, lines) -> None:
@@ -399,10 +392,13 @@ def read_training_set(path) -> RiskTrainingSet:
                            f"{what}: items[{n}]", path, 2)
               for n, i in enumerate(items)]
     try:
-        return RiskTrainingSet(
+        train = RiskTrainingSet(
             criterion=criterion, cross_factor=float(cross_factor),
             items=[TrainingItem(values=np.array(values, dtype=np.float64), level=level)
                    for values, level in fields])
+        if not any(it.values.sum() > 0.0 for it in train.items):
+            raise InvalidInputError("no item has positive mass")
+        return train
     except InvalidInputError as exc:
         raise RecordParseError(f"{what}: {exc}", path=str(path), line=2) from exc
 
@@ -411,7 +407,7 @@ def write_model(path, model: SvmModel) -> None:
     binaries = []
     for b in model.binaries:
         binaries.append({
-            "sv_x": [_float_list(r) for r in b.sv_x],
+            "sv_x": _float_list(b.sv_x),
             "sv_coef": _float_list(b.sv_coef),
             "bias": float(b.bias),
             "weights": None if b.weights is None else _float_list(b.weights),

@@ -78,6 +78,11 @@ class Detection:
         self.bbox = (float(x), float(y), float(w), float(h))
 
 
+def _pixel_centers(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center x as a (w,) row and y as an (h, 1) column, to broadcast."""
+    return np.arange(w) + 0.5, (np.arange(h) + 0.5)[:, None]
+
+
 @dataclass
 class RegionMap:
     """Pixel-to-sub-region assignment for one criterion and frame size.
@@ -108,11 +113,16 @@ class RegionMap:
     def centroids(self) -> np.ndarray:
         """(26, 2) mean pixel-center position per sub-region; NaN if empty."""
         w, h = self.dims
-        xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, (h, 1))
-        ys = np.tile((np.arange(h, dtype=np.float64) + 0.5)[:, None], (1, w))
-        flat = self.assignment.ravel()
-        sx = np.bincount(flat, weights=xs.ravel(), minlength=26)
-        sy = np.bincount(flat, weights=ys.ravel(), minlength=26)
+        xs, ys = _pixel_centers(w, h)
+        # each pixel's (sub-region, column) and (sub-region, row) cell, in place;
+        # sums over cells are of half-integers below 2**53, so exact in any order
+        by_col = self.assignment.astype(np.intp)
+        by_row = by_col * h
+        by_row += np.arange(h)[:, None]
+        by_col *= w
+        by_col += np.arange(w)
+        sx = np.bincount(by_col.ravel(), minlength=26 * w).reshape(26, w) @ xs
+        sy = np.bincount(by_row.ravel(), minlength=26 * h).reshape(26, h) @ ys.ravel()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.column_stack((sx, sy)) / self.areas[:, None]
 
@@ -131,14 +141,10 @@ def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
         raise InvalidInputError(f"frame too small for a 25-way partition: {dims}")
     fx = float(np.clip(np.asarray(foe, dtype=np.float64)[0], 0.0, w - 1.0))
     fy = float(np.clip(np.asarray(foe, dtype=np.float64)[1], 0.0, h - 1.0))
+    xs, ys = _pixel_centers(w, h)
 
-    xs = np.arange(w, dtype=np.float64) + 0.5
-    ys = np.arange(h, dtype=np.float64) + 0.5
-    X = np.tile(xs, (h, 1))
-    Y = np.tile(ys[:, None], (1, w))
-
-    # height fraction from the focus toward the bottom edge; <= 0 above it
-    s = (Y - fy) / (h - fy)
+    # height fraction from the focus toward the bottom edge, per row; <= 0 above
+    s = (ys - fy) / (h - fy)
     below = s > 0.0
 
     def edge(bottom_x: float) -> np.ndarray:
@@ -148,10 +154,10 @@ def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
     red_l, red_r = edge(0.30 * w), edge(0.70 * w)
     yel_l, yel_r = edge(0.10 * w), edge(0.90 * w)
 
-    in_red = below & (X >= red_l) & (X <= red_r)
-    in_yl = below & ~in_red & (X >= yel_l) & (X < red_l)
-    in_yr = below & ~in_red & (X > red_r) & (X <= yel_r)
-    left = X < fx
+    in_red = below & (xs >= red_l) & (xs <= red_r)
+    in_yl = below & ~in_red & (xs >= yel_l) & (xs < red_l)
+    in_yr = below & ~in_red & (xs > red_r) & (xs <= yel_r)
+    left = xs < fx
     region_idx = np.where(
         in_red, 0, np.where(in_yl, 1, np.where(in_yr, 2, np.where(left, 3, 4))))
 
@@ -175,14 +181,9 @@ def proximity_region_map(dims: tuple[int, int]) -> RegionMap:
     if w < 5 or h < 5:
         raise InvalidInputError(f"frame too small for a 25-way partition: {dims}")
 
-    cx = w / 2.0
-    xs = np.arange(w, dtype=np.float64) + 0.5
-    ys = np.arange(h, dtype=np.float64) + 0.5
-    X = np.tile(xs, (h, 1))
-    Y = np.tile(ys[:, None], (1, w))
-
-    dx = X - cx
-    dy = h - Y  # height above the bottom edge, always > 0 at pixel centers
+    xs, ys = _pixel_centers(w, h)
+    dx = xs - w / 2.0
+    dy = h - ys  # height above the bottom edge, always > 0 at pixel centers
     dist = np.hypot(dx, dy)
     bounds = np.asarray(DEFAULT_PROXIMITY_RADII, dtype=np.float64) * h
     annulus = np.searchsorted(bounds, dist, side="left") + 1  # 1..5, bound inclusive

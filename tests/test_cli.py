@@ -438,6 +438,46 @@ class TestTrainRisk:
         assert factors and set(factors) == {3.0}
 
 
+def zero_mass_copy(src, dest, key, empty=False):
+    """A copy of record file `src` whose `key` entries ("frames" or "items")
+    all have zero mass, or, with `empty`, are none."""
+    head, text = src.read_text().split("\n", 1)
+    body = json.loads(text)
+    body[key] = [] if empty else [dict(e, values=[0.0] * 25) for e in body[key]]
+    dest.write_text(head + "\n" + json.dumps(body) + "\n")
+    return dest
+
+
+class TestZeroMassTrainingSet:
+    """Retrieval needs a training item with mass: train-risk writes no set
+    without one, and analyze and eval refuse a set without one."""
+
+    def test_train_risk_exit_2_writes_nothing(self, e2e_workspace, tmp_path, capsys):
+        sets = [f"{k}:" + str(zero_mass_copy(e2e_workspace[f"level{k}"],
+                                             tmp_path / f"{k}.cydr", "frames"))
+                for k in (1, 2, 3)]
+        rc, _, err = run(capsys, "train-risk", *sets, "--out", str(tmp_path / "t.cyts"))
+        assert rc == 2 and "positive mass" in err and "Traceback" not in err
+        assert not (tmp_path / "t.cyts").exists()
+
+    @pytest.mark.parametrize("empty", [True, False], ids=["no-items", "all-zero"])
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_set_without_mass_exit_2(self, e2e_workspace, short_bike_ride, tmp_path,
+                                     capsys, command, empty):
+        ws = e2e_workspace
+        trainset = zero_mass_copy(ws["trainset"], tmp_path / "t.cyts", "items", empty)
+        argv = {
+            "analyze": ["analyze", str(short_bike_ride), "--out", str(tmp_path / "o"),
+                        "--model", str(ws["model"]), "--trainset", str(trainset)],
+            "eval": ["eval", "--task", "risk", "--trainset", str(trainset),
+                     *(f"{k}:{ws[f'level{k}']}" for k in (1, 2, 3)), "--dims", "240x180"],
+        }[command]
+        rc, out, err = run(capsys, "--criterion", "proximity", *argv)
+        assert rc == 2 and "positive mass" in err and "Traceback" not in err
+        assert str(trainset) in err
+        assert not (tmp_path / "o").exists() and "confusion" not in out
+
+
 class TestEval:
     def test_risk_identity_on_training_data(self, e2e_workspace, tmp_path,
                                             capsys):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cyclerisk.fileio as fio
 from behavior_reference import SENSOR_FIELDS, reference_read_sensor_csv
+from fileio_reference import reference_json
 from cyclerisk.behavior import KernelSpec, train_svm
 from cyclerisk.behavior.stream import SensorStream
 from cyclerisk.emd import RiskTrainingSet, TrainingItem
@@ -623,6 +625,7 @@ class TestRecordFuzz:
         assert 1.0 <= ts.cross_factor < float("inf")
         assert all(_finite_total(it.values) and it.level in (1, 2, 3)
                    for it in ts.items)
+        assert any(it.values.sum() > 0.0 for it in ts.items)
         body = _record_body(raw)
         assert type(body["criterion"]) is str
         assert _is_number(body.get("cross_factor", 2.0))
@@ -783,6 +786,37 @@ class TestGeoJson:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_numpy_scalars = st.one_of(
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    _finite.map(np.longdouble),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_))
+_arrays = st.sampled_from([np.float64, np.float32, np.longdouble, np.int64, np.bool_]).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                     max_side=3),
+                             elements=hnp.from_dtype(np.dtype(dtype), allow_nan=False,
+                                                     allow_infinity=False)
+                             if np.dtype(dtype).kind == "f" else None))
+
+
+# (value, the same value for the reference): the reference cannot walk a 0-d
+# array, so it is given the array's numpy scalar
+_json_pairs = st.recursive(
+    st.one_of((st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=4)
+               | _numpy_scalars | _arrays).map(lambda v: (v, v)),
+              _numpy_scalars.map(lambda v: (np.array(v), v))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda ps: ([v for v, _ in ps], [r for _, r in ps])),
+        st.lists(children, max_size=4).map(
+            lambda ps: (tuple(v for v, _ in ps), tuple(r for _, r in ps))),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+            lambda d: ({k: v for k, (v, _) in d.items()},
+                       {k: r for k, (_, r) in d.items()}))),
+    max_leaves=20)
+
+
 class TestCanonicalJson:
     def test_sorted_and_minimal(self):
         assert fio.canonical_json({"b": 1, "a": [1.5, 2]}) == '{"a":[1.5,2],"b":1}'
@@ -800,6 +834,24 @@ class TestCanonicalJson:
         vals = [0.1, 1 / 3, 1e-17, 123456.789]
         back = json.loads(fio.canonical_json(vals))
         assert back == vals
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_json_pairs)
+    def test_same_text_as_reference(self, pair):
+        value, reference_value = pair
+        assert fio.canonical_json(value) == reference_json(reference_value)
+
+    def test_zero_d_array_is_its_number(self):
+        assert fio.canonical_json([np.array(0.5), np.array(3)]) == "[0.5,3]"
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, np.datetime64("2020-01-01"), np.array(["2020-01-01"], dtype="datetime64[D]"),
+        complex(1, 2), np.complex128(1), object(), np.float32("inf")],
+        ids=["set", "datetime64", "datetime64-array", "complex", "complex128",
+             "object", "float32-inf"])
+    def test_unencodable_value_is_input_error(self, value):
+        with pytest.raises(InvalidInputError):
+            fio.canonical_json({"x": [value]})
 
 
 # --------------------------------------------------------------- reader fuzz

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import risk_reference as ref
 from cyclerisk.config import RiskConfig
 from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.risk import (
@@ -95,6 +98,36 @@ class TestProximityMap:
             for sec in range(1, 6):
                 relabel[(ann - 1) * 5 + sec] = (ann - 1) * 5 + (6 - sec)
         assert np.array_equal(relabel[m], m[:, ::-1])
+
+
+class TestAgainstTiledReference:
+    """The maps broadcast a pixel row against a pixel column; the tiled
+    full-frame reference must give the same assignment and centroid bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.integers(5, 400), h=st.integers(5, 400),
+           fx=st.floats(-1.0, 2.0), fy=st.floats(-1.0, 2.0))
+    @example(w=5, h=5, fx=0.5, fy=0.5)
+    @example(w=641, h=17, fx=0.3, fy=0.9)
+    @example(w=17, h=641, fx=1.5, fy=-0.5)
+    def test_lane_map_and_centroids(self, w, h, fx, fy):
+        # the focus as a fraction of the frame: inside it, or up to a frame
+        # beyond either edge
+        foe = (fx * w, fy * h)
+        rmap = lane_region_map(foe, (w, h))
+        expected = ref.lane_assignment(foe, (w, h))
+        assert rmap.assignment.tobytes() == expected.tobytes()
+        assert rmap.centroids().tobytes() == ref.centroids(expected).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(5, 400), h=st.integers(5, 400))
+    @example(w=641, h=17)
+    @example(w=17, h=641)
+    def test_proximity_map_and_centroids(self, w, h):
+        rmap = proximity_region_map((w, h))
+        expected = ref.proximity_assignment((w, h))
+        assert rmap.assignment.tobytes() == expected.tobytes()
+        assert rmap.centroids().tobytes() == ref.centroids(expected).tobytes()
 
 
 class TestFootprint:
