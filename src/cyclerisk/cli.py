@@ -10,6 +10,7 @@ by `| head -1`; 128 + SIGPIPE, as a shell reports it), without a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -37,7 +38,9 @@ EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE
 EVAL_C_GRID = (0.5, 1.0, 10.0, 20.0)
 EVAL_KERNELS = ("linear", "poly2", "poly3", "gaussian")
 
-_INPUT_ERRORS = (InvalidInputError, RecordParseError, FileNotFoundError)
+# OSError: any OS failure on a path read or written (missing, of the wrong
+# kind, not permitted, or a full disk) exits 2, as the OS reports it
+_INPUT_ERRORS = (InvalidInputError, RecordParseError, OSError)
 _NUMERIC_ERRORS = (DegenerateGeometryError, InsufficientFlowError,
                    ZeroMassError, DegenerateTrainingError,
                    InsufficientDataError, SolverNotConvergedError,
@@ -90,7 +93,13 @@ def _parse_level_file(text: str) -> tuple[int, str]:
     return int(lvl), path
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`
+    (a gain only where `main` runs more than once in a process). No code may
+    mutate a list that parsing puts on the namespace: `args.set` can be the
+    parser's own default list, so `resolve_config` copies it. The `cmd_*`
+    functions are bound at the first build."""
     p = argparse.ArgumentParser(
         prog="cyclerisk",
         description="Route risk and transport-mode analysis for recorded rides.")
@@ -541,8 +550,7 @@ def _eval_behavior(args, cfg: PipelineConfig) -> int:
 # --------------------------------------------------------------- entrypoint
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         if args.dry_run:

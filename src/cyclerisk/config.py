@@ -235,6 +235,8 @@ def load_config(path) -> PipelineConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:   # a directory, or a file it may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cyclerisk import fileio
 from cyclerisk.cli import (_parse_level_file, _parse_point, _parse_schedule,
-                           _parse_size, _load_gamma_profile, main,
+                           _parse_size, _load_gamma_profile, build_parser, main,
                            resolve_config)
 from cyclerisk.emd import build_distance_matrix
 from cyclerisk.errors import InvalidInputError, RecordParseError
@@ -127,12 +127,67 @@ class TestGammaProfile:
 
 class TestResolveConfig:
     def test_set_overrides(self):
-        from cyclerisk.cli import build_parser
         args = build_parser().parse_args(
             ["--set", "emd.k=3", "--seed", "9", "gen-scene", "--out", "x"])
         cfg = resolve_config(args)
         assert cfg.emd.k == 3
         assert cfg.seed == 9
+
+
+SUBCOMMANDS = ("analyze", "train-risk", "train-behavior", "classify-behavior",
+               "gen-scene", "gen-ride", "eval")
+# argv that argparse itself ends: help texts (exit 0) and a usage error (exit 2)
+PARSER_EXITS = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS),
+                ["--no-such-option", "gen-scene", "--out", "x"]]
+
+
+def parser_exit(capsys, argv):
+    """Exit code, stdout and stderr of a command that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """`main` builds the parser once per process and reuses it; no call
+    leaves state in it that a later call can see."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_parser_exits_repeat(self, capsys):
+        first = []
+        for argv in PARSER_EXITS:
+            build_parser.cache_clear()   # each argv on a freshly built parser
+            first.append(parser_exit(capsys, argv))
+        later = [parser_exit(capsys, argv) for argv in PARSER_EXITS]
+        assert [code for code, _, _ in first] == [0] * 8 + [2]
+        assert all(out for _, out, _ in first[:8])
+        assert "unrecognized arguments: --no-such-option" in first[8][2]
+        assert later == first
+
+    def test_dry_run_after_overrides(self, e2e_workspace, tmp_path, capsys):
+        ws = e2e_workspace
+        plain = ["--dry-run", "analyze", str(ws["ride_bike"]), "--out",
+                 str(tmp_path / "o"), "--model", str(ws["model"]),
+                 "--trainset", str(ws["trainset"])]
+        build_parser.cache_clear()
+        first = run(capsys, *plain)
+        assert first[0] == 0
+        # with --seed and no --set, args.set is the parser's own default list
+        for head in (["--set", "vision.lk_window=21", "--seed", "5"],
+                     ["--seed", "5"], ["--set", "emd.k=3"]):
+            rc, out, _ = run(capsys, *head, *plain)
+            assert rc == 0 and out != first[1]
+        assert run(capsys, *plain) == first
+
+    def test_eval_rides_do_not_carry_over(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "eval", "--task", "behavior",
+                         "--rides", str(tmp_path / "nope"))
+        assert rc == 2 and "nope" in err
+        rc, _, err = run(capsys, "eval", "--task", "behavior")
+        assert rc == 2 and "needs --rides" in err
 
 
 class TestAnalyzeOutputs:
@@ -1287,6 +1342,48 @@ class TestWrongKindExitCodes:
         assert rc == 2 and "Traceback" not in err
         assert str(path) in err
         assert all(key in err for key in where if isinstance(key, str)), err
+
+
+class TestPathKindExitCodes:
+    """A path of the wrong kind (a directory where a file is read or
+    written, a file where a directory is read or made) exits 2, or 3 for
+    --config, with a message naming the path and no traceback."""
+
+    CASES = ["model is a directory", "classify out is a file",
+             "config is a directory", "descriptor file is a directory",
+             "ride is a file", "model out is a directory"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_names_path(self, e2e_workspace, tmp_path, case):
+        ws = e2e_workspace
+        a_dir = tmp_path / "dir"
+        a_dir.mkdir()
+        a_file = tmp_path / "file"
+        a_file.write_text("x\n")
+        sensors = ws["train_ride"] / "sensors.csv"
+        classify = ["classify-behavior", "--model", ws["model"], "--ride",
+                    ws["ride_bike"]]
+        path, want, argv = {
+            "model is a directory":
+                (a_dir, 2, ["classify-behavior", "--model", a_dir,
+                            "--ride", ws["ride_bike"]]),
+            "classify out is a file": (a_file, 2, classify + ["--out", a_file]),
+            "config is a directory": (a_dir, 3, ["--config", a_dir] + classify),
+            "descriptor file is a directory":
+                (a_dir, 2, ["train-risk", f"1:{a_dir}", f"2:{ws['level2']}",
+                            f"3:{ws['level3']}", "--out", tmp_path / "t.cyts"]),
+            "ride is a file":
+                (sensors, 2, ["train-behavior", "--rides", sensors,
+                              "--out", tmp_path / "m.cymd"]),
+            "model out is a directory":
+                (a_dir, 2, ["train-behavior", "--rides", ws["train_ride"],
+                            "--out", a_dir]),
+        }[case]
+        rc, err = quiet_main([str(a) for a in argv])
+        assert rc == want, err
+        assert "Traceback" not in err
+        assert err.startswith("config error" if want == 3 else "input error")
+        assert str(path) in err
 
 
 CONFIG_KEYS = formats_key_table()
