@@ -255,7 +255,27 @@ def _check_criterion(args, criterion: str, what: str) -> None:
                                 f"for {args.criterion!r}")
 
 
+def _check_output(path, is_dir: bool = False) -> None:
+    """Exit 2 before any work when an output file, or directory, cannot be
+    made: an existing path must be of its kind, and its nearest existing
+    parent must be a directory (a file's own parent; mkdir makes a
+    directory's missing parents). A write can still fail (a full disk, a
+    race); its OSError exits 2 as well."""
+    p = Path(path)
+    top = p
+    while not top.exists() and top.parent != top:
+        top = top.parent
+    if top == p:
+        if p.is_dir() != is_dir:
+            raise InvalidInputError(f"output {p} is {'not ' if is_dir else ''}a directory")
+    elif not top.is_dir():
+        raise InvalidInputError(f"output {p}: {top} is not a directory")
+    elif not is_dir and top != p.parent:
+        raise InvalidInputError(f"output {p}: no directory {p.parent}")
+
+
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
+    _check_output(args.out, is_dir=True)
     ride = load_ride(args.ride)
     model = fileio.read_model(args.model)
     train = fileio.read_training_set(args.trainset)
@@ -277,6 +297,7 @@ def cmd_analyze(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train_risk(args, cfg: PipelineConfig) -> int:
+    _check_output(args.out)
     items = []
     criterion = None
     seen = set()
@@ -325,6 +346,7 @@ def _load_labeled_rides(ride_dirs):
 
 
 def cmd_train_behavior(args, cfg: PipelineConfig) -> int:
+    _check_output(args.out)
     X, y = _load_labeled_rides(args.rides)
     kernel = KernelSpec(cfg.behavior.kernel, cfg.behavior.bandwidth)
     mask = None
@@ -343,6 +365,8 @@ def cmd_train_behavior(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_classify_behavior(args, cfg: PipelineConfig) -> int:
+    if args.out:
+        _check_output(args.out, is_dir=True)
     model = fileio.read_model(args.model)
     ride_dir = Path(args.ride)
     sensors = ride_dir / "sensors.csv" if ride_dir.is_dir() else ride_dir
@@ -453,6 +477,8 @@ def _row_percent(counts) -> list:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
+    if args.json_out:
+        _check_output(args.json_out)
     if args.task == "risk":
         return _eval_risk(args, cfg)
     return _eval_behavior(args, cfg)

@@ -143,7 +143,7 @@ def _place_in_color(region_map, color: str, rng) -> tuple | None:
     """
     w, h = region_map.dims
     assignment = region_map.assignment
-    target = np.array(("",) + SUBREGION_COLORS)[assignment] == color
+    target = np.array([False] + [c == color for c in SUBREGION_COLORS])[assignment]
     ys, xs = np.nonzero(target)
     if len(xs) == 0:
         return None

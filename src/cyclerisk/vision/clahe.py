@@ -7,6 +7,11 @@ tile's pixel count with the excess spread uniformly over all bins, and the
 clipped cumulative distribution becomes the tile's tone mapping. Pixels are
 remapped by bilinear interpolation between the mappings of the four nearest
 tile centers, which removes visible tile seams.
+
+The blend gathers each corner's curve from the flat tables and then scales
+and sums it in place. Every in-place step keeps the operands and the order
+of `reference_clahe` in tests/vision_reference.py, so each rounding, and
+each output byte, is the reference's.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:
     hist += excess / 256.0
     cdf = np.cumsum(hist)
     return cdf * (255.0 / npix)
+
+
+def _blend(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """wa * a + wb * b, computed in a (which it returns) and b: a product
+    and a sum commute exactly, so this is the oracle's blend bit for bit."""
+    a *= wa
+    b *= wb
+    a += b
+    return a
 
 
 def clahe(frame: GrayFrame, cfg: VisionConfig = VisionConfig()) -> GrayFrame:
@@ -85,15 +99,22 @@ def clahe(frame: GrayFrame, cfg: VisionConfig = VisionConfig()) -> GrayFrame:
     wy = np.clip(wy, 0.0, 1.0)
     wx = np.clip(wx, 0.0, 1.0)
 
-    val = img.astype(np.intp)
-    r0g = r0[:, None]
-    r1g = r1[:, None]
-    c0g = c0[None, :]
-    c1g = c1[None, :]
-
-    top = (1.0 - wx[None, :]) * luts[r0g, c0g, val] + wx[None, :] * luts[r0g, c1g, val]
-    bot = (1.0 - wx[None, :]) * luts[r1g, c0g, val] + wx[None, :] * luts[r1g, c1g, val]
-    out = (1.0 - wy[:, None]) * top + wy[:, None] * bot
-
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return GrayFrame(out, index=frame.index)
+    # Each corner's mapping, gathered from the flat tables at
+    # (r * cols + c) * 256 + value; the index steps from corner to corner.
+    lut = luts.ravel()
+    at = img.astype(np.intp)
+    at += (256 * cols) * r0[:, None]
+    at += 256 * c0
+    step_c, step_r = 256 * (c1 - c0), (256 * cols) * (r1 - r0)[:, None]
+    top_left = lut[at]
+    at += step_c
+    top_right = lut[at]
+    at += step_r
+    bottom_right = lut[at]
+    at -= step_c
+    bot = _blend(lut[at], 1.0 - wx, bottom_right, wx)
+    top = _blend(top_left, 1.0 - wx, top_right, wx)
+    out = _blend(top, 1.0 - wy[:, None], bot, wy[:, None])
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return GrayFrame(out.astype(np.uint8), index=frame.index)

@@ -10,6 +10,10 @@ All local maxima are refined at once by a parabola through their 3x3
 neighbourhood. The cap ranks each corner within its cell in the global
 (score descending, y, x) order and keeps ranks below the cap, which
 selects exactly what taking corners one by one in that order would.
+
+The box means, the score and the 3x3 maximum write into arrays they already
+hold (`out=`, `+=`, `/=`). Every in-place step keeps the operands and the
+order of the oracles in tests/vision_reference.py, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,30 +44,67 @@ class CornerSet:
 def _box_mean(a: np.ndarray) -> np.ndarray:
     """5x5 mean, edges repeated: along axis 0, then axis 1, the first
     window's sum, then a running sum of (entering - leaving) values, / 5.
-    That is the oracle's order (tests/vision_reference.py), bit for bit."""
-    for axis in (0, 1):
-        p = np.pad(np.moveaxis(a, axis, 0), ((2, 2), (0, 0)), mode="edge")
-        run = np.cumsum(np.concatenate((p[:5], p[5:] - p[:-5])), axis=0)
-        a = np.moveaxis(run[4:] / 5.0, 0, axis)
-    return a
+    That is the oracle's order (tests/vision_reference.py), bit for bit.
+
+    Each axis holds two arrays at a time: the input extended by its edge
+    values, and the differences, summed in place; the axis-0 means land in
+    the middle of axis 1's extended copy."""
+    h, w = a.shape
+    ext = np.empty((h + 4, w))
+    ext[2:-2] = a
+    ext[:2] = a[:1]
+    ext[-2:] = a[-1:]
+    run = np.empty_like(ext)
+    run[:5] = ext[:5]
+    np.subtract(ext[5:], ext[:-5], out=run[5:])
+    del ext
+    np.cumsum(run, axis=0, out=run)
+    ext = np.empty((h, w + 4))
+    np.divide(run[4:], 5.0, out=ext[:, 2:-2])
+    del run
+    ext[:, :2] = ext[:, 2:3]
+    ext[:, -2:] = ext[:, -3:-2]
+    run = np.empty_like(ext)
+    run[:, :5] = ext[:, :5]
+    np.subtract(ext[:, 5:], ext[:, :-5], out=run[:, 5:])
+    np.cumsum(run, axis=1, out=ext)
+    del run
+    out = ext[:, 4:]
+    out /= 5.0
+    return out
 
 
 def _local_max(a: np.ndarray) -> np.ndarray:
     """3x3 maximum with the edge values repeated."""
     p = np.pad(a, 1, mode="edge")
-    m = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
-    return np.maximum(np.maximum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+    m = np.maximum(p[:-2], p[1:-1])
+    np.maximum(m, p[2:], out=m)
+    del p
+    out = np.maximum(m[:, :-2], m[:, 1:-1])
+    return np.maximum(out, m[:, 2:], out=out)
 
 
 def min_eigen_response(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Per-pixel smaller eigenvalue of the 5x5-summed structure tensor of
-    the gradient (gx, gy)."""
+    the gradient (gx, gy): (sxx + syy - sqrt((sxx - syy)**2 + 4 sxy sxy)) / 2.
+    Each step runs in place in an array it no longer needs, with the
+    oracle's operands in the oracle's order, and sxy is made last."""
     sxx = _box_mean(gx * gx)
-    sxy = _box_mean(gx * gy)
     syy = _box_mean(gy * gy)
-    trace = sxx + syy
-    root = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
-    return (trace - root) / 2.0
+    out = sxx + syy
+    sxx -= syy
+    del syy
+    np.square(sxx, out=sxx)
+    sxy = _box_mean(gx * gy)
+    cross = np.multiply(4.0, sxy)
+    cross *= sxy
+    del sxy
+    sxx += cross
+    del cross
+    np.sqrt(sxx, out=sxx)
+    out -= sxx
+    out /= 2.0
+    return out
 
 
 def _subpixel_offsets(score: np.ndarray, ys: np.ndarray,
@@ -94,20 +135,19 @@ def detect_corners(frame: GrayFrame, cfg: VisionConfig = VisionConfig()) -> Corn
     """
     score = min_eigen_response(*frame.gradient)
     h, w = score.shape
-
-    interior = np.zeros_like(score, dtype=bool)
-    if h > 2 * _BORDER and w > 2 * _BORDER:
-        interior[_BORDER:h - _BORDER, _BORDER:w - _BORDER] = True
-
-    best = float(score[interior].max()) if interior.any() else 0.0
+    inner = (slice(_BORDER, h - _BORDER), slice(_BORDER, w - _BORDER))
+    best = (float(score[inner].max()) if h > 2 * _BORDER and w > 2 * _BORDER
+            else 0.0)
     if best <= 0.0:
         return CornerSet(np.empty((0, 2)), np.empty(0))
 
-    local_max = score == _local_max(score)
-    keep = local_max & interior & (score >= cfg.corner_quality * best)
+    keep = score[inner] == _local_max(score)[inner]
+    keep &= score[inner] >= cfg.corner_quality * best
     ys, xs = np.nonzero(keep)
     if ys.size == 0:
         return CornerSet(np.empty((0, 2)), np.empty(0))
+    ys += _BORDER
+    xs += _BORDER
 
     vals = score[ys, xs]
     dx, dy = _subpixel_offsets(score, ys, xs)

@@ -15,6 +15,12 @@ finer level from zero. docs/formats.md gives the sampler and the rule the
 flow keeps against the per-corner reference; a corner tracked in a block
 gives the bytes it gives alone. The window's side and the pyramid depth are
 `VisionConfig.lk_window` and `VisionConfig.lk_levels`.
+
+Level 0 reads each frame's own zero-padded image and gradient
+(GrayFrame.padded), so the frame that ends one pair and starts the next is
+padded once. The sampler does its arithmetic in the block it gathered; each
+in-place step keeps the operands and order of the plain expression, so the
+bytes do not move.
 """
 
 from __future__ import annotations
@@ -77,8 +83,16 @@ def _sample(tiles: np.ndarray, origin: np.ndarray, out: np.ndarray) -> np.ndarra
     side = blocks.shape[-1]
     flat = blocks.reshape(len(origin), -1)
     fx, fy = frac[:, :1], frac[:, 1:]
-    rows = flat[:, :-1] * (1 - fx) + flat[:, 1:] * fx
-    np.add(rows[:, :-side] * (1 - fy), rows[:, side:] * fy, out=out)
+    # in the gathered block: rows = flat[:-1] * (1 - fx) + flat[1:] * fx,
+    # then out = rows[:-side] * (1 - fy) + rows[side:] * fy, each sum taken
+    # the other way round (a sum commutes exactly)
+    right = flat[:, 1:] * fx
+    rows = flat[:, :-1]
+    rows *= 1 - fx
+    rows += right
+    np.multiply(rows[:, side:], fy, out=out)
+    rows[:, :-side] *= 1 - fy
+    out += rows[:, :-side]
     out[:, side - 1::side] = 0.0
     return out
 
@@ -192,16 +206,17 @@ def lk_flow(prev: GrayFrame, nxt: GrayFrame, corners: CornerSet,
     if min(prev.data.shape) < window:  # no window fits the frame
         return FlowField(corners.points.copy(), vectors, tracked)
 
-    prevs, nxts, grads = [prev.pixels], [nxt.pixels], [prev.gradient]
+    # level 0 is each frame's own zero-padded image and gradient (see
+    # GrayFrame.padded); a pyramid level pads its own
+    levels = [(prev.padded, *prev.padded_gradient, nxt.padded)]
+    p, q = prev.pixels, nxt.pixels
     for _ in range(cfg.lk_levels - 1):
-        if min(prevs[-1].shape) < 2 * window:
+        if min(p.shape) < 2 * window:
             break  # stop the pyramid before windows outgrow the image
-        prevs.append(_downsample(prevs[-1]))
-        nxts.append(_downsample(nxts[-1]))
-        grads.append(sobel(prevs[-1]))
-    pad, side = ((0, 1), (0, 1)), (window + 1, window + 1)
-    levels = [[sliding_window_view(np.pad(a, pad), side) for a in (p, *g, q)]
-              for p, g, q in zip(prevs, grads, nxts)]
+        p, q = _downsample(p), _downsample(q)
+        levels.append([np.pad(a, ((0, 1), (0, 1))) for a in (p, *sobel(p), q)])
+    side = (window + 1, window + 1)
+    levels = [[sliding_window_view(a, side) for a in level] for level in levels]
 
     for start in range(0, n, _BLOCK):
         points = corners.points[start:start + _BLOCK]

@@ -40,8 +40,9 @@ def smooth_texture(h, w, seed, lo=20, hi=235, sigma=2.0):
 def filter_images():
     """Float64 images, as pytest params, for the vision filters: random integer
     and real values, smooth texture, flat frames, one-row and one-column
-    frames, and the sizes where the flow pyramid stops (2 * window for the
-    windows 21 and 35)."""
+    frames, the sizes where the flow pyramid stops (2 * window for the
+    windows 21 and 35), every side of 1 to 6 px, and views that are not
+    C-contiguous."""
     rng = np.random.default_rng(31)
     cases = [
         ("uint8 180x240", rng.integers(0, 256, (180, 240)).astype(np.float64)),
@@ -61,6 +62,14 @@ def filter_images():
         for h, w in ((2 * window, 2 * window + 30), (2 * window - 1, 100),
                      (2 * window + 1, 2 * window)):
             cases.append((f"stop {h}x{w}", rng.uniform(0.0, 255.0, (h, w))))
+    # sides of 1-6 px, where the repeated edges of a 3x3 or 5x5 window
+    # overlap the frame's other edge
+    for h, w in [(k, k) for k in range(2, 7)] + [(k, 7 - k) for k in range(1, 7)]:
+        cases.append((f"small {h}x{w}", rng.uniform(0.0, 255.0, (h, w))))
+    # views that are not C-contiguous
+    base = rng.uniform(0.0, 255.0, (61, 50))
+    cases += [("transposed 50x61", base.T), ("strided 31x17", base[::2, ::3]),
+              ("reversed 61x50", base[::-1, ::-1]), ("column view 61x1", base[:, 7:8])]
     return [pytest.param(img, id=name) for name, img in cases]
 
 

@@ -5,6 +5,9 @@ from cyclerisk.config import VisionConfig
 from cyclerisk.errors import ConfigError, InvalidInputError
 from cyclerisk.vision import GrayFrame, clahe
 
+from conftest import smooth_texture
+from vision_reference import reference_clahe
+
 
 def test_constant_frame_stays_constant():
     frame = GrayFrame(np.full((120, 160), 128, dtype=np.uint8))
@@ -85,3 +88,33 @@ def test_deterministic(texture_frame):
     a = clahe(texture_frame).data
     b = clahe(texture_frame).data
     assert np.array_equal(a, b)
+
+
+def _clahe_cases():
+    rng = np.random.default_rng(41)
+    one_bin = rng.integers(0, 256, (40, 48), dtype=np.uint8)
+    one_bin[:20, :24] = 77   # the top-left tile of a 2x2 grid holds one value
+    cases = [
+        ("random 180x240", rng.integers(0, 256, (180, 240), dtype=np.uint8), (4, 4), 0.03),
+        ("uneven 130x173", rng.integers(0, 256, (130, 173), dtype=np.uint8), (4, 4), 0.03),
+        ("uneven 47x33 grid 5x7", rng.integers(0, 256, (47, 33), dtype=np.uint8), (5, 7), 0.2),
+        ("narrow band 61x59", rng.integers(90, 110, (61, 59), dtype=np.uint8), (3, 2), 0.01),
+        ("texture 120x160", smooth_texture(120, 160, seed=5), (4, 4), 1.0),
+        ("one-pixel tiles 6x9", rng.integers(0, 256, (6, 9), dtype=np.uint8), (6, 9), 0.5),
+        ("grid = frame 1x7", rng.integers(0, 256, (1, 7), dtype=np.uint8), (1, 7), 0.03),
+        ("one row of tiles 9x31", rng.integers(0, 256, (9, 31), dtype=np.uint8), (1, 4), 0.1),
+        ("one occupied bin", one_bin, (2, 2), 0.03),
+        ("flat 12x12", np.full((12, 12), 200, dtype=np.uint8), (3, 3), 0.03),
+    ]
+    for k in range(6):   # random frames, grids and clip limits
+        h, w = rng.integers(1, 90, 2)
+        grid = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+        clip = float(rng.uniform(0.001, 1.0))
+        cases.append((f"random {k}", rng.integers(0, 256, (h, w), dtype=np.uint8), grid, clip))
+    return [pytest.param(img, grid, clip, id=name) for name, img, grid, clip in cases]
+
+
+@pytest.mark.parametrize("img,grid,clip", _clahe_cases())
+def test_matches_reference_bytes(img, grid, clip):
+    out = clahe(GrayFrame(img, index=3), VisionConfig(clahe_grid=grid, clahe_clip=clip))
+    assert out.data.tobytes() == reference_clahe(img, grid, clip).tobytes()

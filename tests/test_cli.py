@@ -1386,6 +1386,77 @@ class TestPathKindExitCodes:
         assert str(path) in err
 
 
+class TestOutputCheckedFirst:
+    """An output of the wrong kind, or under a file, exits 2 naming the path
+    before the command's first stage runs, and nothing is written."""
+
+    CASES = ["analyze out is a file", "analyze out under a file",
+             "classify out is a file", "train-behavior out is a directory",
+             "rfe out is a directory", "train-behavior out has no directory",
+             "train-risk out is a directory", "eval risk json is a directory",
+             "eval behavior json under a file"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_before_first_stage(self, e2e_workspace, tmp_path, monkeypatch, case):
+        import cyclerisk.cli as cli
+
+        ws = e2e_workspace
+        calls = []
+
+        def spy(name):
+            def stage(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+            return stage
+
+        for name in ("analyze_ride", "label_windows", "ova_rankings", "train_svm"):
+            monkeypatch.setattr(cli, name, spy(name))
+        monkeypatch.setattr(cli.fileio, "read_descriptors", spy("read_descriptors"))
+        a_dir = tmp_path / "dir"
+        a_dir.mkdir()
+        a_file = tmp_path / "file"
+        a_file.write_text("x\n")
+        levels = [f"{k}:{ws[f'level{k}']}" for k in (1, 2, 3)]
+        analyze = ["analyze", ws["ride_bike"], "--model", ws["model"],
+                   "--trainset", ws["trainset"], "--out"]
+        train = ["train-behavior", "--rides", ws["train_ride"], "--out"]
+        path, argv = {
+            "analyze out is a file": (a_file, analyze + [a_file]),
+            "analyze out under a file": (a_file / "out", analyze + [a_file / "out"]),
+            "classify out is a file":
+                (a_file, ["classify-behavior", "--model", ws["model"],
+                          "--ride", ws["ride_bike"], "--out", a_file]),
+            "train-behavior out is a directory": (a_dir, train + [a_dir]),
+            "rfe out is a directory": (a_dir, train + [a_dir, "--rfe-top", "8"]),
+            "train-behavior out has no directory":
+                (tmp_path / "no" / "m.cymd", train + [tmp_path / "no" / "m.cymd"]),
+            "train-risk out is a directory": (a_dir, ["train-risk", *levels, "--out", a_dir]),
+            "eval risk json is a directory":
+                (a_dir, ["eval", "--task", "risk", "--trainset", ws["trainset"],
+                         "--dims", "240x180", *levels, "--json", a_dir]),
+            "eval behavior json under a file":
+                (a_file / "e.json", ["eval", "--task", "behavior", "--rides",
+                                     ws["train_ride"], "--json", a_file / "e.json"]),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        rc, err = quiet_main([str(a) for a in argv])
+        assert rc == 2, err
+        assert err.startswith("input error") and str(path) in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert a_file.read_text() == "x\n" and not any(a_dir.iterdir())
+
+    def test_valid_outputs_still_written(self, e2e_workspace, tmp_path):
+        # a missing directory output, and its missing parents, are made
+        ws = e2e_workspace
+        out = tmp_path / "new" / "deeper"
+        rc, err = quiet_main(["classify-behavior", "--model", str(ws["model"]),
+                              "--ride", str(ws["ride_bike"]), "--out", str(out)])
+        assert rc == 0, err
+        assert sorted(f.name for f in out.iterdir()) == ["report.geojson", "windows.ndjson"]
+
+
 CONFIG_KEYS = formats_key_table()
 
 # any JSON value: numbers at and past every bound (NaN, infinities,

@@ -133,7 +133,7 @@ def test_subpixel_offsets_match_reference():
 def test_score_map_matches_reference(img):
     gx, gy = sobel(img)
     assert min_eigen_response(gx, gy).tobytes() == reference_score(img).tobytes()
-    for a in (gx * gx, gx * gy, gy * gy):
+    for a in (img, gx * gx, gx * gy, gy * gy):
         # array_equal: a one-pixel-wide gx * gy can sum to -0.0 where the
         # reference gives 0.0; the score squares that term
         assert np.array_equal(_box_mean(a), reference_box_mean(a))

@@ -30,3 +30,16 @@ def test_flat_frame_has_zero_gradient():
     gx, gy = GrayFrame(np.full((12, 10), 200, dtype=np.uint8)).gradient
     assert not gx.any() and not gy.any()
 
+
+def test_padded_image_and_gradient_hold_the_views():
+    # the tracker's zero row and column; pixels and gradient are views of
+    # them, and the three planes are one array
+    frame = GrayFrame(smooth_texture(30, 40, seed=4))
+    padded, (px, py) = frame.padded, frame.padded_gradient
+    assert padded.shape == px.shape == py.shape == (31, 41)
+    assert padded.base is not None and px.base is padded.base and py.base is padded.base
+    for full, view in ((padded, frame.pixels), (px, frame.gradient[0]),
+                       (py, frame.gradient[1])):
+        assert np.shares_memory(full, view)
+        assert not full[-1].any() and not full[:, -1].any()
+        assert full[:-1, :-1].tobytes() == view.tobytes()

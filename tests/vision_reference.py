@@ -1,15 +1,16 @@
-"""Reference implementations of the vision filters, corner refinement and
-LK flow.
+"""Reference implementations of CLAHE, the vision filters, corner
+refinement and LK flow.
 
-The filters are scipy.ndimage's: the Sobel gradient, the 5x5 box mean and
-3x3 maximum of the corner score, and the Gaussian of the flow pyramid. The
-corners and the flow are the straightforward per-peak and per-corner loops
-the vectorized code in `cyclerisk.vision` replaced, and nothing here uses
-the package's own helpers. The property tests require the package to
-reproduce all of them byte for byte, except the flow: the tracker sums
-inner products in another order, so it must match the flags and, wherever
-the reference stops before the iteration cap, the flow to the flow rule's
-1e-9 px (docs/formats.md).
+CLAHE is the tile loop and the blend of four gathered tone curves, each
+step a plain expression. The filters are scipy.ndimage's: the Sobel
+gradient, the 5x5 box mean and 3x3 maximum of the corner score, and the
+Gaussian of the flow pyramid. The corners and the flow are the
+straightforward per-peak and per-corner loops the vectorized code in
+`cyclerisk.vision` replaced, and nothing here uses the package's own
+helpers. The property tests require the package to reproduce all of them
+byte for byte, except the flow: the tracker sums inner products in another
+order, so it must match the flags and, wherever the reference stops before
+the iteration cap, the flow to the flow rule's 1e-9 px (docs/formats.md).
 """
 
 import numpy as np
@@ -19,6 +20,61 @@ _BORDER = 4
 _MIN_EIG = 1e-3
 _MAX_ITERS = 20
 _CONVERGENCE = 0.01
+
+
+def _tile_edges(extent, tiles):
+    base, rem = divmod(extent, tiles)
+    sizes = np.full(tiles, base, dtype=np.int64)
+    sizes[:rem] += 1
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _tile_mapping(tile, clip_limit):
+    hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
+    if np.count_nonzero(hist) <= 1:
+        return np.arange(256, dtype=np.float64)
+    npix = tile.size
+    clip_at = clip_limit * npix
+    excess = np.maximum(hist - clip_at, 0.0).sum()
+    hist = np.minimum(hist, clip_at)
+    hist += excess / 256.0
+    cdf = np.cumsum(hist)
+    return cdf * (255.0 / npix)
+
+
+def reference_clahe(img, grid=(4, 4), clip=0.03):
+    """The uint8 image equalized on a rows x cols tile grid."""
+    rows, cols = grid
+    h, w = img.shape
+    y_edges = _tile_edges(h, rows)
+    x_edges = _tile_edges(w, cols)
+    luts = np.empty((rows, cols, 256), dtype=np.float64)
+    for r in range(rows):
+        for c in range(cols):
+            tile = img[y_edges[r]:y_edges[r + 1], x_edges[c]:x_edges[c + 1]]
+            luts[r, c] = _tile_mapping(tile, clip)
+
+    yc = (y_edges[:-1] + y_edges[1:]) / 2.0 - 0.5
+    xc = (x_edges[:-1] + x_edges[1:]) / 2.0 - 0.5
+    ys = np.arange(h, dtype=np.float64)
+    xs = np.arange(w, dtype=np.float64)
+    r0 = np.clip(np.searchsorted(yc, ys, side="right") - 1, 0, rows - 1)
+    c0 = np.clip(np.searchsorted(xc, xs, side="right") - 1, 0, cols - 1)
+    r1 = np.minimum(r0 + 1, rows - 1)
+    c1 = np.minimum(c0 + 1, cols - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wy = np.where(r1 > r0, (ys - yc[r0]) / (yc[r1] - yc[r0]), 0.0)
+        wx = np.where(c1 > c0, (xs - xc[c0]) / (xc[c1] - xc[c0]), 0.0)
+    wy = np.clip(wy, 0.0, 1.0)
+    wx = np.clip(wx, 0.0, 1.0)
+
+    val = img.astype(np.intp)
+    r0g, r1g = r0[:, None], r1[:, None]
+    c0g, c1g = c0[None, :], c1[None, :]
+    top = (1.0 - wx[None, :]) * luts[r0g, c0g, val] + wx[None, :] * luts[r0g, c1g, val]
+    bot = (1.0 - wx[None, :]) * luts[r1g, c0g, val] + wx[None, :] * luts[r1g, c1g, val]
+    out = (1.0 - wy[:, None]) * top + wy[:, None] * bot
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 def reference_gradient(img):
