@@ -1,7 +1,7 @@
 """Transport-mode labeling from phone inertial and GPS signals."""
 
 from .features import FEATURE_NAMES, extract_features, features_matrix
-from .preprocess import RawWindow, make_windows, preprocess
+from .preprocess import make_windows, preprocess
 from .rfe import consensus_select, ova_rankings, rfe_rank
 from .stream import SensorStream
 from .svm import KernelSpec, SvmModel, loss, train_svm
@@ -10,7 +10,6 @@ from .temporal import smooth_sequence, softmax
 __all__ = [
     "FEATURE_NAMES",
     "KernelSpec",
-    "RawWindow",
     "SensorStream",
     "SvmModel",
     "consensus_select",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError
-from .preprocess import RawWindow
 from .stream import CHANNEL_NAMES
 
 _STATS = ("mean", "std", "rms", "mad")
@@ -71,57 +70,45 @@ def _spectral(x: np.ndarray) -> np.ndarray:
     return np.stack([total / n, entropy], axis=-1)
 
 
-def _window_data(window) -> np.ndarray:
-    data = window.data if isinstance(window, RawWindow) else np.asarray(window, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise InvalidInputError(f"window must be (n, 7), got {data.shape}")
-    if data.shape[0] < 4:
-        raise InvalidInputError("window too short for spectral statistics")
-    if not np.isfinite(data).all():
-        raise InvalidInputError("window contains non-finite samples")
-    return data
-
-
-def _stacked_features(datas: list) -> np.ndarray:
-    """(m, 54) features of m validated (n, 7) windows of one length.
-
-    The windows are stacked channel-major into one contiguous (m, 7, n)
-    array, so every statistic reduces over a contiguous last axis and each
-    window's numbers sum in the same order as they would alone.
-    """
-    m = len(datas)
-    channels = np.ascontiguousarray(np.stack(datas).transpose(0, 2, 1))
-    stats, centered = _time_stats(channels)
-    pair_stats, _ = _time_stats(centered[:, _PAIR_A] * centered[:, _PAIR_B])
-    return np.concatenate([stats.reshape(m, 28),
-                           _spectral(channels).reshape(m, 14),
-                           pair_stats.reshape(m, 12)], axis=1)
-
-
 def extract_features(window) -> np.ndarray:
-    """54 descriptors for one (n, 7) window; accepts RawWindow or array."""
+    """54 descriptors for one (n, 7) window."""
     return features_matrix([window])[0]
 
 
-def features_matrix(windows: list) -> np.ndarray:
-    """Stack per-window feature vectors into an (m, 54) design matrix.
+def features_matrix(windows) -> np.ndarray:
+    """(m, 54) design matrix of m windows of one length: an (m, n, 7) array
+    or a list of m equal (n, 7) arrays.
 
-    Finite samples can still be large enough to overflow the squares and
-    spectra; a window whose features are not all finite is an input error.
+    The windows are copied once, channel-major, into one contiguous (m, 7, n)
+    array, so every statistic reduces over a contiguous last axis and each
+    window's numbers sum in the same order as they would alone. Finite
+    samples can still be large enough to overflow the squares and spectra; a
+    window whose features are not all finite is an input error.
     """
-    if not windows:
+    try:
+        data = np.asarray(windows, dtype=np.float64)
+    except ValueError:
+        raise InvalidInputError(
+            "windows must be numbers of one (n, 7) shape") from None
+    if data.shape[:1] == (0,):
         raise InvalidInputError("no windows to featurize")
-    datas = [_window_data(w) for w in windows]
+    if data.ndim != 3 or data.shape[2] != 7:
+        raise InvalidInputError(f"windows must be (m, n, 7), got {data.shape}")
+    m, n, _ = data.shape
+    if n < 4:
+        raise InvalidInputError("window too short for spectral statistics")
+    channels = np.ascontiguousarray(data.transpose(0, 2, 1))
+    bad = np.flatnonzero(~np.isfinite(channels).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidInputError(f"window {bad[0]} contains non-finite samples")
     with np.errstate(over="ignore", invalid="ignore"):
-        if any(d.shape[0] != datas[0].shape[0] for d in datas):
-            X = np.vstack([_stacked_features([d]) for d in datas])
-        else:
-            X = _stacked_features(datas)
+        stats, centered = _time_stats(channels)
+        pair_stats, _ = _time_stats(centered[:, _PAIR_A] * centered[:, _PAIR_B])
+        X = np.concatenate([stats.reshape(m, 28),
+                            _spectral(channels).reshape(m, 14),
+                            pair_stats.reshape(m, 12)], axis=1)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
-        k = int(bad[0])
-        at = f" (sample {windows[k].start})" if isinstance(windows[k], RawWindow) else ""
         raise InvalidInputError(
-            f"window {k}{at} has non-finite features: sensor values too large")
+            f"window {bad[0]} has non-finite features: sensor values too large")
     return X

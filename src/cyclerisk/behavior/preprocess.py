@@ -2,14 +2,15 @@
 
 Recordings start and end with handling noise (pocketing the phone, mounting
 it), so 10 seconds are cut from each end. What remains is re-gridded onto an
-exact 10 Hz lattice so window arithmetic downstream is sample-count based.
+exact 10 Hz lattice, and make_windows cuts it into half-overlapped windows
+of WINDOW_SIZE samples: their start samples, and one (m, WINDOW_SIZE, 7)
+view of the channel matrix that copies no window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InsufficientDataError
 from .stream import SENSOR_FIELDS, SensorStream
@@ -54,20 +55,13 @@ def preprocess(stream: SensorStream) -> SensorStream:
     return SensorStream(t=grid, **kw, gap_mask=~within)
 
 
-@dataclass(frozen=True)
-class RawWindow:
-    """One analysis window: sample start offset plus its (size, 7) channels."""
-
-    start: int
-    data: np.ndarray
-
-
-def make_windows(stream: SensorStream) -> list[RawWindow]:
-    """Sliding windows over the channel matrix, half-overlapped."""
+def make_windows(stream: SensorStream) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, windows): each window's first sample, and the windows as one
+    read-only (m, WINDOW_SIZE, 7) view of the channel matrix."""
     n = len(stream)
     if n < WINDOW_SIZE:
         raise InsufficientDataError(
             f"stream has {n} samples; one window needs {WINDOW_SIZE}")
-    channels = stream.channel_matrix()
-    starts = range(0, n - WINDOW_SIZE + 1, WINDOW_STRIDE)
-    return [RawWindow(start=k, data=channels[k:k + WINDOW_SIZE]) for k in starts]
+    starts = np.arange(0, n - WINDOW_SIZE + 1, WINDOW_STRIDE)
+    windows = sliding_window_view(stream.channel_matrix(), WINDOW_SIZE, axis=0)
+    return starts, windows[::WINDOW_STRIDE].transpose(0, 2, 1)

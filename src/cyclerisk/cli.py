@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("sets", nargs="+", metavar="LEVEL:FILE",
                     help="descriptor files labeled 1, 2 or 3")
     tr.add_argument("--out", required=True, help="output .cyts file")
-    tr.set_defaults(func=cmd_train_risk, inputs=())
+    tr.set_defaults(func=cmd_train_risk, inputs=("sets",))
 
     tb = sub.add_parser("train-behavior", help="train the transport-mode model")
     tb.add_argument("--rides", nargs="+", required=True,
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="risk task: frame size the descriptors came from")
     ev.add_argument("--json", dest="json_out",
                     help="also write machine-readable results here")
-    ev.set_defaults(func=cmd_eval, inputs=("trainset",))
+    ev.set_defaults(func=cmd_eval, inputs=("trainset", "rides", "sets"))
 
     return p
 
@@ -193,14 +193,19 @@ def resolve_config(args) -> PipelineConfig:
 
 
 def _inventory(args) -> list[str]:
+    """One line per input path. A `sets` item gives its path after LEVEL:;
+    one that does not parse is skipped here, and the command rejects it."""
     lines = []
-    names = getattr(args, "inputs", ())
-    for name in names:
-        value = getattr(args, name, None)
+    for name in args.inputs:
+        value = getattr(args, name)
         if value is None:
             continue
-        paths = value if isinstance(value, list) else [value]
-        for item in paths:
+        for item in value if isinstance(value, list) else [value]:
+            if name == "sets":
+                try:
+                    _, item = _parse_level_file(item)
+                except InvalidInputError:
+                    continue
             q = Path(item)
             if q.is_dir():
                 n = sum(1 for _ in q.iterdir())
@@ -209,15 +214,6 @@ def _inventory(args) -> list[str]:
                 lines.append(f"input {q} [{q.stat().st_size} bytes]")
             else:
                 lines.append(f"input {q} [missing]")
-    for extra in ("sets",):
-        for item in getattr(args, extra, None) or []:
-            try:
-                _, path = _parse_level_file(item)
-            except InvalidInputError:
-                continue
-            q = Path(path)
-            state = f"{q.stat().st_size} bytes" if q.exists() else "missing"
-            lines.append(f"input {q} [{state}]")
     return lines
 
 
@@ -332,14 +328,14 @@ def _load_labeled_rides(ride_dirs):
         d = Path(d)
         stream = fileio.read_sensor_csv(d / "sensors.csv")
         labels = dict(fileio.read_window_labels(d / "labels.ndjson"))
-        wins = make_windows(preprocess(stream))
-        X = features_matrix(wins)
-        for w, row in zip(wins, X):
-            if w.start not in labels:
+        starts, windows = make_windows(preprocess(stream))
+        X = features_matrix(windows)
+        for s, row in zip(starts.tolist(), X):
+            if s not in labels:
                 raise InvalidInputError(
-                    f"{d}: no label for window starting at sample {w.start}")
+                    f"{d}: no label for window starting at sample {s}")
             xs.append(row)
-            ys.append(labels[w.start])
+            ys.append(labels[s])
     if not xs:
         raise InvalidInputError("no labeled windows in the given rides")
     return np.vstack(xs), ys

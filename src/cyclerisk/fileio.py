@@ -254,10 +254,8 @@ def read_detections(path) -> list[Detection]:
 # ------------------------------------------------------------- sensor CSV
 
 def write_sensor_csv(path, stream: SensorStream) -> None:
-    rows = [SENSOR_HEADER]
-    cols = [getattr(stream, f) for f in SENSOR_FIELDS]
-    for i in range(len(stream)):
-        rows.append(",".join(repr(float(c[i])) for c in cols))
+    cols = (getattr(stream, f).tolist() for f in SENSOR_FIELDS)
+    rows = [SENSOR_HEADER, *(",".join(map(repr, row)) for row in zip(*cols))]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import fileio
 from .behavior import (make_windows, preprocess, smooth_sequence, softmax)
 from .behavior.features import features_matrix
+from .behavior.preprocess import WINDOW_SIZE
 from .behavior.stream import SensorStream
 from .behavior.svm import SvmModel
 from .config import PipelineConfig, VisionConfig
@@ -123,7 +124,7 @@ class RideAnalysis:
 def label_windows(stream: SensorStream, model: SvmModel,
                   cfg: PipelineConfig) -> list[WindowRow]:
     grid = preprocess(stream)
-    windows = make_windows(grid)
+    starts, windows = make_windows(grid)
     X = features_matrix(windows)
     probs = softmax(model.decision_values(X))
     Xs = model.standardize(X)
@@ -132,13 +133,10 @@ def label_windows(stream: SensorStream, model: SvmModel,
         bandwidth = (1.0 if model.smoother_bandwidth is None
                      else model.smoother_bandwidth)
     idx = smooth_sequence(Xs, probs, bandwidth, cfg.behavior)
-    rows = []
-    for w, i in zip(windows, idx):
-        t0 = float(grid.t[w.start])
-        t1 = float(grid.t[w.start + len(w.data) - 1])
-        rows.append(WindowRow(start=int(w.start), t0=t0, t1=t1,
-                              label=model.classes[int(i)]))
-    return rows
+    return [WindowRow(start=s, t0=float(grid.t[s]),
+                      t1=float(grid.t[s + WINDOW_SIZE - 1]),
+                      label=model.classes[int(i)])
+            for s, i in zip(starts.tolist(), idx)]
 
 
 def mode_at(windows: list[WindowRow], t: float) -> str:

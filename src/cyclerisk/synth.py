@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior.preprocess import make_windows, preprocess
+from .behavior.preprocess import WINDOW_SIZE, make_windows, preprocess
 from .behavior.stream import SensorStream
 from .config import RiskConfig
 from .errors import InvalidInputError
@@ -183,7 +183,8 @@ MAX_SEGMENT_S = 86400.0  # one day: 864,000 samples, well inside memory
 class SyntheticRide:
     """Scripted multi-mode recording with ground-truth labels.
 
-    window_labels align with make_windows(preprocess(stream)).
+    window_starts are the start samples make_windows(preprocess(stream))
+    returns, and window_labels holds each window's majority mode.
     """
 
     stream: SensorStream
@@ -267,20 +268,18 @@ def gen_ride(schedule, seed: int = 0) -> SyntheticRide:
                           speed=speed, lat=lat, lon=lon, acc=acc)
 
     gridded = preprocess(stream)
-    windows = make_windows(gridded)
+    starts, _ = make_windows(gridded)
     boundaries = np.cumsum([0.0] + [d for _, d in schedule])
     labels = []
-    starts = []
-    for win in windows:
-        times = gridded.t[win.start:win.start + win.data.shape[0]]
+    for s in starts:
+        times = gridded.t[s:s + WINDOW_SIZE]
         seg = np.clip(np.searchsorted(boundaries, times, side="right") - 1,
                       0, len(schedule) - 1)
         modes, tally = np.unique(seg, return_counts=True)
         labels.append(schedule[int(modes[tally.argmax()])][0])
-        starts.append(win.start)
 
     return SyntheticRide(stream=stream, sample_modes=sample_modes, window_labels=labels,
-                         window_starts=np.asarray(starts, dtype=np.intp))
+                         window_starts=starts)
 
 
 FRAME_ZOOM = 1.002  # per-frame radial magnification about the focus

@@ -86,7 +86,8 @@ def ride_suite():
                 ("walk", 180), ("motor", 240), ("bike", 240)]
     assert sum(d for _, d in schedule) == 1800
     ride = gen_ride(schedule, seed=2024)
-    X = features_matrix(make_windows(preprocess(ride.stream)))
+    _, windows = make_windows(preprocess(ride.stream))
+    X = features_matrix(windows)
     y = ride.window_labels
     perm = np.random.default_rng(5).permutation(len(y))
     cut = int(round(0.75 * len(y)))
@@ -350,12 +351,12 @@ def test_g10_feature_schema_and_window_count():
                             lat=np.full(m, 41.0), lon=np.full(m, -8.0),
                             acc=np.full(m, 5.0), **cols)
 
-    feats = extract_features(make_windows(stream(n))[0])
+    feats = extract_features(make_windows(stream(n))[1][0])
     schema_ok = feats.shape == (54,) and np.isfinite(feats).all()
     counts_ok = True
     counted = []
     for m in (100, 150, 250, 1000):
-        got = len(make_windows(stream(m)))
+        got = len(make_windows(stream(m))[1])
         want = (m - 100) // 50 + 1
         counts_ok &= got == want
         counted.append(f"N={m}:{got}")

@@ -664,6 +664,22 @@ class TestDryRunAndExitCodes:
         assert "missing.cyts [missing]" in inventory
         assert "model.cymd" in inventory
 
+    def test_dry_run_lists_eval_rides_and_labeled_sets(self, e2e_workspace, tmp_path,
+                                                       capsys):
+        rides = [e2e_workspace["train_ride"], e2e_workspace["ride_mixed"]]
+        rc, stdout, _ = run(capsys, "--dry-run", "eval", "--task", "behavior",
+                            "--rides", *map(str, rides))
+        assert rc == 0
+        assert [line.partition(" [")[0] for line in stdout.splitlines()[1:]] == [
+            f"input {ride}" for ride in rides]
+        assert all("[directory, " in line for line in stdout.splitlines()[1:])
+        level1, gone = e2e_workspace["level1"], tmp_path / "gone.cydr"
+        rc, stdout, _ = run(capsys, "--dry-run", "train-risk", f"1:{level1}",
+                            f"3:{gone}", "--out", str(tmp_path / "t.cyts"))
+        assert rc == 0
+        assert stdout.splitlines()[1:] == [
+            f"input {level1} [{level1.stat().st_size} bytes]", f"input {gone} [missing]"]
+
     def test_missing_ride_exit_2(self, e2e_workspace, tmp_path, capsys):
         rc, _, err = run(capsys, "analyze", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "o"),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from behavior_reference import reference_features
 from cyclerisk.behavior import FEATURE_NAMES, extract_features, features_matrix
-from cyclerisk.behavior.preprocess import RawWindow
 from cyclerisk.errors import InvalidInputError
 
 
@@ -143,15 +142,17 @@ class TestValidation:
             features_matrix([])
 
 
-def test_accepts_raw_window_and_matrix():
+def test_accepts_window_list_and_array():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(100, 7))
     direct = extract_features(data)
-    wrapped = extract_features(RawWindow(start=0, data=data))
-    assert np.array_equal(direct, wrapped)
-    stacked = features_matrix([RawWindow(0, data), RawWindow(50, data)])
+    stacked = features_matrix([data, data])
     assert stacked.shape == (2, 54)
-    assert np.array_equal(stacked[0], stacked[1])
+    assert np.array_equal(stacked[0], direct)
+    assert np.array_equal(stacked[1], direct)
+    # a strided (m, n, 7) view, as make_windows returns, featurizes the same
+    view = np.broadcast_to(data, (2, 100, 7))
+    assert np.array_equal(features_matrix(view), stacked)
 
 
 def test_determinism():
@@ -196,13 +197,16 @@ class TestMatchesPerWindowOracle:
         data[:, 2] = np.random.default_rng(4).normal(size=100)
         assert np.array_equal(features_matrix([data])[0], reference_features(data))
 
-    def test_mixed_lengths_featurize_each_window(self):
+    def test_ragged_windows_rejected(self):
         rng = np.random.default_rng(5)
         windows = [rng.normal(size=(100, 7)), rng.normal(size=(60, 7))]
-        want = np.vstack([reference_features(w) for w in windows])
-        assert np.array_equal(features_matrix(windows), want)
+        with pytest.raises(InvalidInputError, match=r"one \(n, 7\) shape"):
+            features_matrix(windows)
 
     def test_later_bad_window_still_rejected(self):
         good = np.zeros((100, 7))
-        with pytest.raises(InvalidInputError, match="non-finite"):
+        with pytest.raises(InvalidInputError, match="window 1 contains non-finite"):
             features_matrix([good, np.full((100, 7), np.inf)])
+        # finite samples whose squares overflow name their window too
+        with pytest.raises(InvalidInputError, match="window 2 has non-finite features"):
+            features_matrix([good, good, np.full((100, 7), 1e200)])

@@ -167,13 +167,18 @@ class TestJsonFieldTypes:
 
 
 class TestSensorCsv:
-    def test_round_trip(self, tmp_path):
-        s = small_stream()
+    @pytest.mark.parametrize("long_log", [False, True], ids=["small", "30min"])
+    def test_round_trip(self, tmp_path, long_log):
+        s = (gen_ride([("walk", 600), ("bike", 600), ("motor", 600)], seed=2024).stream
+             if long_log else small_stream())
         p = tmp_path / "sensors.csv"
         fio.write_sensor_csv(p, s)
+        # each cell is the repr of its float64
+        assert p.read_text().splitlines()[1:] == [
+            ",".join(repr(float(getattr(s, f)[i])) for f in SENSOR_FIELDS)
+            for i in range(len(s))]
         back = fio.read_sensor_csv(p)
-        for f in ("t", "ax", "ay", "az", "gx", "gy", "gz",
-                  "speed", "lat", "lon", "acc"):
+        for f in SENSOR_FIELDS:
             assert np.array_equal(getattr(back, f), getattr(s, f)), f
         p2 = tmp_path / "again.csv"
         fio.write_sensor_csv(p2, back)

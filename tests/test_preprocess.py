@@ -114,7 +114,9 @@ class TestWindows:
     def test_window_counts(self, n, expect):
         s = preprocess(lattice_stream(20.0 + (n - 1) / 10.0))
         assert len(s) == n
-        assert len(make_windows(s)) == expect
+        starts, windows = make_windows(s)
+        assert starts.tolist() == list(range(0, n - 99, 50))
+        assert windows.shape == (expect, 100, 7)
 
     def test_too_short_fails(self):
         short = lattice_stream(9.8)
@@ -124,11 +126,14 @@ class TestWindows:
 
     def test_window_shape_and_offsets(self):
         s = preprocess(lattice_stream(40))
-        wins = make_windows(s)
-        assert all(w.data.shape == (100, 7) for w in wins)
-        assert [w.start for w in wins] == [0, 50, 100]
+        starts, windows = make_windows(s)
+        assert windows.shape == (3, 100, 7)
+        assert starts.tolist() == [0, 50, 100]
 
     def test_windows_view_the_stream(self):
         s = preprocess(lattice_stream(40))
-        w = make_windows(s)[1]
-        assert np.array_equal(w.data[:, 0], s.ax[50:150])
+        starts, windows = make_windows(s)
+        # one view of the channel matrix: overlapping windows share memory
+        assert np.shares_memory(windows[0], windows[1])
+        assert np.array_equal(windows[1][:, 0], s.ax[50:150])
+        assert np.array_equal(windows, [s.channel_matrix()[k:k + 100] for k in starts])

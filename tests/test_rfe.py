@@ -82,16 +82,18 @@ class TestMatchesColdReference:
     @pytest.mark.parametrize("seed", [1, 2024, 7])
     def test_long_rides(self, seed):
         ride = gen_ride(LONG_SCHEDULE, seed=seed)
-        X = features_matrix(make_windows(preprocess(ride.stream)))
+        _, windows = make_windows(preprocess(ride.stream))
+        X = features_matrix(windows)
         self.assert_rankings_match(X, ride.window_labels)
 
     @pytest.mark.parametrize("ride", ["train_ride", "ride_mixed"])
     def test_fixture_rides(self, e2e_workspace, ride):
         d = e2e_workspace[ride]
-        wins = make_windows(preprocess(fileio.read_sensor_csv(d / "sensors.csv")))
+        starts, windows = make_windows(
+            preprocess(fileio.read_sensor_csv(d / "sensors.csv")))
         labels = dict(fileio.read_window_labels(d / "labels.ndjson"))
-        self.assert_rankings_match(features_matrix(wins),
-                                   [labels[w.start] for w in wins])
+        self.assert_rankings_match(features_matrix(windows),
+                                   [labels[s] for s in starts.tolist()])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_binary_tasks(self, seed):
