@@ -368,7 +368,7 @@ def cmd_classify_behavior(args, cfg: PipelineConfig) -> int:
     sensors = ride_dir / "sensors.csv" if ride_dir.is_dir() else ride_dir
     stream = fileio.read_sensor_csv(sensors)
     windows = label_windows(stream, model, cfg)
-    segments = segment_modes(windows, [], stream)
+    segments = segment_modes(windows, stream)
     # files first, so a reader that closes stdout early cannot cut them short
     if args.out:
         out = Path(args.out)

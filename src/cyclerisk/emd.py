@@ -175,12 +175,20 @@ def _min_cost_transport(a: list, b: list, cost: np.ndarray) -> list:
     raise ZeroMassError("transport failed to terminate; masses inconsistent")
 
 
-def _transport(a, b, dist: np.ndarray) -> float:
-    """Checked EMD between unit-normalized a and b."""
+def emd(a, b, dist: np.ndarray) -> float:
+    """Minimum work to morph signature a into b under the ground distance.
+
+    Both signatures are normalized to unit mass. Arguments are evaluated in
+    a canonical order so that swapping them returns the bit-identical value,
+    not merely an equal one.
+    """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape or a.shape[0] != dist.shape[0] or dist.shape[0] != dist.shape[1]:
+    dist = np.asarray(dist, dtype=np.float64)
+    if a.shape != b.shape or dist.shape != a.shape * 2:
         raise InvalidInputError("signature and distance matrix sizes disagree")
+    if a.tobytes() > b.tobytes():
+        a, b, dist = b, a, dist.T
     with np.errstate(over="ignore", invalid="ignore"):
         ta, tb = a.sum(), b.sum()
     if not (np.isfinite(ta) and np.isfinite(tb)) or (a < 0).any() or (b < 0).any():
@@ -195,19 +203,6 @@ def _transport(a, b, dist: np.ndarray) -> float:
     sub = dist[np.ix_(ia, ib)]
     plan = np.array(_min_cost_transport(a[ia].tolist(), b[ib].tolist(), sub))
     return float((plan * sub).sum())
-
-
-def emd(a, b, dist: np.ndarray) -> float:
-    """Minimum work to morph signature a into b under the ground distance.
-
-    Arguments are evaluated in a canonical order so that swapping them
-    returns the bit-identical value, not merely an equal one.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.tobytes() <= b.tobytes():
-        return _transport(a, b, dist)
-    return _transport(b, a, np.asarray(dist, dtype=np.float64).T)
 
 
 @dataclass

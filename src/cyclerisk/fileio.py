@@ -207,18 +207,18 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.pgm"
 
 
-_FRAME_RE = re.compile(r"frame_(\d{6})\.pgm$")
+_FRAME_RE = re.compile(r"frame_([0-9]+)\.pgm")
 
 
 def list_frames(directory) -> list[tuple[int, Path]]:
-    """Sorted (index, path) pairs for all frame files in a directory."""
-    directory = Path(directory)
+    """(index, path) pairs, sorted by index, of the files in a directory
+    whose name is exactly `frame_filename(index)`."""
     out = []
-    for p in sorted(directory.glob("frame_*.pgm")):
-        m = _FRAME_RE.search(p.name)
-        if m:
+    for p in Path(directory).glob("frame_*.pgm"):
+        m = _FRAME_RE.fullmatch(p.name)
+        if m and frame_filename(int(m.group(1))) == p.name:
             out.append((int(m.group(1)), p))
-    return out
+    return sorted(out)
 
 
 # ------------------------------------------------------------- detections

@@ -139,14 +139,6 @@ def label_windows(stream: SensorStream, model: SvmModel,
             for s, i in zip(starts.tolist(), idx)]
 
 
-def mode_at(windows: list[WindowRow], t: float) -> str:
-    """Mode of the window whose center lies nearest t (ties: earlier)."""
-    if not windows:
-        raise InvalidInputError("no labeled windows")
-    centers = np.array([w.center for w in windows])
-    return windows[int(np.argmin(np.abs(centers - t)))].label
-
-
 # ------------------------------------------------------------- full analyze
 
 def _load_clahe(path, index, cfg: VisionConfig) -> GrayFrame:
@@ -163,7 +155,8 @@ def _pair_flows(prev: GrayFrame, nxt: GrayFrame,
 
 def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
                  cfg: PipelineConfig, risk_params: RiskParams) -> RideAnalysis:
-    """Label the ride's windows, then score each bike frame pair in order.
+    """Label the ride's windows and cut them into mode segments, then score
+    each bike frame pair in order.
 
     Each pair's frames are read and equalized as the loop reaches it; the
     later frame carries over as the next pair's earlier frame, so every
@@ -175,6 +168,7 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
 
     result = RideAnalysis(criterion=criterion)
     result.windows = label_windows(ride.stream, model, cfg)
+    result.segments = segment_modes(result.windows, ride.stream)
 
     # processed frames: every stride-th index that still has a flow partner
     stride = cfg.vision.frame_stride
@@ -182,11 +176,16 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
     processed = [i for i in by_index if i % stride == 0
                  and i + stride in by_index]
 
-    rows = {}
-    for i in processed:
-        t = ride.frame_time(i)
-        rows[i] = FrameRow(frame=i, t=t, mode=mode_at(result.windows, t),
-                           pos=_gps_at(ride.stream, t))
+    # each frame's segment gives its mode and counts its level: a time on a
+    # boundary belongs to the later segment, one outside the sensor log to
+    # the first or last
+    times = [ride.frame_time(i) for i in processed]
+    seg_of = np.searchsorted([s["start_t"] for s in result.segments[1:]],
+                             times, side="right")
+    segment = {i: result.segments[k] for i, k in zip(processed, seg_of.tolist())}
+    rows = {i: FrameRow(frame=i, t=t, mode=segment[i]["mode"],
+                        pos=_gps_at(ride.stream, t))
+            for i, t in zip(processed, times)}
     bike = [i for i in processed if rows[i].mode == "bike"]
 
     smoother = FoeSmoother(cfg.foe)
@@ -227,12 +226,13 @@ def analyze_ride(ride: RideInputs, model: SvmModel, train: RiskTrainingSet,
             desc = risk_descriptor(dets, rmap, risk_params, frame=i, cfg=cfg.risk)
             verdict = classify_risk(desc, train, dist, cfg.emd)
             row.level = verdict.level
+            risk = segment[i]["risk"]
+            risk[row.level] = risk.get(row.level, 0) + 1
             result.descriptors.append(desc)
         except CycleRiskError as exc:
             row.note = f"skipped: {exc}"
 
     result.frames = [rows[i] for i in processed]
-    result.segments = segment_modes(result.windows, result.frames, ride.stream)
     return result
 
 
@@ -243,14 +243,13 @@ def _gps_at(stream: SensorStream, t: float):
     return (float(stream.lon[j]), float(stream.lat[j]))
 
 
-def segment_modes(windows: list[WindowRow], frames: list[FrameRow],
-                  stream: SensorStream) -> list[dict]:
+def segment_modes(windows: list[WindowRow], stream: SensorStream) -> list[dict]:
     """Merge same-label window runs into contiguous time segments.
 
     Segment boundaries sit halfway between the centers of the windows on
     either side of a label change; the first and last segments extend to
-    the ends of the sensor log. Each segment carries a histogram of the
-    risk levels of the frames inside its span.
+    the ends of the sensor log. Each segment's `risk` histogram starts
+    empty for `analyze_ride` to fill.
     """
     if not windows:
         return []
@@ -267,19 +266,9 @@ def segment_modes(windows: list[WindowRow], frames: list[FrameRow],
         lo = t_lo if r == 0 else 0.5 * (windows[a - 1].center + windows[a].center)
         hi = (t_hi if r == len(runs) - 1
               else 0.5 * (windows[b].center + windows[b + 1].center))
-        coords = _polyline(stream, lo, hi)
-        hist = {}
-        for row in frames:
-            if row.level is not None and _in_span(row.t, lo, hi, r, len(runs)):
-                hist[row.level] = hist.get(row.level, 0) + 1
-        segments.append({"mode": windows[a].label, "coords": coords,
-                         "start_t": lo, "end_t": hi, "risk": hist})
+        segments.append({"mode": windows[a].label, "coords": _polyline(stream, lo, hi),
+                         "start_t": lo, "end_t": hi, "risk": {}})
     return segments
-
-
-def _in_span(t: float, lo: float, hi: float, r: int, n: int) -> bool:
-    # half-open spans except the last, so every frame lands in exactly one
-    return t >= lo and (t <= hi if r == n - 1 else t < hi)
 
 
 def _polyline(stream: SensorStream, lo: float, hi: float) -> list:

@@ -211,17 +211,6 @@ class TestAnalyzeOutputs:
         assert all(r["level"] is None and r["foe"] is None for r in walk)
         assert all(r["level"] is not None for r in bike)
 
-    def test_histogram_sums_to_scored_frames(self, e2e_workspace):
-        rows = [json.loads(line) for line in
-                (e2e_workspace["out_mixed"] / "frames.ndjson")
-                .read_text().splitlines()]
-        scored = sum(1 for r in rows if r["level"] is not None)
-        rep = json.loads((e2e_workspace["out_mixed"] / "report.geojson")
-                         .read_text())
-        hist_total = sum(sum(f["properties"]["risk"].values())
-                         for f in rep["features"])
-        assert hist_total == scored
-
     def test_segments_follow_mode_changes(self, e2e_workspace):
         rep = json.loads((e2e_workspace["out_mixed"] / "report.geojson")
                          .read_text())

@@ -76,6 +76,20 @@ class TestPgm:
         assert [i for i, _ in found] == [0, 3, 12]
         assert found[2][1].name == "frame_000012.pgm"
 
+    def test_frame_listing_past_six_digits(self, tmp_path):
+        # from index 1,000,000 the name has seven digits; the listing keeps
+        # those frames and orders by index, not by name
+        for i in (1000005, 999995, 1000000):
+            fio.write_pgm(tmp_path / fio.frame_filename(i),
+                          np.zeros((1, 1), dtype=np.uint8))
+        for name in ("frame_0000001.pgm", "frame_1.pgm", "frame_+00001.pgm",
+                     "frame_000001.pgm.bak", "xframe_000001.pgm"):
+            (tmp_path / name).write_bytes(b"")
+        found = fio.list_frames(tmp_path)
+        assert [i for i, _ in found] == [999995, 1000000, 1000005]
+        assert [p.name for _, p in found] == [
+            "frame_999995.pgm", "frame_1000000.pgm", "frame_1000005.pgm"]
+
 
 class TestDetections:
     def test_round_trip(self, tmp_path):

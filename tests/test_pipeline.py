@@ -10,9 +10,8 @@ from cyclerisk.behavior.stream import SensorStream
 from cyclerisk.cli import main
 from cyclerisk.config import PipelineConfig
 from cyclerisk.errors import InvalidInputError
-from cyclerisk.pipeline import (FrameRow, WindowRow, _load_clahe,
-                                _pair_flows, label_windows, load_ride,
-                                mode_at, segment_modes)
+from cyclerisk.pipeline import (WindowRow, _load_clahe, _pair_flows,
+                                label_windows, load_ride, segment_modes)
 from cyclerisk.synth import gen_ride
 
 
@@ -33,65 +32,120 @@ def window_rows(labels, first_t0=10.0, step=5.0, span=9.9):
     return rows
 
 
-class TestModeAt:
-    def test_nearest_center(self):
-        rows = window_rows(["walk", "walk", "bike", "bike"])
-        # centers at 14.95, 19.95, 24.95, 29.95
-        assert mode_at(rows, 14.0) == "walk"
-        assert mode_at(rows, 23.0) == "bike"
+def timeline(out):
+    """frames.ndjson and report.geojson of one analyze, checked as one
+    timeline: a frame's segment is the one whose [start_t, end_t) holds its
+    time, or the first or last for a time outside the sensor log. Its mode
+    is that segment's, and each segment's risk counts exactly the scored
+    frames in it, so only bike segments count any."""
+    rows = [json.loads(line)
+            for line in (out / "frames.ndjson").read_text().splitlines()]
+    segs = [f["properties"] for f in
+            json.loads((out / "report.geojson").read_text())["features"]]
+    counts = [{} for _ in segs]
+    for r in rows:
+        k = max([0] + [j for j, s in enumerate(segs) if s["start_t"] <= r["t"]])
+        assert r["mode"] == segs[k]["mode"], r
+        if r["level"] is not None:
+            assert segs[k]["mode"] == "bike", r
+            counts[k][str(r["level"])] = counts[k].get(str(r["level"]), 0) + 1
+    assert [s["risk"] for s in segs] == counts
+    return rows, segs
 
-    def test_edges_clamp_to_end_windows(self):
-        rows = window_rows(["walk", "bike"])
-        assert mode_at(rows, 0.0) == "walk"
-        assert mode_at(rows, 99.0) == "bike"
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mode_at([], 1.0)
+def ride_starting_at(root, src, frame_start):
+    """A copy of ride `src` whose frame 0 is at `frame_start` on the sensor
+    clock."""
+    ride = root / "ride"
+    ride.mkdir()
+    for name in ("frames", "sensors.csv", "detections.ndjson"):
+        (ride / name).symlink_to(src / name)
+    meta = json.loads((src / "ride.json").read_text())
+    fileio.write_ride_meta(ride / "ride.json", {**meta, "frame_start": frame_start})
+    return ride
+
+
+def analyze(ws, ride, out, trainset=None):
+    assert main(["analyze", str(ride), "--out", str(out),
+                 "--model", str(ws["model"]),
+                 "--trainset", str(trainset or ws["trainset"])]) == 0
+    return timeline(out)
+
+
+class TestOneTimeline:
+    @pytest.mark.parametrize("criterion", ["proximity", "lane"])
+    @pytest.mark.parametrize("ride,out", [("ride_bike", "out_bike"),
+                                          ("ride_mixed", "out_mixed")])
+    def test_scored_frames_counted_in_their_bike_segment(
+            self, e2e_workspace, tmp_path, criterion, ride, out):
+        if criterion == "proximity":
+            rows, segs = timeline(e2e_workspace[out])
+        else:
+            trainset = tmp_path / "lane.cyts"
+            trainset.write_text(e2e_workspace["trainset"].read_text().replace(
+                '"criterion":"proximity"', '"criterion":"lane"'))
+            rows, segs = analyze(e2e_workspace, e2e_workspace[ride],
+                                 tmp_path / "out", trainset=trainset)
+        scored = sum(r["level"] is not None for r in rows)
+        assert scored > 0
+        assert sum(sum(s["risk"].values()) for s in segs) == scored
+
+    def test_frames_before_the_log_counted(self, e2e_workspace, tmp_path):
+        # the first three frames fall before the sensor log's first sample:
+        # they take the first segment's mode, and its risk counts them
+        ride = ride_starting_at(tmp_path, e2e_workspace["ride_bike"], -3.0)
+        rows, segs = analyze(e2e_workspace, ride, tmp_path / "out")
+        assert [r["t"] for r in rows[:4]] == [-3.0, -2.0, -1.0, 0.0]
+        assert all(r["level"] is not None for r in rows)
+        assert sum(segs[0]["risk"].values()) == len(rows) == 40
+
+    def test_frame_on_a_boundary_goes_to_the_later_segment(self, e2e_workspace,
+                                                           tmp_path):
+        _, segs = timeline(e2e_workspace["out_mixed"])
+        assert [s["mode"] for s in segs] == ["walk", "bike"]
+        boundary = segs[1]["start_t"]
+        # processed frame 5k lands exactly on the boundary
+        k = int(boundary)
+        frame_start = boundary - k
+        assert frame_start + 5 * k / 5.0 == boundary
+        ride = ride_starting_at(tmp_path, e2e_workspace["ride_mixed"], frame_start)
+        rows, _ = analyze(e2e_workspace, ride, tmp_path / "out")
+        row = next(r for r in rows if r["frame"] == 5 * k)
+        assert row["t"] == boundary
+        assert row["mode"] == "bike" and row["level"] is not None
 
 
 class TestSegmentModes:
     def test_boundary_halfway_between_centers(self):
         stream = flat_stream(60.0)
         rows = window_rows(["walk", "walk", "bike", "bike"])
-        segs = segment_modes(rows, [], stream)
+        segs = segment_modes(rows, stream)
         assert [s["mode"] for s in segs] == ["walk", "bike"]
         # centers 19.95 and 24.95 straddle the change
         assert segs[0]["end_t"] == pytest.approx(22.45)
         assert segs[1]["start_t"] == pytest.approx(22.45)
         assert segs[0]["start_t"] == 0.0
         assert segs[1]["end_t"] == pytest.approx(60.0)
-
-    def test_risk_histogram_counts_each_frame_once(self):
-        stream = flat_stream(60.0)
-        rows = window_rows(["walk", "walk", "bike", "bike"])
-        frames = [FrameRow(frame=i, t=float(tt), mode="bike", level=lvl)
-                  for i, (tt, lvl) in enumerate([(5.0, 1), (22.45, 2),
-                                                 (30.0, 3), (59.0, 3)])]
-        segs = segment_modes(rows, frames, stream)
-        total = sum(sum(s["risk"].values()) for s in segs)
-        assert total == 4
-        # the frame exactly on the boundary lands in the later segment only
-        assert segs[1]["risk"] == {2: 1, 3: 2}
-        assert segs[0]["risk"] == {1: 1}
+        # analyze fills each segment's risk: it starts empty
+        assert [s["risk"] for s in segs] == [{}, {}]
 
     def test_single_label_single_segment(self):
         stream = flat_stream(30.0)
-        segs = segment_modes(window_rows(["bike"] * 3), [], stream)
+        segs = segment_modes(window_rows(["bike"] * 3), stream)
         assert len(segs) == 1
         assert segs[0]["start_t"] == 0.0
         assert segs[0]["end_t"] == pytest.approx(30.0)
 
     def test_polyline_subsampled_and_endpoint_kept(self):
         stream = flat_stream(30.0)
-        segs = segment_modes(window_rows(["bike"] * 3), [], stream)
+        segs = segment_modes(window_rows(["bike"] * 3), stream)
         coords = segs[0]["coords"]
         assert 25 <= len(coords) <= 32  # ~1 Hz from a 10 Hz track
         assert coords[0] == (float(stream.lon[0]), float(stream.lat[0]))
         assert coords[-1] == (float(stream.lon[-1]), float(stream.lat[-1]))
 
     def test_no_windows_no_segments(self):
-        assert segment_modes([], [], flat_stream(30.0)) == []
+        assert segment_modes([], flat_stream(30.0)) == []
 
 
 class TestLabelWindows:
