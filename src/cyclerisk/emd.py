@@ -73,10 +73,10 @@ def build_distance_matrix(region_map: RegionMap, cross_factor: float = 2.0) -> n
     missing = np.isnan(cents[:, 0])
     cents[missing] = (w / 2.0, h / 2.0)
 
-    mirrored = cents.copy()
-    mirrored[:, 0] = w - mirrored[:, 0]
-    direct = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
-    folded = np.linalg.norm(cents[:, None, :] - mirrored[None, :, :], axis=2)
+    x, y = cents.T
+    dy2 = np.square(y[:, None] - y)
+    direct = np.sqrt(np.square(x[:, None] - x) + dy2)
+    folded = np.sqrt(np.square(x[:, None] - (w - x)) + dy2)   # to the mirror image
     base = np.minimum(direct, folded) / np.hypot(w, h)
     base[base < 1e-12] = 0.0  # mirror-pair rounding residue snaps to exact zero
 

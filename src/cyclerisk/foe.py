@@ -53,13 +53,15 @@ class FoeEstimate:
     iterations counts solver rounds (reweighted solves for estimate_foe,
     prune-and-solve rounds for refine_foe); active_count counts the flows
     of the last solve; stop_reason is "converged", "max_iters" or, for
-    refine_foe, "quorum".
+    refine_foe, "quorum"; solves counts the reweighted solves over all
+    rounds (for estimate_foe, the same as iterations).
     """
 
     point: np.ndarray
     iterations: int
     active_count: int
     stop_reason: str
+    solves: int
 
 
 def _magnitudes(vectors: np.ndarray) -> np.ndarray:
@@ -149,29 +151,33 @@ def _flow_lines(points, vectors, weights, min_flows: int):
 
 def _irls(normals: np.ndarray, offsets: np.ndarray, wts: np.ndarray,
           delta: float) -> tuple[np.ndarray, int, str]:
-    """Huber IRLS over flow lines: the point, the solve count, the stop reason."""
+    """Huber IRLS over flow lines: the point, the solve count, the stop reason.
+
+    Each solve weights one table of per-flow products, n0 n0, n0 n1, n1 n1,
+    n0 c and n1 c, into the 2x2 normal system and its right side, which it
+    checks and solves in closed form.
+    """
+    prod = np.column_stack((normals * normals[:, :1], normals[:, 1] * normals[:, 1],
+                            normals * offsets[:, None]))
 
     def solve(coef: np.ndarray) -> np.ndarray:
-        m00 = float((coef * normals[:, 0] * normals[:, 0]).sum())
-        m01 = float((coef * normals[:, 0] * normals[:, 1]).sum())
-        m11 = float((coef * normals[:, 1] * normals[:, 1]).sum())
-        mat = np.array([[m00, m01], [m01, m11]])
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] <= 0.0 or evals[1] / evals[0] > _COND_LIMIT:
+        m00, m01, m11, r0, r1 = (coef @ prod).tolist()
+        # the eigenvalues of [[m00, m01], [m01, m11]]
+        trace, spread = m00 + m11, math.hypot(m00 - m11, 2.0 * m01)
+        lo, hi = (trace - spread) / 2.0, (trace + spread) / 2.0
+        if not (lo > 0.0 and hi / lo <= _COND_LIMIT):   # NaN fails too
             raise DegenerateGeometryError(
                 "flow lines are (near) parallel; intersection is unconstrained")
-        rhs = (normals * (coef * offsets)[:, None]).sum(axis=0)
-        return np.linalg.solve(mat, rhs)
+        det = m00 * m11 - m01 * m01
+        return np.array(((m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det))
 
     inv_w2 = 1.0 / (wts * wts)
     x = solve(inv_w2)
     for iterations in range(2, _IRLS_MAX_ITERS + 1):
+        # Huber weights: 1 up to delta, delta / r beyond it
         scaled = np.abs(normals @ x - offsets) / wts
-        hub = np.ones_like(scaled)
-        far = scaled > delta
-        hub[far] = delta / np.maximum(scaled[far], 1e-300)
-        x_next = solve(hub * inv_w2)
-        step = float(np.linalg.norm(x_next - x))
+        x_next = solve(delta / np.fmax(scaled, delta) * inv_w2)
+        step = math.hypot(*(x_next - x).tolist())
         x = x_next
         if step < _IRLS_TOL:
             return x, iterations, "converged"
@@ -189,7 +195,7 @@ def estimate_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
     """
     *_, normals, offsets, wts = _flow_lines(points, vectors, weights, cfg.min_flows)
     x, iterations, stop = _irls(normals, offsets, wts, cfg.delta)
-    return FoeEstimate(x, iterations, len(wts), stop)
+    return FoeEstimate(x, iterations, len(wts), stop, iterations)
 
 
 def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
@@ -205,13 +211,13 @@ def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
     """
     points, dirs, normals, offsets, weights = _flow_lines(points, vectors, weights,
                                                           cfg.min_flows)
-    point = _irls(normals, offsets, weights, cfg.delta)[0]
+    point, solves, _ = _irls(normals, offsets, weights, cfg.delta)
     active = np.arange(len(weights))
-    solves = 1
+    rounds = 1
     cos_limit = math.cos(math.radians(cfg.angle_thresh))
 
     stop = "max_iters"
-    while solves < cfg.max_refine_iters + 1:
+    while rounds < cfg.max_refine_iters + 1:
         radial = points[active] - point
         norms = np.linalg.norm(radial, axis=1)
         # A flow starting exactly at the estimate carries no direction
@@ -227,15 +233,17 @@ def refine_foe(points: np.ndarray, vectors: np.ndarray, weights: np.ndarray,
             stop = "quorum"
             break
         pruned = active[keep]
-        new_point = _irls(normals[pruned], offsets[pruned], weights[pruned], cfg.delta)[0]
-        solves += 1
+        new_point, more, _ = _irls(normals[pruned], offsets[pruned], weights[pruned],
+                                   cfg.delta)
+        rounds += 1
+        solves += more
         moved = float(np.linalg.norm(new_point - point))
         active, point = pruned, new_point
         if moved < cfg.tol:
             stop = "converged"
             break
 
-    return FoeEstimate(point, solves, len(active), stop)
+    return FoeEstimate(point, rounds, len(active), stop, solves)
 
 
 class FoeSmoother:

@@ -273,16 +273,16 @@ def segment_modes(windows: list[WindowRow], stream: SensorStream) -> list[dict]:
 
 def _polyline(stream: SensorStream, lo: float, hi: float) -> list:
     sel = (stream.t >= lo) & (stream.t <= hi)
-    ts = stream.t[sel]
-    lons = stream.lon[sel]
-    lats = stream.lat[sel]
-    if ts.size == 0:
+    ts = stream.t[sel].tolist()
+    lons = stream.lon[sel].tolist()
+    lats = stream.lat[sel].tolist()
+    if not ts:
         return []
     keep = [0]
-    for j in range(1, ts.size):
-        if ts[j] - ts[keep[-1]] >= POLYLINE_STEP or j == ts.size - 1:
+    for j in range(1, len(ts)):
+        if ts[j] - ts[keep[-1]] >= POLYLINE_STEP or j == len(ts) - 1:
             keep.append(j)
-    return [(float(lons[j]), float(lats[j])) for j in keep]
+    return [(lons[j], lats[j]) for j in keep]
 
 
 # ------------------------------------------------------------------ writers

@@ -78,53 +78,95 @@ class Detection:
         self.bbox = (float(x), float(y), float(w), float(h))
 
 
-def _pixel_centers(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center x as a (w,) row and y as an (h, 1) column, to broadcast."""
-    return np.arange(w) + 0.5, (np.arange(h) + 0.5)[:, None]
-
-
 @dataclass
 class RegionMap:
-    """Pixel-to-sub-region assignment for one criterion and frame size.
+    """The partition of a frame into sub-regions 1..25, one criterion and
+    frame size, row by row.
 
-    assignment maps each pixel to a sub-region id 1..25, whose color, band
-    and cross-factor group the module's layout tables give. areas[k] is the
-    pixel count of sub-region k.
+    Pixel row y is cut into runs: columns cuts[y, j] to cuts[y, j + 1] - 1
+    belong to sub-region ids[y, j]. Each row's cuts rise from 0 to the frame
+    width and may repeat, so a run may be empty. The module's layout tables
+    give each id's color, band and cross-factor group; areas[k] is the pixel
+    count of sub-region k.
     """
 
     criterion: str
     dims: tuple[int, int]
-    assignment: np.ndarray
+    cuts: np.ndarray   # (h, m + 1)
+    ids: np.ndarray    # (h, m)
+    runs: np.ndarray = field(init=False)    # (h, m) run lengths
     areas: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
             raise InvalidInputError(f"unknown criterion {self.criterion!r}")
-        a = np.asarray(self.assignment)
         w, h = self.dims
-        if a.shape != (h, w):
-            raise InvalidInputError(
-                f"assignment shape {a.shape} does not match dims {self.dims}")
-        if a.min() < 1 or a.max() > 25:
+        self.cuts = np.asarray(self.cuts, dtype=np.intp)
+        self.ids = np.asarray(self.ids, dtype=np.intp)
+        if self.cuts.ndim != 2 or self.ids.shape != (h, self.cuts.shape[1] - 1):
+            raise InvalidInputError(f"{self.ids.shape} runs do not match dims {self.dims}")
+        self.runs = np.diff(self.cuts)
+        if self.cuts[:, 0].any() or self.runs.min(initial=0) < 0 or (
+                self.cuts[:, -1] != w).any():
+            raise InvalidInputError("each row's cuts must rise from 0 to the frame width")
+        if self.ids.min() < 1 or self.ids.max() > 25:
             raise InvalidInputError("sub-region ids must lie in 1..25")
-        self.assignment = a.astype(np.int16)
-        self.areas = np.bincount(a.ravel(), minlength=26).astype(np.int64)
+        self.areas = np.bincount(self.ids.ravel(), self.runs.ravel(),
+                                 minlength=26).astype(np.int64)
+
+    @classmethod
+    def from_assignment(cls, criterion: str, assignment) -> "RegionMap":
+        """The map of an (h, w) raster of sub-region ids: one run per stretch
+        of equal ids in a row."""
+        a = np.asarray(assignment)
+        if a.ndim != 2 or 0 in a.shape:
+            raise InvalidInputError(f"an assignment is a 2-D raster, got shape {a.shape}")
+        h, w = a.shape
+        starts = np.ones(a.shape, dtype=bool)
+        starts[:, 1:] = a[:, 1:] != a[:, :-1]
+        rows, cols = np.nonzero(starts)
+        count = starts.sum(axis=1)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        # rows with fewer runs end in empty ones
+        cuts = np.full((h, count.max() + 1), w, dtype=np.intp)
+        ids = np.ones((h, count.max()), dtype=np.intp)
+        cuts[rows, slot] = cols
+        ids[rows, slot] = a[rows, cols]
+        return cls(criterion=criterion, dims=(w, h), cuts=cuts, ids=ids)
+
+    @functools.cached_property
+    def assignment(self) -> np.ndarray:
+        """(h, w) int16 sub-region id of each pixel, built on first use."""
+        w, h = self.dims
+        return np.repeat(self.ids.astype(np.int16).ravel(), self.runs.ravel()).reshape(h, w)
+
+    def counts_in(self, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
+        """(26,) float pixel count of each sub-region in columns x0..x1-1 of
+        rows y0..y1-1 (0 <= x0 <= x1 <= w, 0 <= y0 <= y1 <= h)."""
+        inside = np.diff(np.clip(self.cuts[y0:y1], x0, x1))
+        return np.bincount(self.ids[y0:y1].ravel(), inside.ravel(), minlength=26)
 
     def centroids(self) -> np.ndarray:
-        """(26, 2) mean pixel-center position per sub-region; NaN if empty."""
-        w, h = self.dims
-        xs, ys = _pixel_centers(w, h)
-        # each pixel's (sub-region, column) and (sub-region, row) cell, in place;
-        # sums over cells are of half-integers below 2**53, so exact in any order
-        by_col = self.assignment.astype(np.intp)
-        by_row = by_col * h
-        by_row += np.arange(h)[:, None]
-        by_col *= w
-        by_col += np.arange(w)
-        sx = np.bincount(by_col.ravel(), minlength=26 * w).reshape(26, w) @ xs
-        sy = np.bincount(by_row.ravel(), minlength=26 * h).reshape(26, h) @ ys.ravel()
+        """(26, 2) mean pixel-center position per sub-region; NaN if empty.
+
+        The run over columns a..b-1 of row y sums its pixel-center x to
+        (b^2 - a^2) / 2 and its y to (b - a)(y + 1/2). These are
+        half-integers, and so are their sums below 2**53: exact in any order.
+        """
+        a, b = self.cuts[:, :-1], self.cuts[:, 1:]
+        ids = self.ids.ravel()
+        sx = np.bincount(ids, ((b * b - a * a) / 2.0).ravel(), minlength=26)
+        ys = np.arange(len(self.cuts)) + 0.5
+        sy = np.bincount(ids, (self.runs * ys[:, None]).ravel(), minlength=26)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.column_stack((sx, sy)) / self.areas[:, None]
+
+
+# the runs of a lane row, left to right: green left, green right (right of a
+# focus that lies left of the yellow wedge), yellow left, red, yellow right,
+# green left (left of a focus right of the yellow wedge), green right; as the
+# first id of each block
+_LANE_RUN_BLOCKS = np.array((15, 20, 5, 0, 10, 15, 20))
 
 
 def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
@@ -134,40 +176,44 @@ def lane_region_map(foe, dims: tuple[int, int]) -> RegionMap:
     anchors the red wedge and the central 80% the yellow ones; four evenly
     spaced horizontal cuts between the focus height and the bottom edge make
     the row slabs, with everything above the focus joining each region's top
-    slab.
+    slab. Green is split left/right at the focus.
+
+    Each pixel row below the focus is cut where its pixel centers cross the
+    four wedge edges: a center on a red edge is red, one on a yellow edge
+    yellow. A center on the focus column is green right. Rows at and above
+    the focus are green, cut at the focus column only.
     """
     w, h = dims
     if w < 5 or h < 5:
         raise InvalidInputError(f"frame too small for a 25-way partition: {dims}")
-    fx = float(np.clip(np.asarray(foe, dtype=np.float64)[0], 0.0, w - 1.0))
-    fy = float(np.clip(np.asarray(foe, dtype=np.float64)[1], 0.0, h - 1.0))
-    xs, ys = _pixel_centers(w, h)
+    fx, fy = np.clip(np.asarray(foe, dtype=np.float64)[:2], 0.0, (w - 1.0, h - 1.0)).tolist()
+    xs = np.arange(w) + 0.5
 
-    # height fraction from the focus toward the bottom edge, per row; <= 0 above
-    s = (ys - fy) / (h - fy)
+    # height fraction from the focus toward the bottom edge, per pixel row;
+    # <= 0 above
+    s = (np.arange(h) + 0.5 - fy) / (h - fy)
     below = s > 0.0
 
-    def edge(bottom_x: float) -> np.ndarray:
-        # wedge edge from the focus to a bottom-edge anchor, per pixel row
-        return fx + s * (bottom_x - fx)
-
-    red_l, red_r = edge(0.30 * w), edge(0.70 * w)
-    yel_l, yel_r = edge(0.10 * w), edge(0.90 * w)
-
-    in_red = below & (xs >= red_l) & (xs <= red_r)
-    in_yl = below & ~in_red & (xs >= yel_l) & (xs < red_l)
-    in_yr = below & ~in_red & (xs > red_r) & (xs <= yel_r)
-    left = xs < fx
-    region_idx = np.where(
-        in_red, 0, np.where(in_yl, 1, np.where(in_yr, 2, np.where(left, 3, 4))))
+    # per row, the wedge edges from the focus to their bottom-edge anchors
+    # (yellow left, red left, red right, yellow right); each cut counts the
+    # pixel centers strictly left of a left edge, or at or left of a right
+    # edge. A row at or above the focus has no wedge: its cuts sit at the focus
+    edges = fx + s[:, None] * (np.array((0.10, 0.30, 0.70, 0.90)) * w - fx)
+    focus = np.searchsorted(xs, fx, side="left")
+    cuts = np.empty((h, 8), dtype=np.intp)
+    cuts[:, 0], cuts[:, 7] = 0, w
+    cuts[:, 2:4] = np.searchsorted(xs, edges[:, :2], side="left")
+    cuts[:, 4:6] = np.searchsorted(xs, edges[:, 2:], side="right")
+    cuts[~below, 2:6] = focus
+    np.minimum(cuts[:, 2], focus, out=cuts[:, 1])
+    np.maximum(cuts[:, 5], focus, out=cuts[:, 6])
 
     # row slab from the bottom: 1 nearest the bottom edge, 5 at and above the
     # focus height
     band = np.ceil(np.clip(s, 0.0, 1.0) * 5.0).astype(np.int64)
-    row_from_bottom = np.where(below, 6 - np.clip(band, 1, 5), 5)
-
-    assignment = region_idx * 5 + row_from_bottom
-    return RegionMap(criterion=LANE, dims=dims, assignment=assignment)
+    slab = np.where(below, 6 - np.clip(band, 1, 5), 5)
+    return RegionMap(criterion=LANE, dims=dims, cuts=cuts,
+                     ids=slab[:, None] + _LANE_RUN_BLOCKS)
 
 
 def proximity_region_map(dims: tuple[int, int]) -> RegionMap:
@@ -181,7 +227,8 @@ def proximity_region_map(dims: tuple[int, int]) -> RegionMap:
     if w < 5 or h < 5:
         raise InvalidInputError(f"frame too small for a 25-way partition: {dims}")
 
-    xs, ys = _pixel_centers(w, h)
+    # pixel-center x as a (w,) row and y as an (h, 1) column, to broadcast
+    xs, ys = np.arange(w) + 0.5, (np.arange(h) + 0.5)[:, None]
     dx = xs - w / 2.0
     dy = h - ys  # height above the bottom edge, always > 0 at pixel centers
     dist = np.hypot(dx, dy)
@@ -191,8 +238,7 @@ def proximity_region_map(dims: tuple[int, int]) -> RegionMap:
     theta = np.arctan2(dy, dx)  # (0, pi), 0 at the right edge
     sector = 5 - np.clip(np.floor(theta / (np.pi / 5.0)).astype(np.int64), 0, 4)
 
-    assignment = (annulus - 1) * 5 + sector
-    return RegionMap(criterion=PROXIMITY, dims=dims, assignment=assignment)
+    return RegionMap.from_assignment(PROXIMITY, (annulus - 1) * 5 + sector)
 
 
 def region_map_for(criterion: str, foe, dims: tuple[int, int]) -> RegionMap:
@@ -337,8 +383,7 @@ def risk_descriptor(
         y0, y1 = max(y0, 0), min(y1, h)
         if x0 >= x1 or y0 >= y1:
             continue
-        counts = np.bincount(region_map.assignment[y0:y1, x0:x1].ravel(),
-                             minlength=26).astype(np.float64)
+        counts = region_map.counts_in(x0, x1, y0, y1)
         values += coeff * det.score * (cell * counts * inv_area)[1:]
 
     return RiskDescriptor(values=values, criterion=region_map.criterion,

@@ -2,10 +2,11 @@
 
 This is the object path the array code in `cyclerisk.foe` replaced: one
 `FlowObservation` per flow, weighted one flow (and one box) at a time, and
-re-stacked into arrays on every solve. The property tests require the
-package to reproduce its point, counts, stop reason and errors byte for
-byte, so keep it independent of the package's helpers: only the settings
-(`FoeConfig`) are shared. Its result record also carries the robust
+re-stacked into arrays on every solve, each 2x2 system checked by
+`np.linalg.eigvalsh` and solved by `np.linalg.solve`. The property tests hold
+the package to the focus rule of docs/formats.md: the same counts, stop
+reason and errors, and a point within 1e-9 px. Keep it independent of the
+package's helpers: only the settings (`FoeConfig`) are shared. Its result record also carries the robust
 objective after every reweighted solve, which the package never computes.
 """
 
@@ -27,8 +28,9 @@ _IRLS_TOL = 1e-8
 
 @dataclass
 class RefEstimate:
-    """The reference's result: the package's four fields plus the objective.
+    """The reference's result: the package's five fields plus the objective.
 
+    solves counts the reweighted solves of every estimation, summed;
     objective_history holds the robust objective after every reweighted
     solve of the last estimation; objective is its last entry.
     """
@@ -37,6 +39,7 @@ class RefEstimate:
     iterations: int
     active_count: int
     stop_reason: str
+    solves: int
     objective: float
     objective_history: list[float] = field(default_factory=list)
 
@@ -194,7 +197,7 @@ def estimate_foe(observations, cfg=FoeConfig()) -> RefEstimate:
             break
 
     return RefEstimate(point=x, iterations=iterations, active_count=n,
-                       stop_reason=stop, objective=history[-1],
+                       stop_reason=stop, solves=iterations, objective=history[-1],
                        objective_history=history)
 
 
@@ -202,6 +205,7 @@ def refine_foe(observations, cfg=FoeConfig()) -> RefEstimate:
     active = _usable(observations)
     est = estimate_foe(active, cfg)
     solves = 1
+    irls_solves = est.solves
     cos_limit = math.cos(math.radians(cfg.angle_thresh))
 
     stop = "max_iters"
@@ -222,6 +226,7 @@ def refine_foe(observations, cfg=FoeConfig()) -> RefEstimate:
         pruned = [o for o, k in zip(active, keep) if k]
         new_est = estimate_foe(pruned, cfg)
         solves += 1
+        irls_solves += new_est.solves
         moved = float(np.linalg.norm(new_est.point - est.point))
         active, est = pruned, new_est
         if moved < cfg.tol:
@@ -230,5 +235,5 @@ def refine_foe(observations, cfg=FoeConfig()) -> RefEstimate:
 
     return RefEstimate(point=est.point, iterations=solves,
                        active_count=len(active), stop_reason=stop,
-                       objective=est.objective,
+                       solves=irls_solves, objective=est.objective,
                        objective_history=est.objective_history)

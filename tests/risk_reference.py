@@ -1,16 +1,22 @@
-"""Full-frame references for the region-map rasters in `cyclerisk.risk`.
+"""Full-frame references for the region maps in `cyclerisk.risk`.
 
-This is the tiled form the package replaced: every builder lays the pixel
-centers out as two full-frame `X`/`Y` grids and computes each edge, band and
-distance per pixel. The package broadcasts a pixel row against a pixel
-column instead, and the property tests require the same assignment and
-centroid bytes. Keep it independent of the package's helpers: only the
-layout constants are shared.
+This is the tiled raster form the package replaced: every builder lays the
+pixel centers out as two full-frame `X`/`Y` grids and computes each edge,
+band and distance per pixel, and a descriptor counts a footprint's pixels in
+the raster. The package cuts each pixel row into runs instead (the lane
+wedges by their edges, without a raster), and the property tests require
+the same assignment, area, centroid and descriptor bytes. Keep it
+independent of the package's helpers: only the layout constants and the
+settings (`RiskConfig`) are shared.
 """
+
+import math
 
 import numpy as np
 
-from cyclerisk.risk import DEFAULT_PROXIMITY_RADII
+from cyclerisk.config import RiskConfig
+from cyclerisk.risk import (COLOR_BASE, DEFAULT_CLASS_COEFFS, DEFAULT_PROXIMITY_RADII,
+                            ROW_FALLOFF, SUBREGION_BANDS, SUBREGION_COLORS)
 
 
 def _grids(w, h):
@@ -71,3 +77,31 @@ def centroids(assignment) -> np.ndarray:
     sy = np.bincount(flat, weights=Y.ravel(), minlength=26)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.column_stack((sx, sy)) / areas[:, None]
+
+
+def descriptor(detections, assignment, criterion, cfg=RiskConfig()) -> np.ndarray:
+    """The 25 bins of the default-coefficient descriptor, counting each
+    footprint's pixels per sub-region in the raster."""
+    h, w = assignment.shape
+    cell = np.array([0.0] + [COLOR_BASE[c] * ROW_FALLOFF[b - 1] for c, b in
+                             zip(SUBREGION_COLORS, SUBREGION_BANDS[criterion])])
+    areas = np.bincount(assignment.ravel(), minlength=26)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inv_area = np.where(areas > 0, 1.0 / areas, 0.0)
+    values = np.zeros(25)
+    for det in detections:
+        coeff = DEFAULT_CLASS_COEFFS.get(det.label)
+        if coeff is None:
+            continue
+        x, y, bw, bh = det.bbox
+        fh = max(cfg.footprint_frac * bh, cfg.footprint_min_px)
+        top = y + bh - fh
+        x0, x1 = min(max(x, 0.0), w), min(max(x + bw, 0.0), w)
+        y0, y1 = min(max(top, 0.0), h), min(max(top + fh, 0.0), h)
+        c0, c1 = max(math.floor(x0), 0), min(math.ceil(x0 + max(x1 - x0, 0.0)), w)
+        r0, r1 = max(math.floor(y0), 0), min(math.ceil(y0 + max(y1 - y0, 0.0)), h)
+        if c0 >= c1 or r0 >= r1:
+            continue
+        counts = np.bincount(assignment[r0:r1, c0:c1].ravel(), minlength=26)
+        values += coeff * det.score * (cell * counts.astype(np.float64) * inv_area)[1:]
+    return values

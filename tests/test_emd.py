@@ -115,7 +115,7 @@ class TestDistanceMatrix:
         # horizontal and a vertical neighbor share geometry but not the group
         assignment = np.repeat(np.repeat(
             np.arange(1, 26, dtype=np.int16).reshape(5, 5), 10, axis=0), 10, axis=1)
-        m = RegionMap(criterion="lane", dims=(50, 50), assignment=assignment)
+        m = RegionMap.from_assignment("lane", assignment)
         D = build_distance_matrix(m, cross_factor=2.0)
         same = D[0, 1]   # cells 1 and 2: red-red, 10 px apart
         cross = D[0, 5]  # cells 1 and 6: red-yellow, 10 px apart

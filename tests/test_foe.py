@@ -249,6 +249,14 @@ class TestEstimate:
         assert assert_same_as_reference(points, vectors, weights=np.ones(16)
                                         ) is DegenerateGeometryError
 
+    @pytest.mark.parametrize("eps, degenerate", [(1.5e-6, False), (6e-7, True)])
+    def test_condition_near_limit_both_sides(self, eps, degenerate):
+        # condition ~4.4e11 solves and ~2.8e12 does not, in the closed form
+        # and in the reference's eigvalsh alike
+        points, vectors = self.two_rows(eps)
+        want = assert_same_as_reference(points, vectors, weights=np.ones(16))
+        assert (want is DegenerateGeometryError) == degenerate
+
     @settings(max_examples=25, deadline=None)
     @given(dx=st.floats(-400, 400), dy=st.floats(-400, 400))
     def test_translation_equivariance(self, dx, dy):
@@ -336,10 +344,17 @@ def assert_same_as_reference(points, vectors, detections=(), prev_foe=(240.0, 18
         assert got is want
         return want
     assert not isinstance(got, type), got
-    assert got.point.tobytes() == want.point.tobytes()
-    assert (got.iterations, got.active_count, got.stop_reason) == (
-        want.iterations, want.active_count, want.stop_reason)
+    assert_focus_rule(got, want)
     return want
+
+
+def assert_focus_rule(got, want):
+    """docs/formats.md "Focus rule": the same counts and stop reason, and
+    the point within 1e-9 px of the reference's (1e-15 of its magnitude for
+    a focus millions of px out)."""
+    assert (got.iterations, got.solves, got.active_count, got.stop_reason) == (
+        want.iterations, want.solves, want.active_count, want.stop_reason)
+    assert np.abs(got.point - want.point).max() <= max(1e-9, 1e-15 * np.abs(want.point).max())
 
 
 def random_boxes(rng, points, frame, count):
@@ -357,7 +372,7 @@ def random_boxes(rng, points, frame, count):
 
 
 class TestMatchesReference:
-    """The array path must reproduce the per-flow reference byte for byte."""
+    """The array path must meet the focus rule against the per-flow reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 150),
@@ -430,6 +445,43 @@ class TestMatchesReference:
         assert assert_same_as_reference(empty, empty) is InsufficientFlowError
         assert assert_same_as_reference(points, np.zeros((10, 2))) is InvalidInputError
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(8, 200),
+           noise=st.floats(0.0, 5.0), outliers=st.floats(0.0, 0.7),
+           delta=st.sampled_from([1.0, 10.0]))
+    def test_closed_form_solve_meets_focus_rule(self, seed, n, noise, outliers, delta):
+        # each reweighted solve in closed form against eigvalsh and
+        # np.linalg.solve, under random weights, at the corners the rule
+        # covers (docs/formats.md: a much smaller one lets a step near the
+        # stopping bound end the two one solve apart)
+        rng = np.random.default_rng(seed)
+        foe = (float(rng.uniform(-200, 680)), float(rng.uniform(-150, 510)))
+        scene = gen_expansion_scene(foe, n=n, noise=noise, outlier_frac=outliers,
+                                    seed=seed, dims=FRAME)
+        weights = rng.uniform(0.05, 1.0, n)
+        cfg = FoeConfig(delta=delta)
+        observations = [ref.FlowObservation(p, v, mag_weight=float(w))
+                        for p, v, w in zip(scene.points, scene.vectors, weights)]
+        for package, reference in ((estimate_foe, ref.estimate_foe),
+                                   (refine_foe, ref.refine_foe)):
+            try:
+                want = reference(observations, cfg)
+            except CycleRiskError as exc:
+                with pytest.raises(type(exc)):
+                    package(scene.points, scene.vectors, weights, cfg)
+                continue
+            assert_focus_rule(package(scene.points, scene.vectors, weights, cfg), want)
+
+    def test_solves_summed_over_rounds(self):
+        scene = gen_expansion_scene((240.0, 180.0), n=100, noise=0.5,
+                                    outlier_frac=0.3, seed=5, dims=FRAME)
+        est = refine_foe(scene.points, scene.vectors, unit_weights(scene))
+        want = assert_same_as_reference(scene.points, scene.vectors,
+                                        weights=unit_weights(scene))
+        assert est.iterations >= 2 and est.solves == want.solves > est.iterations
+        single = estimate_foe(scene.points, scene.vectors, unit_weights(scene))
+        assert single.solves == single.iterations < est.solves
+
     def test_estimate_matches_reference(self):
         for seed in range(5):
             scene = gen_expansion_scene((250.0, 190.0), n=80, noise=1.0,
@@ -439,9 +491,7 @@ class TestMatchesReference:
                             for p, v, w in zip(scene.points, scene.vectors, weights)]
             want = ref.estimate_foe(observations)
             got = estimate_foe(scene.points, scene.vectors, weights)
-            assert got.point.tobytes() == want.point.tobytes()
-            assert (got.iterations, got.active_count, got.stop_reason) == (
-                want.iterations, want.active_count, want.stop_reason)
+            assert_focus_rule(got, want)
 
     def test_first_bike_pairs_of_a_ride(self, e2e_workspace):
         ride = pipeline.load_ride(e2e_workspace["ride_bike"])

@@ -101,8 +101,8 @@ class TestProximityMap:
 
 
 class TestAgainstTiledReference:
-    """The maps broadcast a pixel row against a pixel column; the tiled
-    full-frame reference must give the same assignment and centroid bytes."""
+    """The maps are held as row runs; the tiled full-frame reference must
+    give the same assignment and centroid bytes."""
 
     @settings(max_examples=150, deadline=None)
     @given(w=st.integers(5, 400), h=st.integers(5, 400),
@@ -128,6 +128,89 @@ class TestAgainstTiledReference:
         expected = ref.proximity_assignment((w, h))
         assert rmap.assignment.tobytes() == expected.tobytes()
         assert rmap.centroids().tobytes() == ref.centroids(expected).tobytes()
+
+
+def random_focus(rng, w, h):
+    """A focus inside the frame, on a pixel center or a pixel edge, on or
+    beyond a frame edge, or anywhere up to a frame beyond it."""
+    def coord(n):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            return int(rng.integers(0, n)) + 0.5           # a pixel center
+        if kind == 1:
+            return float(rng.integers(0, n + 1))           # a pixel edge
+        if kind == 2:
+            return float(rng.choice([0.0, n - 1.0, n - 0.5, float(n)]))
+        if kind == 3:
+            return float(rng.choice([-1.0, -0.25, n + 0.25, 2.0 * n]))   # beyond
+        return float(rng.uniform(-1.0, 2.0)) * n
+    return coord(w), coord(h)
+
+
+def random_detections(rng, w, h, count):
+    """Known and unknown classes; boxes inside, across and outside the frame."""
+    labels = ("car", "bus", "motorcycle", "bicycle", "person", "truck")
+    return [Detection(0, labels[int(rng.integers(0, len(labels)))],
+                      float(rng.uniform(0.0, 1.0)),
+                      (float(rng.uniform(-0.3 * w, w)), float(rng.uniform(-0.3 * h, h)),
+                       float(rng.uniform(0.0, 0.6 * w)), float(rng.uniform(0.0, 0.6 * h))))
+            for _ in range(count)]
+
+
+class TestRowCuts:
+    """The lane map is cut row by row at its wedge edges; the raster oracle
+    compares every pixel center with the edges."""
+
+    def test_cuts_match_raster_oracle_on_random_draws(self):
+        # a focus column on a pixel center goes to green right; an edge
+        # crossing a pixel center goes to red (red edges) or yellow (yellow)
+        fixed = [((5, 5), (2.5, 2.5)), ((5, 6), (0.0, 0.0)), ((6, 5), (5.0, 4.0)),
+                 ((7, 300), (3.5, 299.5)), ((300, 7), (-5.0, 3.0)),
+                 (DIMS, (240.5, 180.5)), (DIMS, (240.0, 359.0)), (DIMS, (900.0, -40.0))]
+        rng = np.random.default_rng(30)
+        for draw in range(2400):
+            if draw < len(fixed):
+                (w, h), foe = fixed[draw]
+            else:
+                w, h = int(rng.integers(5, 120)), int(rng.integers(5, 120))
+                foe = random_focus(rng, w, h)
+            rmap = lane_region_map(foe, (w, h))
+            expected = ref.lane_assignment(foe, (w, h))
+            assert rmap.assignment.tobytes() == expected.tobytes(), (w, h, foe)
+            assert rmap.areas.tolist() == np.bincount(expected.ravel(), minlength=26).tolist()
+            assert rmap.centroids().tobytes() == ref.centroids(expected).tobytes(), (w, h, foe)
+
+    def test_descriptor_with_detections_matches_raster_oracle(self):
+        rng = np.random.default_rng(31)
+        for draw in range(150):
+            w, h = int(rng.integers(5, 160)), int(rng.integers(5, 160))
+            dets = random_detections(rng, w, h, int(rng.integers(1, 7)))
+            foe = random_focus(rng, w, h)
+            for criterion, rmap, raster in (
+                    ("lane", lane_region_map(foe, (w, h)), ref.lane_assignment(foe, (w, h))),
+                    ("proximity", proximity_region_map((w, h)),
+                     ref.proximity_assignment((w, h)))):
+                got = risk_descriptor(dets, rmap).values
+                assert got.tobytes() == ref.descriptor(dets, raster, criterion).tobytes()
+
+    def test_descriptor_builds_no_raster(self):
+        # a lane frame reads the cuts: no per-pixel assignment is built
+        rmap = centered_lane_map()
+        dets = random_detections(np.random.default_rng(32), *DIMS, 6)
+        assert risk_descriptor(dets, rmap).total > 0.0
+        assert "assignment" not in vars(rmap)
+
+    @pytest.mark.parametrize("cuts, ids", [
+        ([[1, 3, 5]] * 2, [[1, 2]] * 2),     # a row starting past column 0
+        ([[0, 3, 4]] * 2, [[1, 2]] * 2),     # a row ending short of the width
+        ([[0, 4, 3, 5]] * 2, [[1, 2, 3]] * 2),   # falling cuts
+        ([[0, 3, 5]] * 2, [[1, 26]] * 2),    # an id past 25
+        ([[0, 3, 5]] * 3, [[1, 2]] * 3),     # more rows than the height
+        ([[0, 3, 5]] * 2, [[1, 2, 3]] * 2),  # ids without cuts
+    ])
+    def test_bad_runs_rejected(self, cuts, ids):
+        with pytest.raises(InvalidInputError):
+            RegionMap(criterion="lane", dims=(5, 2), cuts=cuts, ids=ids)
 
 
 class TestFootprint:
@@ -161,7 +244,7 @@ def one_rect_map(dims=(100, 100), rect=(40, 70, 20, 10)):
     rx, ry, rw, rh = rect
     assignment = np.full((h, w), 2, dtype=np.int16)
     assignment[ry:ry + rh, rx:rx + rw] = 1
-    return RegionMap(criterion="lane", dims=dims, assignment=assignment)
+    return RegionMap.from_assignment("lane", assignment)
 
 
 class TestDescriptor:
@@ -293,8 +376,7 @@ class TestValidation:
 
     def test_bad_assignment_rejected(self):
         with pytest.raises(InvalidInputError):
-            RegionMap(criterion="lane", dims=(10, 10),
-                      assignment=np.zeros((10, 10), dtype=np.int16))
+            RegionMap.from_assignment("lane", np.zeros((10, 10), dtype=np.int16))
 
     def test_tiny_frame_rejected(self):
         with pytest.raises(InvalidInputError):
